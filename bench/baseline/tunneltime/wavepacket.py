@@ -1,0 +1,494 @@
+"""Gaussian wavepacket evolution and current-flux time statistics.
+
+A packet is a fixed spectral superposition of stationary scattering states,
+
+    Psi(x,t) = (2 pi)^{-1/2} sum_j w_j g_j psi(x; k_j) e^{-i E_j t/hbar},
+
+with Gauss-Legendre nodes k_j, weights w_j and normalized amplitudes g_j
+(sum w g^2 = 1). That normalization makes the spatial norm and the
+time-integrated incident flux through any point both equal 1 exactly in the
+quadrature sense. The free-motion centroid crosses x = 0 at t = 0 (the
+spectrum is real, so no linear spectral phase appears).
+
+Flux statistics split the current J(x,t) by sign into J+ >= 0 and J- <= 0 and
+build arrival-time means and variances from each part separately; points
+whose split flux falls below a floor are flagged low-confidence, never
+dropped.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import cumulative_trapezoid, solve_ivp
+
+from .scattering import PiecewisePotential, solve_transfer_matrix
+from .units import ELECTRON, UnitSystem
+
+T_SPAN = (-1e-13, 1e-13)       # scan interval for locating flux support, s
+DT_COARSE = 1e-15              # support-location step, s
+DT_FINE = 1e-17                # refined statistics step, s
+FLUX_FLOOR = 1e-6              # of incident norm; below this: low confidence
+SUPPORT_SIGMAS = 10.0          # refined window padding in packet time-widths
+
+
+@dataclass(frozen=True)
+class SpectralPacket:
+    """Gaussian k-space packet on a Gauss-Legendre grid.
+
+    amplitude holds C f(k-k0) with C fixed so sum(weights * amplitude^2) = 1.
+    """
+
+    k0: float
+    dk: float
+    k_nodes: np.ndarray
+    weights: np.ndarray
+    amplitude: np.ndarray
+    x0: float = 0.0
+    units: UnitSystem = ELECTRON
+
+    @classmethod
+    def gaussian(cls, k0: float, dk: float, n_nodes: int = 513,
+                 k_floor: float = 1e-4, units: UnitSystem = ELECTRON) -> "SpectralPacket":
+        if k0 <= 0 or dk <= 0:
+            raise ValueError("k0 and dk must be positive")
+        lo = max(k_floor, k0 - 5.0 * dk)
+        hi = k0 + 5.0 * dk
+        xg, wg = leggauss(n_nodes)
+        k = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
+        w = 0.5 * (hi - lo) * wg
+        f = np.exp(-((k - k0) ** 2) / (2.0 * dk * dk))
+        f = f / math.sqrt(float(np.sum(w * f * f)))
+        return cls(k0=k0, dk=dk, k_nodes=k, weights=w, amplitude=f, units=units)
+
+    def with_nodes(self, n_nodes: int) -> "SpectralPacket":
+        """Same packet on a refined grid (for convergence checks)."""
+        return SpectralPacket.gaussian(self.k0, self.dk, n_nodes=n_nodes, units=self.units)
+
+    @property
+    def sigma_t(self) -> float:
+        """Nominal temporal width 1/(v(k0) dk) of the packet, s."""
+        return 1.0 / (float(self.units.v_of_k(self.k0)) * self.dk)
+
+
+class _Ensemble:
+    """Cached stationary solutions of one potential on a packet's k grid."""
+
+    def __init__(self, packet: SpectralPacket, potential: PiecewisePotential):
+        if potential.semi_infinite:
+            raise ValueError("packet evolution needs a finite-range potential")
+        u = packet.units
+        self.potential = potential
+        self.units = u
+        self.k = packet.k_nodes
+        self.coef = packet.weights * packet.amplitude / math.sqrt(2.0 * math.pi)
+        self.omega = u.E_of_k(self.k) / u.hbar_eV_s
+        states = [solve_transfer_matrix(potential, float(kk), u) for kk in self.k]
+        self.amp_T = np.array([s.amp_T for s in states])
+        self.amp_R = np.array([s.amp_R for s in states])
+        nseg = len(potential.segments)
+        nk = len(self.k)
+        self.kap = np.zeros((nk, nseg), complex)
+        self.A = np.zeros((nk, nseg), complex)
+        self.b_right = np.zeros((nk, nseg), complex)
+        self.psi_l = np.zeros((nk, nseg), complex)
+        self.dpsi_l = np.zeros((nk, nseg), complex)
+        for i, s in enumerate(states):
+            self.kap[i] = s.kappas
+            self.A[i] = s.A
+            self.b_right[i] = s._b_right
+            self.psi_l[i] = s._psi_l
+            self.dpsi_l[i] = s._dpsi_l
+
+    def modes_at(self, x: float):
+        """(psi_j(x), dpsi_j(x)) arrays over the k grid, stable at any opacity."""
+        pot = self.potential
+        k = self.k
+        if not pot.segments or x < pot.x_left:
+            e_p = np.exp(1j * k * x)
+            e_m = np.conj(e_p)
+            return e_p + self.amp_R * e_m, 1j * k * (e_p - self.amp_R * e_m)
+        if x >= pot.x_right:
+            e_p = np.exp(1j * k * x)
+            return self.amp_T * e_p, 1j * k * self.amp_T * e_p
+        for j, (xl, xr, V) in enumerate(pot.segments):
+            if xl <= x < xr:
+                kap = self.kap[:, j]
+                dec = np.exp(-kap * (x - xl))
+                grow = np.exp(-kap * (xr - x))
+                psi = self.A[:, j] * dec + self.b_right[:, j] * grow
+                dpsi = -kap * self.A[:, j] * dec + kap * self.b_right[:, j] * grow
+                lin = np.abs(kap) * (xr - xl) < 1e-12
+                if np.any(lin):
+                    psi[lin] = self.psi_l[lin, j] + self.dpsi_l[lin, j] * (x - xl)
+                    dpsi[lin] = self.dpsi_l[lin, j]
+                return psi, dpsi
+        raise RuntimeError("unreachable: x not classified")
+
+
+_ENSEMBLES: dict = {}
+
+
+def _ensemble(packet: SpectralPacket, potential: PiecewisePotential) -> _Ensemble:
+    key = (potential, packet.k0, packet.dk, len(packet.k_nodes), packet.units)
+    ens = _ENSEMBLES.get(key)
+    if ens is None:
+        ens = _Ensemble(packet, potential)
+        _ENSEMBLES[key] = ens
+    return ens
+
+
+def evolve(packet: SpectralPacket, potential: PiecewisePotential, x, t):
+    """(Psi, dPsi/dx) at position(s) x and time(s) t.
+
+    Scalars give scalars; an array in one argument broadcasts; arrays in both
+    return shape (len(t), len(x)).
+    """
+    ens = _ensemble(packet, potential)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    phase = np.exp(-1j * np.outer(ts, ens.omega))   # (Nt, Nk)
+    psi_m = np.empty((len(xs), len(ens.k)), complex)
+    dpsi_m = np.empty_like(psi_m)
+    for i, xv in enumerate(xs):
+        pj, dj = ens.modes_at(float(xv))
+        psi_m[i] = ens.coef * pj
+        dpsi_m[i] = ens.coef * dj
+    psi = phase @ psi_m.T      # (Nt, Nx)
+    dpsi = phase @ dpsi_m.T
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        psi, dpsi = psi[:, 0], dpsi[:, 0]
+        if np.isscalar(t) or np.asarray(t).ndim == 0:
+            return psi[0], dpsi[0]
+        return psi, dpsi
+    if np.isscalar(t) or np.asarray(t).ndim == 0:
+        return psi[0], dpsi[0]
+    return psi, dpsi
+
+
+def current(packet: SpectralPacket, potential: PiecewisePotential, x, t):
+    """Probability current J(x,t) = (hbar/m) Im(Psi* dPsi/dx)."""
+    psi, dpsi = evolve(packet, potential, x, t)
+    return packet.units.hbar_over_m * np.imag(np.conj(psi) * dpsi)
+
+
+@dataclass
+class FluxRecord:
+    """J(x, t) at fixed x on a time grid, sign-split with cumulants."""
+
+    x: float
+    t: np.ndarray
+    J: np.ndarray
+    J_plus: np.ndarray
+    J_minus: np.ndarray
+    N_gt: np.ndarray       # forward crossings accumulated up to t
+    N_lt: np.ndarray       # backward crossings accumulated up to t (>= 0)
+
+
+@dataclass
+class ArrivalStats:
+    mean_t_plus: float
+    mean_t_minus: float
+    var_t_plus: float
+    var_t_minus: float
+    total_plus_flux: float
+    total_minus_flux: float
+    low_confidence_plus: bool
+    low_confidence_minus: bool
+
+
+@dataclass
+class MeanTimes:
+    """Differences of sign-split arrival means between two probe points."""
+
+    tau_T: float
+    tau_R: float
+    tau_Pen: float
+    tau_Ret: float
+    var_tau_T: float
+    stats_i: ArrivalStats
+    stats_f: ArrivalStats
+
+    @property
+    def low_confidence(self) -> bool:
+        return (self.stats_i.low_confidence_plus or self.stats_f.low_confidence_plus
+                or self.stats_f.low_confidence_minus)
+
+
+def default_time_grid(packet: SpectralPacket, potential: PiecewisePotential,
+                      x: float, dt_fine: float = DT_FINE) -> np.ndarray:
+    """Two-stage grid: coarse scan locates |J| support, fine grid covers it.
+
+    The refined window pads the support by SUPPORT_SIGMAS packet time-widths
+    and is clipped to the scan interval.
+    """
+    t_coarse = np.arange(T_SPAN[0], T_SPAN[1] + DT_COARSE / 2, DT_COARSE)
+    J = current(packet, potential, x, t_coarse)
+    amax = np.max(np.abs(J))
+    if amax == 0.0:
+        return t_coarse
+    live = np.abs(J) > 1e-8 * amax
+    t_lo = t_coarse[live][0] - SUPPORT_SIGMAS * packet.sigma_t
+    t_hi = t_coarse[live][-1] + SUPPORT_SIGMAS * packet.sigma_t
+    t_lo = max(t_lo, T_SPAN[0])
+    t_hi = min(t_hi, T_SPAN[1])
+    return np.arange(t_lo, t_hi + dt_fine / 2, dt_fine)
+
+
+def flux_series(packet: SpectralPacket, potential: PiecewisePotential, x: float,
+                t_grid: np.ndarray | None = None, dt_fine: float = DT_FINE) -> FluxRecord:
+    """Evaluate and sign-split the current at probe x on a time grid."""
+    if t_grid is None:
+        t_grid = default_time_grid(packet, potential, x, dt_fine=dt_fine)
+    J = current(packet, potential, x, t_grid)
+    J_plus = np.clip(J, 0.0, None)
+    J_minus = np.clip(J, None, 0.0)
+    N_gt = cumulative_trapezoid(J_plus, t_grid, initial=0.0)
+    N_lt = -cumulative_trapezoid(J_minus, t_grid, initial=0.0)
+    return FluxRecord(x=float(x), t=t_grid, J=J, J_plus=J_plus, J_minus=J_minus,
+                      N_gt=N_gt, N_lt=N_lt)
+
+
+def arrival_stats(record: FluxRecord, floor: float = FLUX_FLOOR,
+                  incident_norm: float = 1.0) -> ArrivalStats:
+    """Sign-split arrival-time means and variances at one probe point."""
+    t = record.t
+
+    def moments(Jpart):
+        tot = np.trapezoid(Jpart, t)
+        # below the floor the mean is still computed but flagged; only a
+        # strictly-zero (roundoff level) flux leaves it undefined
+        if abs(tot) < 1e-15 * incident_norm:
+            return math.nan, math.nan, float(tot), True
+        m1 = np.trapezoid(t * Jpart, t) / tot
+        m2 = np.trapezoid((t - m1) ** 2 * Jpart, t) / tot
+        return float(m1), float(m2), float(tot), abs(tot) < floor * incident_norm
+
+    mp, vp, tp, lp = moments(record.J_plus)
+    mm, vm, tm, lm = moments(record.J_minus)
+    return ArrivalStats(mean_t_plus=mp, mean_t_minus=mm, var_t_plus=vp, var_t_minus=vm,
+                        total_plus_flux=tp, total_minus_flux=abs(tm),
+                        low_confidence_plus=lp, low_confidence_minus=lm)
+
+
+def mean_times(record_at_xi: FluxRecord, record_at_xf: FluxRecord,
+               floor: float = FLUX_FLOOR) -> MeanTimes:
+    """Flux transmission/reflection/penetration/return times between probes.
+
+    tau_T (= tau_Pen when x_f is inside the barrier) is the forward-mean
+    difference; tau_R uses backward minus forward at the entry probe;
+    tau_Ret is backward minus forward at the far probe. Variance of tau_T is
+    reported as the sum of the two forward variances (the underlying
+    entry/exit independence assumption is not checked).
+    """
+    si = arrival_stats(record_at_xi, floor=floor)
+    sf = arrival_stats(record_at_xf, floor=floor)
+    tau_T = sf.mean_t_plus - si.mean_t_plus
+    tau_R = si.mean_t_minus - si.mean_t_plus
+    tau_Ret = sf.mean_t_minus - sf.mean_t_plus
+    return MeanTimes(tau_T=tau_T, tau_R=tau_R, tau_Pen=tau_T, tau_Ret=tau_Ret,
+                     var_tau_T=sf.var_t_plus + si.var_t_plus, stats_i=si, stats_f=sf)
+
+
+def mean_times_separated_packets(record_at_xi: FluxRecord,
+                                 record_at_xf: FluxRecord) -> float:
+    """Diagnostic unsplit-flux transmission time.
+
+    Valid only for separated packets: when incident and reflected parts
+    overlap at a probe, the unsplit weight is not positive-definite and this
+    number loses meaning.
+    """
+
+    def mean_full(rec):
+        tot = np.trapezoid(rec.J, rec.t)
+        return np.trapezoid(rec.t * rec.J, rec.t) / tot
+
+    return float(mean_full(record_at_xf) - mean_full(record_at_xi))
+
+
+def dwell_time_packet(packet: SpectralPacket, potential: PiecewisePotential,
+                      x1: float, x2: float, dt_fine: float = DT_FINE) -> float:
+    """Flux form of the packet dwell time over [x1, x2].
+
+    [int t J(x2) dt - int t J(x1) dt] / int J_in dt; the incident norm is 1
+    by packet normalization.
+    """
+    out = []
+    for x in (x1, x2):
+        rec = flux_series(packet, potential, x, dt_fine=dt_fine)
+        out.append(float(np.trapezoid(rec.t * rec.J, rec.t)))
+    return out[1] - out[0]
+
+
+def transmitted_norm(packet: SpectralPacket, potential: PiecewisePotential) -> float:
+    """Total transmitted probability from the spectral weights."""
+    ens = _ensemble(packet, potential)
+    return float(np.sum(packet.weights * packet.amplitude ** 2 * np.abs(ens.amp_T) ** 2))
+
+
+def norm_on_window(packet: SpectralPacket, potential: PiecewisePotential, t: float,
+                   window: tuple[float, float], dx: float = 0.1) -> float:
+    """Probability content of a spatial window at time t (trapezoid rule)."""
+    xs = np.arange(window[0], window[1] + dx / 2, dx)
+    psi, _ = evolve(packet, potential, xs, t)
+    return float(np.trapezoid(np.abs(psi) ** 2, xs))
+
+
+def centroid_trajectory(packet: SpectralPacket, potential: PiecewisePotential, t,
+                        window: tuple[float, float], dx: float = 0.1):
+    """(xbar(t), mass(t)) center of mass restricted to a spatial window.
+
+    mass is the window's probability content; results with small mass carry
+    little meaning and should be treated as flagged.
+    """
+    xs = np.arange(window[0], window[1] + dx / 2, dx)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    psi, _ = evolve(packet, potential, xs, ts)
+    rho = np.abs(psi) ** 2
+    mass = np.trapezoid(rho, xs, axis=1)
+    xbar = np.trapezoid(rho * xs, xs, axis=1) / np.where(mass > 0, mass, np.nan)
+    if np.isscalar(t) or np.asarray(t).ndim == 0:
+        return float(xbar[0]), float(mass[0])
+    return xbar, mass
+
+
+def continuity_residual(packet: SpectralPacket, potential: PiecewisePotential,
+                        xs, ts, dx: float = 1e-3, dt: float = 1e-18) -> float:
+    """max |d rho/dt + dJ/dx| / max |dJ/dx| by centered differences."""
+    worst_num = 0.0
+    scale = 0.0
+    for x in np.atleast_1d(xs):
+        for t in np.atleast_1d(ts):
+            x, t = float(x), float(t)
+            pp, _ = evolve(packet, potential, x, t + dt)
+            pm, _ = evolve(packet, potential, x, t - dt)
+            drho_dt = (abs(pp) ** 2 - abs(pm) ** 2) / (2.0 * dt)
+            jp = current(packet, potential, x + dx, t)
+            jm = current(packet, potential, x - dx, t)
+            dJ_dx = (jp - jm) / (2.0 * dx)
+            worst_num = max(worst_num, abs(drho_dt + dJ_dx))
+            scale = max(scale, abs(dJ_dx))
+    return worst_num / scale if scale > 0 else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Bohm trajectories and the quantum potential
+
+
+@dataclass
+class BohmTrajectory:
+    t: np.ndarray
+    x: np.ndarray
+    degenerate: bool = False
+    barrier_entry: float = math.nan
+    barrier_exit: float = math.nan
+
+    @property
+    def barrier_dwell(self) -> float:
+        return self.barrier_exit - self.barrier_entry
+
+
+def bohm_velocity(packet: SpectralPacket, potential: PiecewisePotential,
+                  x: float, t: float, rho_floor: float = 0.0) -> float:
+    """Guidance velocity J/rho in A/s; raises when rho is below the floor."""
+    psi, dpsi = evolve(packet, potential, x, t)
+    rho = abs(psi) ** 2
+    if rho <= rho_floor:
+        raise ValueError("density below floor; velocity undefined near node")
+    return float(packet.units.hbar_over_m * np.imag(np.conj(psi) * dpsi) / rho)
+
+
+def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
+                   t_start: float, n_seeds: int,
+                   region: tuple[float, float], quantile_range: tuple[float, float] = (0.0, 1.0),
+                   n_grid: int = 4001) -> np.ndarray:
+    """Density-quantile seed points at t_start within a spatial region.
+
+    quantile_range selects a slice of the region's own cumulative density,
+    e.g. (1 - P_T, 1) picks the rightmost P_T fraction, which by the 1-D
+    no-crossing property is exactly the transmitted subensemble.
+    """
+    xs = np.linspace(region[0], region[1], n_grid)
+    psi, _ = evolve(packet, potential, xs, t_start)
+    rho = np.abs(psi) ** 2
+    cdf = cumulative_trapezoid(rho, xs, initial=0.0)
+    cdf /= cdf[-1]
+    lo, hi = quantile_range
+    qs = lo + (hi - lo) * (np.arange(n_seeds) + 0.5) / n_seeds
+    return np.interp(qs, cdf, xs)
+
+
+def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
+                      seeds, t_start: float, t_end: float,
+                      rho_floor_rel: float = 1e-8, rtol: float = 1e-6,
+                      n_out: int = 801) -> list[BohmTrajectory]:
+    """Integrate guidance trajectories x' = J/rho from each seed.
+
+    Fixed-order adaptive integration (RK45) with step control on |dx|;
+    a trajectory that meets density below rho_floor_rel * rho(seed maximum)
+    is marked degenerate, not silently continued. Barrier entry/exit times
+    are interpolated from the dense solution where applicable.
+    """
+    ens_u = packet.units
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
+    psi0, _ = evolve(packet, potential, seeds, t_start)
+    rho_floor = rho_floor_rel * float(np.max(np.abs(psi0) ** 2))
+    t_eval = np.linspace(t_start, t_end, n_out)
+    x_scale = 1.0 / packet.dk  # packet spatial width, A
+
+    out = []
+    for x0 in seeds:
+        hit_floor = [False]
+
+        def rhs(t, y):
+            psi, dpsi = evolve(packet, potential, float(y[0]), float(t))
+            rho = abs(psi) ** 2
+            if rho < rho_floor:
+                hit_floor[0] = True
+                return [0.0]
+            return [ens_u.hbar_over_m * float(np.imag(np.conj(psi) * dpsi)) / rho]
+
+        sol = solve_ivp(rhs, (t_start, t_end), [float(x0)], method="RK45",
+                        t_eval=t_eval, rtol=rtol, atol=1e-4 * x_scale)
+        xs = sol.y[0]
+        traj = BohmTrajectory(t=sol.t, x=xs, degenerate=hit_floor[0] or not sol.success)
+        if potential.segments:
+            xl, xr = potential.x_left, potential.x_right
+            traj.barrier_entry = _first_crossing(sol.t, xs, xl)
+            traj.barrier_exit = _first_crossing(sol.t, xs, xr)
+        out.append(traj)
+    return out
+
+
+def _first_crossing(t: np.ndarray, x: np.ndarray, level: float) -> float:
+    above = x >= level
+    idx = np.nonzero(above[1:] & ~above[:-1])[0]
+    if above[0]:
+        return float(t[0])
+    if len(idx) == 0:
+        return math.nan
+    i = idx[0]
+    frac = (level - x[i]) / (x[i + 1] - x[i])
+    return float(t[i] + frac * (t[i + 1] - t[i]))
+
+
+def quantum_potential(packet: SpectralPacket, potential: PiecewisePotential,
+                      x: float, t: float, h: float = 1e-3,
+                      amp_floor: float = 1e-12) -> float:
+    """-(hbar^2/2m) (d^2|Psi|/dx^2)/|Psi| in eV, three-point stencil.
+
+    Returns nan near amplitude nodes (|Psi| below amp_floor at any stencil
+    point), where the quotient is undefined.
+    """
+    u = packet.units
+    xs = np.array([x - h, x, x + h])
+    psi, _ = evolve(packet, potential, xs, t)
+    a = np.abs(psi)
+    if np.any(a < amp_floor):
+        return math.nan
+    second = (a[0] - 2.0 * a[1] + a[2]) / (h * h)
+    hbar2_over_2m = u.hbarc_eV_A ** 2 / (2.0 * u.electron_rest_eV)  # eV A^2
+    return float(-hbar2_over_2m * second / a[1])
