@@ -351,12 +351,12 @@ def cmd_evolve(run: RunConfig) -> int:
     packet = _packet_from(cfg)
     pot = PiecewisePotential.square(cfg["V0"], cfg["d"])
 
-    rec0 = wp.flux_series(packet, pot, 0.0, dt_fine=cfg["dt_fine"])
     xs = np.linspace(0.0, cfg["d"], cfg["x_points"])
+    recs = wp.flux_records(packet, pot, xs, dt_fine=cfg["dt_fine"])
+    rec0 = recs[0]   # the entry probe, x = 0
     rows = []
     flagged = False
-    for x in xs:
-        rec = wp.flux_series(packet, pot, float(x), dt_fine=cfg["dt_fine"])
+    for x, rec in zip(xs, recs):
         mt = wp.mean_times(rec0, rec, floor=cfg["flux_floor"])
         flag = (mt.stats_f.low_confidence_plus or mt.stats_f.low_confidence_minus)
         flagged = flagged or mt.low_confidence
@@ -371,7 +371,7 @@ def cmd_evolve(run: RunConfig) -> int:
         "entry_time_points": rec0.t.size,
         "entry_window_lo_s": float(rec0.t[0]),
         "entry_window_hi_s": float(rec0.t[-1]),
-        "entry_flag": int(wp.arrival_stats(rec0, floor=cfg["flux_floor"]).low_confidence_plus),
+        "entry_flag": int(mt.stats_i.low_confidence_plus),
     }
     write_csv(run.out_dir / "evolve.csv", run,
               ["x_A", "tau_pen_s", "tau_ret_s", "flux_plus", "flux_minus", "flag"],
@@ -421,8 +421,7 @@ def cmd_hartman(run: RunConfig) -> int:
         d = float(d)
         rep = tms.time_report(SquareBarrierParams(cfg["V0"], d), k)
         pot = PiecewisePotential.square(cfg["V0"], d)
-        rec0 = wp.flux_series(packet, pot, 0.0, dt_fine=cfg["dt_fine"])
-        recd = wp.flux_series(packet, pot, d, dt_fine=cfg["dt_fine"])
+        rec0, recd = wp.flux_records(packet, pot, [0.0, d], dt_fine=cfg["dt_fine"])
         mt = wp.mean_times(rec0, recd, floor=cfg["flux_floor"])
         flagged = flagged or mt.low_confidence
         rows.append((d, kap * d, rep.dtau_phase_T, rep.tau_dwell, rep.tau_BL_T,
@@ -600,12 +599,8 @@ def cmd_bohm(run: RunConfig) -> int:
     hi = min(xc + 8.0 / packet.dk, pot.x_left)
     if hi <= lo:
         raise ConfigError("t_start leaves no seeding room left of the barrier")
-    if cfg["transmitted_only"]:
-        P_T = wp.transmitted_norm(packet, pot)
-        qrange = (1.0 - P_T, 1.0)
-    else:
-        P_T = wp.transmitted_norm(packet, pot)
-        qrange = (0.0, 1.0)
+    P_T = wp.transmitted_norm(packet, pot)
+    qrange = (1.0 - P_T, 1.0) if cfg["transmitted_only"] else (0.0, 1.0)
     seeds = wp.seed_positions(packet, pot, cfg["t_start"], cfg["n_traj"],
                               (lo, hi), quantile_range=qrange)
     trajs = wp.bohm_trajectories(packet, pot, seeds, cfg["t_start"], cfg["t_end"],
@@ -627,9 +622,7 @@ def cmd_bohm(run: RunConfig) -> int:
     if dwells:
         meta["bohm_mean_transmission_s"] = float(np.mean(dwells))
     if cfg["with_flux"]:
-        rec0 = wp.flux_series(packet, pot, 0.0)
-        recd = wp.flux_series(packet, pot, cfg["d"])
-        mt = wp.mean_times(rec0, recd)
+        mt = wp.mean_times(*wp.flux_records(packet, pot, [0.0, cfg["d"]]))
         meta["flux_tau_T_s"] = mt.tau_T
         flagged = flagged or mt.low_confidence
         if dwells and mt.tau_T:

@@ -33,6 +33,9 @@ DT_COARSE = 1e-15              # support-location step, s
 DT_FINE = 1e-17                # refined statistics step, s
 FLUX_FLOOR = 1e-6              # of incident norm; below this: low confidence
 SUPPORT_SIGMAS = 10.0          # refined window padding in packet time-widths
+SUPPORT_THRESHOLD = 1e-8       # of max |J|; above this the flux is still flowing
+PHASE_BLOCK = 64               # rows of the exp(-i omega t) matrix held at once
+EVEN_GRID_TOL = 1e-12          # rad; max phase error the even-grid recurrence may add
 
 
 @dataclass(frozen=True)
@@ -141,24 +144,68 @@ def _ensemble(packet: SpectralPacket, potential: PiecewisePotential) -> _Ensembl
     return ens
 
 
+def _is_even(ts: np.ndarray, omega: np.ndarray) -> bool:
+    """True when ts is an arithmetic progression to within EVEN_GRID_TOL rad."""
+    n = len(ts)
+    step = (ts[-1] - ts[0]) / (n - 1)
+    dev = float(np.max(np.abs(ts - (ts[0] + step * np.arange(n)))))
+    return dev * float(np.max(np.abs(omega))) <= EVEN_GRID_TOL
+
+
+def _phase(ts: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The direct exp(-i omega t) matrix, shape (len(ts), len(omega))."""
+    return np.exp(-1j * np.outer(ts, omega))
+
+
+def _phase_blocks(ts: np.ndarray, omega: np.ndarray):
+    """Yield (row slice, exp(-i omega t) rows) in blocks of PHASE_BLOCK rows.
+
+    On an evenly spaced grid, row s + r is exp(-i omega (t_r - t_0)) *
+    exp(-i omega t_s) for block start s: both factors come straight from exp,
+    so rounding does not build up from block to block. Any other grid takes
+    the direct exp block by block.
+    """
+    B = PHASE_BLOCK
+    n = len(ts)
+    if _is_even(ts, omega):
+        offset = _phase(ts[:B] - ts[0], omega)
+        for s in range(0, n, B):
+            m = min(B, n - s)
+            yield slice(s, s + m), offset[:m] * np.exp(-1j * ts[s] * omega)
+    else:
+        for s in range(0, n, B):
+            yield slice(s, min(n, s + B)), _phase(ts[s:s + B], omega)
+
+
 def evolve(packet: SpectralPacket, potential: PiecewisePotential, x, t):
     """(Psi, dPsi/dx) at position(s) x and time(s) t.
 
     Scalars give scalars; an array in one argument broadcasts; arrays in both
-    return shape (len(t), len(x)).
+    return shape (len(t), len(x)). The phase factors exp(-i omega t) are
+    formed PHASE_BLOCK rows at a time, never as one len(t) x len(k) matrix.
     """
     ens = _ensemble(packet, potential)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    phase = np.exp(-1j * np.outer(ts, ens.omega))   # (Nt, Nk)
+    ts = np.asarray(t, dtype=float).ravel()
     psi_m = np.empty((len(xs), len(ens.k)), complex)
     dpsi_m = np.empty_like(psi_m)
     for i, xv in enumerate(xs):
         pj, dj = ens.modes_at(float(xv))
         psi_m[i] = ens.coef * pj
         dpsi_m[i] = ens.coef * dj
-    psi = phase @ psi_m.T      # (Nt, Nx)
-    dpsi = phase @ dpsi_m.T
+    if len(ts) <= PHASE_BLOCK:
+        # one block takes the direct exp and skips the block loop, whose
+        # set-up would dominate the many single-time calls of guidance
+        # integration
+        phase = _phase(ts, ens.omega)
+        psi = phase @ psi_m.T      # (Nt, Nx)
+        dpsi = phase @ dpsi_m.T
+    else:
+        psi = np.empty((len(ts), len(xs)), complex)
+        dpsi = np.empty_like(psi)
+        for rows, phase in _phase_blocks(ts, ens.omega):
+            psi[rows] = phase @ psi_m.T
+            dpsi[rows] = phase @ dpsi_m.T
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         psi, dpsi = psi[:, 0], dpsi[:, 0]
         if np.isscalar(t) or np.asarray(t).ndim == 0:
@@ -219,43 +266,68 @@ class MeanTimes:
 
 
 def default_time_grid(packet: SpectralPacket, potential: PiecewisePotential,
-                      x: float, dt_fine: float = DT_FINE) -> np.ndarray:
+                      x, dt_fine: float = DT_FINE) -> np.ndarray:
     """Two-stage grid: coarse scan locates |J| support, fine grid covers it.
 
-    The refined window pads the support by SUPPORT_SIGMAS packet time-widths
-    and is clipped to the scan interval.
+    x is one probe or a sequence of probes. One coarse scan serves them all;
+    a probe's support is where |J| exceeds SUPPORT_THRESHOLD of its own
+    maximum, and the refined window covers the union of the supports, padded
+    by SUPPORT_SIGMAS packet time-widths and clipped to the scan interval.
+    Probes without any flux add no support; when no probe has flux the
+    coarse scan grid itself is returned.
     """
     t_coarse = np.arange(T_SPAN[0], T_SPAN[1] + DT_COARSE / 2, DT_COARSE)
-    J = current(packet, potential, x, t_coarse)
-    amax = np.max(np.abs(J))
-    if amax == 0.0:
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    J = np.abs(current(packet, potential, xs, t_coarse))   # (Nt, Nx)
+    live = np.flatnonzero(np.any(J > SUPPORT_THRESHOLD * J.max(axis=0), axis=1))
+    if live.size == 0:
         return t_coarse
-    live = np.abs(J) > 1e-8 * amax
-    t_lo = t_coarse[live][0] - SUPPORT_SIGMAS * packet.sigma_t
-    t_hi = t_coarse[live][-1] + SUPPORT_SIGMAS * packet.sigma_t
+    t_lo = t_coarse[live[0]] - SUPPORT_SIGMAS * packet.sigma_t
+    t_hi = t_coarse[live[-1]] + SUPPORT_SIGMAS * packet.sigma_t
     t_lo = max(t_lo, T_SPAN[0])
     t_hi = min(t_hi, T_SPAN[1])
     return np.arange(t_lo, t_hi + dt_fine / 2, dt_fine)
 
 
+def flux_records(packet: SpectralPacket, potential: PiecewisePotential, xs,
+                 t_grid: np.ndarray | None = None,
+                 dt_fine: float = DT_FINE) -> list[FluxRecord]:
+    """Evaluate and sign-split the current at several probes on one time grid.
+
+    Without t_grid every probe shares default_time_grid(xs): one coarse scan
+    and one current evaluation serve all of them.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if t_grid is None:
+        t_grid = default_time_grid(packet, potential, xs, dt_fine=dt_fine)
+    J_all = np.ascontiguousarray(current(packet, potential, xs, t_grid).T)
+    records = []
+    for x, J in zip(xs, J_all):
+        J_plus = np.clip(J, 0.0, None)
+        J_minus = np.clip(J, None, 0.0)
+        N_gt = cumulative_trapezoid(J_plus, t_grid, initial=0.0)
+        N_lt = -cumulative_trapezoid(J_minus, t_grid, initial=0.0)
+        records.append(FluxRecord(x=float(x), t=t_grid, J=J, J_plus=J_plus,
+                                  J_minus=J_minus, N_gt=N_gt, N_lt=N_lt))
+    return records
+
+
 def flux_series(packet: SpectralPacket, potential: PiecewisePotential, x: float,
                 t_grid: np.ndarray | None = None, dt_fine: float = DT_FINE) -> FluxRecord:
     """Evaluate and sign-split the current at probe x on a time grid."""
-    if t_grid is None:
-        t_grid = default_time_grid(packet, potential, x, dt_fine=dt_fine)
-    J = current(packet, potential, x, t_grid)
-    J_plus = np.clip(J, 0.0, None)
-    J_minus = np.clip(J, None, 0.0)
-    N_gt = cumulative_trapezoid(J_plus, t_grid, initial=0.0)
-    N_lt = -cumulative_trapezoid(J_minus, t_grid, initial=0.0)
-    return FluxRecord(x=float(x), t=t_grid, J=J, J_plus=J_plus, J_minus=J_minus,
-                      N_gt=N_gt, N_lt=N_lt)
+    return flux_records(packet, potential, [x], t_grid=t_grid, dt_fine=dt_fine)[0]
 
 
 def arrival_stats(record: FluxRecord, floor: float = FLUX_FLOOR,
                   incident_norm: float = 1.0) -> ArrivalStats:
-    """Sign-split arrival-time means and variances at one probe point."""
+    """Sign-split arrival-time means and variances at one probe point.
+
+    Both flags are raised when the time window cuts off flux that is still
+    flowing: |J| at either end of record.t above SUPPORT_THRESHOLD of max |J|.
+    """
     t = record.t
+    absJ = np.abs(record.J)
+    clipped = absJ.size > 0 and bool(max(absJ[0], absJ[-1]) > SUPPORT_THRESHOLD * absJ.max())
 
     def moments(Jpart):
         tot = np.trapezoid(Jpart, t)
@@ -271,7 +343,8 @@ def arrival_stats(record: FluxRecord, floor: float = FLUX_FLOOR,
     mm, vm, tm, lm = moments(record.J_minus)
     return ArrivalStats(mean_t_plus=mp, mean_t_minus=mm, var_t_plus=vp, var_t_minus=vm,
                         total_plus_flux=tp, total_minus_flux=abs(tm),
-                        low_confidence_plus=lp, low_confidence_minus=lm)
+                        low_confidence_plus=lp or clipped,
+                        low_confidence_minus=lm or clipped)
 
 
 def mean_times(record_at_xi: FluxRecord, record_at_xf: FluxRecord,
@@ -316,11 +389,8 @@ def dwell_time_packet(packet: SpectralPacket, potential: PiecewisePotential,
     [int t J(x2) dt - int t J(x1) dt] / int J_in dt; the incident norm is 1
     by packet normalization.
     """
-    out = []
-    for x in (x1, x2):
-        rec = flux_series(packet, potential, x, dt_fine=dt_fine)
-        out.append(float(np.trapezoid(rec.t * rec.J, rec.t)))
-    return out[1] - out[0]
+    r1, r2 = flux_records(packet, potential, [x1, x2], dt_fine=dt_fine)
+    return float(np.trapezoid(r2.t * r2.J, r2.t)) - float(np.trapezoid(r1.t * r1.J, r1.t))
 
 
 def transmitted_norm(packet: SpectralPacket, potential: PiecewisePotential) -> float:

@@ -199,6 +199,16 @@ def test_evolve_strict_flags_exit_3(tmp_path):
     assert (tmp_path / "evolve.csv").exists()
 
 
+@pytest.mark.parametrize("k0, dk, clipped", [(0.362, 0.002, True), (1.1456, 0.02, False)])
+def test_evolve_entry_flag_reports_window_clip(tmp_path, k0, dk, clipped):
+    # the slow packet's flux outlasts the fixed scan window at the entry face
+    code = run(["evolve", "--strict", "--set", "V0=1", "--set", "d=2",
+                "--set", f"k0={k0}", "--set", f"dk={dk}", "--set", "x_points=20"]
+               + FAST, tmp_path)
+    assert code == 3
+    assert meta_value(tmp_path / "evolve.csv", "entry_flag") == str(int(clipped))
+
+
 def test_evolve_too_few_probes_rejected(tmp_path):
     assert run(["evolve", "--set", "V0=10", "--set", "d=5", "--set", "E=5",
                 "--set", "dk=0.02", "--set", "x_points=12"], tmp_path) == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings, strategies as st
 
 from tunneltime import wavepacket as wp
 from tunneltime.scattering import PiecewisePotential, SquareBarrierParams
@@ -97,6 +98,67 @@ def test_centroid_moves_at_group_velocity(packet):
 
 
 # ---------------------------------------------------------------------------
+# blocked phase evaluation against the direct exp(-i omega t) matrix
+
+
+def direct_evolve(packet, potential, xs, ts):
+    """(Psi, dPsi/dx) of shape (len(ts), len(xs)) from the full phase matrix."""
+    ens = wp._ensemble(packet, potential)
+    modes = [ens.modes_at(float(x)) for x in xs]
+    psi_m = np.array([ens.coef * m[0] for m in modes])
+    dpsi_m = np.array([ens.coef * m[1] for m in modes])
+    phase = np.exp(-1j * np.outer(ts, ens.omega))
+    return phase @ psi_m.T, phase @ dpsi_m.T
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_blocked_evolve_matches_direct(packet, even):
+    n = 3 * wp.PHASE_BLOCK + 17
+    if even:
+        ts = -2e-14 + 2e-16 * np.arange(n)
+    else:
+        ts = np.sort(np.random.default_rng(7).uniform(-2e-14, 2e-14, n))
+    omega = wp._ensemble(packet, BARRIER).omega
+    assert wp._is_even(ts, omega) == even   # the recurrence runs only on even grids
+    xs = np.array([-3.0, 0.0, 2.5, 5.0, 9.0])
+    psi, dpsi = wp.evolve(packet, BARRIER, xs, ts)
+    psi_d, dpsi_d = direct_evolve(packet, BARRIER, xs, ts)
+    assert rel_err(psi, psi_d) <= 1e-12
+    assert rel_err(dpsi, dpsi_d) <= 1e-12
+
+
+@pytest.mark.parametrize("nt", [1, 5, wp.PHASE_BLOCK])
+def test_short_time_arrays_are_bit_identical_to_direct(packet, nt):
+    ts = np.linspace(-1e-14, 1e-14, nt)
+    xs = np.array([-1.0, 2.0, 6.0])
+    psi, dpsi = wp.evolve(packet, BARRIER, xs, ts)
+    psi_d, dpsi_d = direct_evolve(packet, BARRIER, xs, ts)
+    assert np.array_equal(psi, psi_d) and np.array_equal(dpsi, dpsi_d)
+    p1, d1 = wp.evolve(packet, BARRIER, 2.0, ts[0])
+    p1_d, d1_d = direct_evolve(packet, BARRIER, [2.0], ts[:1])
+    assert p1 == p1_d[0, 0] and d1 == d1_d[0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(t0=st.floats(-1e-13, 1e-13), dt=st.floats(1e-18, 1e-15),
+       n=st.integers(2, 6 * wp.PHASE_BLOCK))
+def test_phase_recurrence_matches_direct_exp(packet, t0, dt, n):
+    omega = wp._ensemble(packet, FREE).omega
+    ts = t0 + dt * np.arange(n)
+    assume(wp._is_even(ts, omega))
+    got = np.empty((n, omega.size), complex)
+    for rows, phase in wp._phase_blocks(ts, omega):
+        got[rows] = phase
+    # each factor carries a few ulps of its exp argument
+    tol = wp.EVEN_GRID_TOL + 8 * np.finfo(float).eps * np.max(np.abs(ts)) * omega.max()
+    assert np.max(np.abs(got - np.exp(-1j * np.outer(ts, omega)))) <= tol
+
+
+# ---------------------------------------------------------------------------
 # flux records
 
 
@@ -130,6 +192,45 @@ def test_arrival_stats_zero_flux_flagged():
     st = wp.arrival_stats(rec)
     assert math.isnan(st.mean_t_plus) and st.low_confidence_plus
     assert math.isnan(st.mean_t_minus) and st.low_confidence_minus
+
+
+def test_flux_records_match_per_probe_series(packet):
+    g = np.arange(-2e-14, 2e-14, 1e-17)
+    xs = [0.0, 2.5, 5.0]
+    recs = wp.flux_records(packet, BARRIER, xs, t_grid=g)
+    for x, rec in zip(xs, recs):
+        one = wp.flux_series(packet, BARRIER, x, t_grid=g)
+        assert rec.x == one.x and rec.t is g
+        for field in ("J", "J_plus", "J_minus", "N_gt", "N_lt"):
+            a, b = getattr(rec, field), getattr(one, field)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.max(np.abs(b)))
+
+
+def test_shared_window_contains_each_probe_window(packet):
+    xs = [-150.0, 0.0, 160.0]
+    shared = wp.default_time_grid(packet, FREE, xs)
+    for x in xs:
+        own = wp.default_time_grid(packet, FREE, x)
+        assert shared[0] <= own[0]
+        assert shared[-1] >= own[-1] - wp.DT_FINE
+    recs = wp.flux_records(packet, FREE, xs)
+    assert all(rec.t is recs[0].t for rec in recs)
+    for rec in recs:
+        assert rec.N_gt[-1] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_clipped_window_is_flagged():
+    # a slow, long free packet: the fixed scan window keeps ~76% of its flux
+    slow = wp.SpectralPacket.gaussian(0.362, 0.002)
+    stats = wp.arrival_stats(wp.flux_series(slow, FREE, 0.0))
+    assert stats.total_plus_flux < 0.9
+    assert stats.low_confidence_plus and stats.low_confidence_minus
+
+
+def test_reference_packet_not_flagged_as_clipped(packet):
+    s0, sd = (wp.arrival_stats(r) for r in wp.flux_records(packet, BARRIER, [0.0, 5.0]))
+    assert not s0.low_confidence_plus and not s0.low_confidence_minus
+    assert not sd.low_confidence_plus
 
 
 def test_downstream_flux_is_forward_only(packet):
