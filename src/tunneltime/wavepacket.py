@@ -18,6 +18,8 @@ dropped.
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +54,18 @@ class SpectralPacket:
     amplitude: np.ndarray
     x0: float = 0.0
     units: UnitSystem = ELECTRON
+    _key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the ensemble cache keys on the spectral content, hashed once here;
+        # read-only copies keep that key true for the packet's lifetime
+        digest = hashlib.blake2b(digest_size=16)
+        for name in ("k_nodes", "weights", "amplitude"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+            digest.update(arr.tobytes())
+        object.__setattr__(self, "_key", (self.units, len(self.k_nodes), digest.digest()))
 
     @classmethod
     def gaussian(cls, k0: float, dk: float, n_nodes: int = 513,
@@ -78,65 +92,119 @@ class SpectralPacket:
 
 
 class _Ensemble:
-    """Cached stationary solutions of one potential on a packet's k grid."""
+    """Cached stationary solutions of one potential on a packet's k grid.
+
+    Positions fall into regions by the segment edges: region 0 lies left of
+    the potential, region j + 1 inside segment j, and region n + 1 right of
+    the last of n segments.
+    """
 
     def __init__(self, packet: SpectralPacket, potential: PiecewisePotential):
         if potential.semi_infinite:
             raise ValueError("packet evolution needs a finite-range potential")
         u = packet.units
-        self.potential = potential
-        self.units = u
         self.k = packet.k_nodes
+        self.ik = 1j * self.k
         self.coef = packet.weights * packet.amplitude / math.sqrt(2.0 * math.pi)
         self.omega = u.E_of_k(self.k) / u.hbar_eV_s
         states = [solve_transfer_matrix(potential, float(kk), u) for kk in self.k]
         self.amp_T = np.array([s.amp_T for s in states])
         self.amp_R = np.array([s.amp_R for s in states])
-        nseg = len(potential.segments)
-        nk = len(self.k)
-        self.kap = np.zeros((nk, nseg), complex)
-        self.A = np.zeros((nk, nseg), complex)
-        self.b_right = np.zeros((nk, nseg), complex)
-        self.psi_l = np.zeros((nk, nseg), complex)
-        self.dpsi_l = np.zeros((nk, nseg), complex)
-        for i, s in enumerate(states):
-            self.kap[i] = s.kappas
-            self.A[i] = s.A
-            self.b_right[i] = s._b_right
-            self.psi_l[i] = s._psi_l
-            self.dpsi_l[i] = s._dpsi_l
+        self.ik_amp_T = self.ik * self.amp_T
+        segs = potential.segments
+        self.edges = [potential.x_left] + [xr for _, xr, _ in segs] if segs else []
+        self.segs = []
+        for j, (xl, xr, _) in enumerate(segs):
+            kap = np.array([s.kappas[j] for s in states])
+            A = np.array([s.A[j] for s in states])
+            b_right = np.array([s._b_right[j] for s in states])
+            # E = V nodes: the exponential basis is degenerate, psi is linear
+            lin = np.flatnonzero(np.abs(kap) * (xr - xl) < 1e-12)
+            psi_l = np.array([states[i]._psi_l[j] for i in lin], complex)
+            dpsi_l = np.array([states[i]._dpsi_l[j] for i in lin], complex)
+            self.segs.append((xl, xr, -kap, A, b_right, -kap * A, kap * b_right,
+                              lin, psi_l, dpsi_l))
+
+    def _modes(self, region: int, x, e_p=None, derivative: bool = True):
+        """(psi_j(x), dpsi_j(x)) over the k grid for positions in one region.
+
+        x is a float (rows of shape (nk,)) or a column of floats (shape
+        (m, nk)); e_p, when given, holds exp(ikx) at those positions for the
+        free regions and is overwritten. dpsi is None when derivative is
+        False. Evanescent segments take the decaying part anchored at the
+        left edge and the growing part anchored at the right edge, so
+        neither factor grows: stable at any opacity. They always take exp
+        directly, since a recurrence offset of the growing factor could
+        overflow.
+        """
+        if region == 0 or region > len(self.segs):
+            if e_p is None:
+                e_p = np.exp(self.ik * x)
+            # products in place (a block's arrays are large), with the
+            # operand order of the plain formula: SIMD complex products
+            # round differently when the operands swap
+            if region == 0:
+                r_m = np.conj(e_p)
+                np.multiply(self.amp_R, r_m, out=r_m)
+                dpsi = self.ik * (e_p - r_m) if derivative else None
+                r_m += e_p
+                return r_m, dpsi
+            dpsi = self.ik_amp_T * e_p if derivative else None
+            np.multiply(self.amp_T, e_p, out=e_p)
+            return e_p, dpsi
+        xl, xr, nkap, A, b_right, nkap_A, kap_b, lin, psi_l, dpsi_l = self.segs[region - 1]
+        dec = np.exp(nkap * (x - xl))
+        grow = np.exp(nkap * (xr - x))
+        psi = A * dec + b_right * grow
+        dpsi = nkap_A * dec + kap_b * grow if derivative else None
+        if lin.size:
+            psi[..., lin] = psi_l + dpsi_l * (x - xl)
+            if derivative:
+                dpsi[..., lin] = dpsi_l
+        return psi, dpsi
 
     def modes_at(self, x: float):
-        """(psi_j(x), dpsi_j(x)) arrays over the k grid, stable at any opacity."""
-        pot = self.potential
-        k = self.k
-        if not pot.segments or x < pot.x_left:
-            e_p = np.exp(1j * k * x)
-            e_m = np.conj(e_p)
-            return e_p + self.amp_R * e_m, 1j * k * (e_p - self.amp_R * e_m)
-        if x >= pot.x_right:
-            e_p = np.exp(1j * k * x)
-            return self.amp_T * e_p, 1j * k * self.amp_T * e_p
-        for j, (xl, xr, V) in enumerate(pot.segments):
-            if xl <= x < xr:
-                kap = self.kap[:, j]
-                dec = np.exp(-kap * (x - xl))
-                grow = np.exp(-kap * (xr - x))
-                psi = self.A[:, j] * dec + self.b_right[:, j] * grow
-                dpsi = -kap * self.A[:, j] * dec + kap * self.b_right[:, j] * grow
-                lin = np.abs(kap) * (xr - xl) < 1e-12
-                if np.any(lin):
-                    psi[lin] = self.psi_l[lin, j] + self.dpsi_l[lin, j] * (x - xl)
-                    dpsi[lin] = self.dpsi_l[lin, j]
-                return psi, dpsi
-        raise RuntimeError("unreachable: x not classified")
+        """(psi_j(x), dpsi_j(x)) arrays over the k grid at one position."""
+        return self._modes(bisect.bisect_right(self.edges, x), x)
+
+    def mode_blocks(self, xs: np.ndarray, derivative: bool = True):
+        """Yield (row slice, psi, dpsi) for xs, PHASE_BLOCK positions at a time.
+
+        Blocks follow the order of xs; one block may span several regions.
+        On an evenly spaced xs longer than one block, exp(ikx) on the free
+        regions comes from the _phase_blocks recurrence (omega = -k);
+        otherwise, and inside segments, from exp directly, so a list of at
+        most PHASE_BLOCK points matches modes_at row for row, bit for bit.
+        """
+        B = PHASE_BLOCK
+        n = len(xs)
+        regions = np.searchsorted(self.edges, xs, side="right")
+        if n > B and _is_even(xs, self.k):
+            blocks = _phase_blocks(xs, -self.k)
+        else:
+            blocks = ((slice(s, s + B), None) for s in range(0, n, B))
+        for rows, e_p in blocks:
+            x, reg = xs[rows, None], regions[rows]
+            if (reg == reg[0]).all():
+                psi, dpsi = self._modes(int(reg[0]), x, e_p, derivative)
+            else:
+                psi = np.empty((len(reg), len(self.k)), complex)
+                dpsi = np.empty_like(psi) if derivative else None
+                for r in set(reg.tolist()):
+                    sel = reg == r
+                    p, d = self._modes(r, x[sel], None if e_p is None else e_p[sel],
+                                       derivative)
+                    psi[sel] = p
+                    if derivative:
+                        dpsi[sel] = d
+            yield rows, psi, dpsi
 
 
 _ENSEMBLES: dict = {}
 
 
 def _ensemble(packet: SpectralPacket, potential: PiecewisePotential) -> _Ensemble:
-    key = (potential, packet.k0, packet.dk, len(packet.k_nodes), packet.units)
+    key = (potential, packet._key)
     ens = _ENSEMBLES.get(key)
     if ens is None:
         ens = _Ensemble(packet, potential)
@@ -181,38 +249,52 @@ def evolve(packet: SpectralPacket, potential: PiecewisePotential, x, t):
     """(Psi, dPsi/dx) at position(s) x and time(s) t.
 
     Scalars give scalars; an array in one argument broadcasts; arrays in both
-    return shape (len(t), len(x)). The phase factors exp(-i omega t) are
-    formed PHASE_BLOCK rows at a time, never as one len(t) x len(k) matrix.
+    return shape (len(t), len(x)). Both axes are blocked: one matmul per
+    block of at most PHASE_BLOCK times and PHASE_BLOCK positions, so neither
+    a len(x) x len(k) nor a len(t) x len(k) matrix is ever held. Raises
+    ValueError for a non-finite x or t.
     """
     ens = _ensemble(packet, potential)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.ndim(x) == 0 and np.ndim(t) == 0:
+        # the one-point call of guidance integration: no blocks to set up
+        xv, tv = float(x), float(t)
+        if not (math.isfinite(xv) and math.isfinite(tv)):
+            raise ValueError("x and t must be finite")
+        pj, dj = ens.modes_at(xv)
+        phase = _phase(np.array([tv]), ens.omega)
+        return ((phase @ (ens.coef * pj)[:, None])[0, 0],
+                (phase @ (ens.coef * dj)[:, None])[0, 0])
+    return _blocked(ens, x, t, derivative=True)
+
+
+def _blocked(ens: _Ensemble, x, t, derivative: bool):
+    """evolve's block loop; dPsi/dx is None when derivative is False.
+
+    Callers that need only Psi (densities over long position lists) skip
+    the derivative's share of the work.
+    """
+    xs = np.asarray(x, dtype=float).ravel()
     ts = np.asarray(t, dtype=float).ravel()
-    psi_m = np.empty((len(xs), len(ens.k)), complex)
-    dpsi_m = np.empty_like(psi_m)
-    for i, xv in enumerate(xs):
-        pj, dj = ens.modes_at(float(xv))
-        psi_m[i] = ens.coef * pj
-        dpsi_m[i] = ens.coef * dj
-    if len(ts) <= PHASE_BLOCK:
-        # one block takes the direct exp and skips the block loop, whose
-        # set-up would dominate the many single-time calls of guidance
-        # integration
-        phase = _phase(ts, ens.omega)
-        psi = phase @ psi_m.T      # (Nt, Nx)
-        dpsi = phase @ dpsi_m.T
-    else:
-        psi = np.empty((len(ts), len(xs)), complex)
-        dpsi = np.empty_like(psi)
-        for rows, phase in _phase_blocks(ts, ens.omega):
-            psi[rows] = phase @ psi_m.T
-            dpsi[rows] = phase @ dpsi_m.T
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        psi, dpsi = psi[:, 0], dpsi[:, 0]
-        if np.isscalar(t) or np.asarray(t).ndim == 0:
-            return psi[0], dpsi[0]
-        return psi, dpsi
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return psi[0], dpsi[0]
+    if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
+        raise ValueError("x and t must be finite")
+    # one phase block serves every mode block; longer time lists are
+    # formed again for each block of positions
+    one_phase = [(slice(None), _phase(ts, ens.omega))] if len(ts) <= PHASE_BLOCK else None
+    psi = np.empty((len(ts), len(xs)), complex)
+    dpsi = np.empty_like(psi) if derivative else None
+    for cols, pm, dm in ens.mode_blocks(xs, derivative):
+        np.multiply(ens.coef, pm, out=pm)
+        if derivative:
+            np.multiply(ens.coef, dm, out=dm)
+        for rows, phase in one_phase or _phase_blocks(ts, ens.omega):
+            psi[rows, cols] = phase @ pm.T
+            if derivative:
+                dpsi[rows, cols] = phase @ dm.T
+    if np.ndim(x) == 0:
+        psi = psi[:, 0]
+        dpsi = dpsi[:, 0] if derivative else None
+    if np.ndim(t) == 0:
+        return psi[0], dpsi[0] if derivative else None
     return psi, dpsi
 
 
@@ -403,7 +485,7 @@ def norm_on_window(packet: SpectralPacket, potential: PiecewisePotential, t: flo
                    window: tuple[float, float], dx: float = 0.1) -> float:
     """Probability content of a spatial window at time t (trapezoid rule)."""
     xs = np.arange(window[0], window[1] + dx / 2, dx)
-    psi, _ = evolve(packet, potential, xs, t)
+    psi, _ = _blocked(_ensemble(packet, potential), xs, t, derivative=False)
     return float(np.trapezoid(np.abs(psi) ** 2, xs))
 
 
@@ -416,7 +498,7 @@ def centroid_trajectory(packet: SpectralPacket, potential: PiecewisePotential, t
     """
     xs = np.arange(window[0], window[1] + dx / 2, dx)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    psi, _ = evolve(packet, potential, xs, ts)
+    psi, _ = _blocked(_ensemble(packet, potential), xs, ts, derivative=False)
     rho = np.abs(psi) ** 2
     mass = np.trapezoid(rho, xs, axis=1)
     xbar = np.trapezoid(rho * xs, xs, axis=1) / np.where(mass > 0, mass, np.nan)
@@ -428,20 +510,16 @@ def centroid_trajectory(packet: SpectralPacket, potential: PiecewisePotential, t
 def continuity_residual(packet: SpectralPacket, potential: PiecewisePotential,
                         xs, ts, dx: float = 1e-3, dt: float = 1e-18) -> float:
     """max |d rho/dt + dJ/dx| / max |dJ/dx| by centered differences."""
-    worst_num = 0.0
-    scale = 0.0
-    for x in np.atleast_1d(xs):
-        for t in np.atleast_1d(ts):
-            x, t = float(x), float(t)
-            pp, _ = evolve(packet, potential, x, t + dt)
-            pm, _ = evolve(packet, potential, x, t - dt)
-            drho_dt = (abs(pp) ** 2 - abs(pm) ** 2) / (2.0 * dt)
-            jp = current(packet, potential, x + dx, t)
-            jm = current(packet, potential, x - dx, t)
-            dJ_dx = (jp - jm) / (2.0 * dx)
-            worst_num = max(worst_num, abs(drho_dt + dJ_dx))
-            scale = max(scale, abs(dJ_dx))
-    return worst_num / scale if scale > 0 else 0.0
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    nt, nx = len(ts), len(xs)
+    psi, _ = evolve(packet, potential, xs, np.concatenate([ts + dt, ts - dt]))
+    rho = np.abs(psi) ** 2
+    drho_dt = (rho[:nt] - rho[nt:]) / (2.0 * dt)
+    J = current(packet, potential, np.concatenate([xs + dx, xs - dx]), ts)
+    dJ_dx = (J[:, :nx] - J[:, nx:]) / (2.0 * dx)
+    scale = float(np.max(np.abs(dJ_dx)))
+    return float(np.max(np.abs(drho_dt + dJ_dx))) / scale if scale > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +560,7 @@ def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
     no-crossing property is exactly the transmitted subensemble.
     """
     xs = np.linspace(region[0], region[1], n_grid)
-    psi, _ = evolve(packet, potential, xs, t_start)
+    psi, _ = _blocked(_ensemble(packet, potential), xs, t_start, derivative=False)
     rho = np.abs(psi) ** 2
     cdf = cumulative_trapezoid(rho, xs, initial=0.0)
     cdf /= cdf[-1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings, strategies as st
 
 from tunneltime import wavepacket as wp
-from tunneltime.scattering import PiecewisePotential, SquareBarrierParams
+from tunneltime.scattering import PiecewisePotential, SquareBarrierParams, solve_transfer_matrix
 from tunneltime.times import dwell_time_closed
 from tunneltime.units import ELECTRON, k_of_E
 
@@ -409,3 +410,172 @@ def test_quantum_potential_free_gaussian(packet):
     assert q0 == pytest.approx(h22m * DK * DK, rel=1e-4)
     assert wp.quantum_potential(packet, FREE, 30.0, 0.0) == pytest.approx(
         wp.quantum_potential(packet, FREE, -30.0, 0.0), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# blocked mode evaluator
+
+
+def linear_segment_potential(packet, j=32):
+    """Barriers around a middle segment at V = E(k_j): node j is linear there."""
+    E_j = float(ELECTRON.E_of_k(float(packet.k_nodes[j])))
+    return PiecewisePotential(segments=((0.0, 3.0, 8.0), (3.0, 5.0, E_j), (5.0, 8.0, 2.0)))
+
+
+def mode_rows(ens, xs):
+    """(psi, dpsi) of shape (len(xs), len(k)) gathered from the mode blocks."""
+    psi = np.empty((len(xs), len(ens.k)), complex)
+    dpsi = np.empty_like(psi)
+    for rows, p, d in ens.mode_blocks(xs):
+        assert len(p) <= wp.PHASE_BLOCK
+        psi[rows], dpsi[rows] = p, d
+    return psi, dpsi
+
+
+@pytest.fixture(scope="module")
+def packet65():
+    return wp.SpectralPacket.gaussian(K5, DK, n_nodes=65)
+
+
+@pytest.mark.parametrize("even", [True, False])
+@pytest.mark.parametrize("shape", ["single", "double", "linear"])
+def test_mode_blocks_match_transfer_matrix_states(packet65, shape, even):
+    pot = {"single": BARRIER,
+           # nodes on both sides of the barrier top; none within rounding of it
+           "double": PiecewisePotential.double_barrier(5.3, 2.0, 3.0),
+           "linear": linear_segment_potential(packet65)}[shape]
+    n = 5 * wp.PHASE_BLOCK + 23
+    if even:
+        xs = np.linspace(-30.0, 40.0, n)
+    else:
+        xs = np.sort(np.random.default_rng(11).uniform(-30.0, 40.0, n))
+    ens = wp._ensemble(packet65, pot)
+    assert wp._is_even(xs, ens.k) == even   # the recurrence runs only on even grids
+    psi, dpsi = mode_rows(ens, xs)
+    for j, k in enumerate(ens.k):
+        ref_p, ref_d = solve_transfer_matrix(pot, float(k)).psi_and_dpsi(xs)
+        assert rel_err(psi[:, j], ref_p) <= 1e-12
+        assert rel_err(dpsi[:, j], ref_d) <= 1e-12
+    if shape == "linear":
+        assert 32 in ens.segs[1][7]   # the E = V node takes the linear branch
+
+
+def per_x_modes(packet, potential):
+    """The per-position mode formula of the unblocked engine, as a reference."""
+    k = packet.k_nodes
+    states = [solve_transfer_matrix(potential, float(kk)) for kk in k]
+    amp_T = np.array([s.amp_T for s in states])
+    amp_R = np.array([s.amp_R for s in states])
+    kap_m, A_m, b_m, pl_m, dl_m = (np.array([getattr(s, f) for s in states]) for f in
+                                   ("kappas", "A", "_b_right", "_psi_l", "_dpsi_l"))
+
+    def modes_at(x):
+        if not potential.segments or x < potential.x_left:
+            e_p = np.exp(1j * k * x)
+            e_m = np.conj(e_p)
+            return e_p + amp_R * e_m, 1j * k * (e_p - amp_R * e_m)
+        if x >= potential.x_right:
+            e_p = np.exp(1j * k * x)
+            return amp_T * e_p, 1j * k * amp_T * e_p
+        for j, (xl, xr, V) in enumerate(potential.segments):
+            if xl <= x < xr:
+                kap = kap_m[:, j]
+                dec = np.exp(-kap * (x - xl))
+                grow = np.exp(-kap * (xr - x))
+                psi = A_m[:, j] * dec + b_m[:, j] * grow
+                dpsi = -kap * A_m[:, j] * dec + kap * b_m[:, j] * grow
+                lin = np.abs(kap) * (xr - xl) < 1e-12
+                if np.any(lin):
+                    psi[lin] = pl_m[lin, j] + dl_m[lin, j] * (x - xl)
+                    dpsi[lin] = dl_m[lin, j]
+                return psi, dpsi
+        raise AssertionError("x not classified")
+
+    return modes_at
+
+
+def test_short_position_lists_are_bit_identical_to_per_x_formula(packet65):
+    pot = linear_segment_potential(packet65)
+    rng = np.random.default_rng(5)
+    # every region, both edges of each segment, in shuffled order
+    xs = np.concatenate([[0.0, 3.0, 5.0, 8.0], rng.uniform(-4.0, 12.0, wp.PHASE_BLOCK - 4)])
+    xs = rng.permutation(xs)
+    ens = wp._ensemble(packet65, pot)
+    assert len(set(np.searchsorted(ens.edges, xs, side="right"))) == 5
+    modes_at = per_x_modes(packet65, pot)
+    ref = [modes_at(float(x)) for x in xs]
+    ref_p = np.array([m[0] for m in ref])
+    ref_d = np.array([m[1] for m in ref])
+    psi, dpsi = mode_rows(ens, xs)
+    assert np.array_equal(psi, ref_p) and np.array_equal(dpsi, ref_d)
+    ts = np.linspace(-1e-14, 1e-14, 7)
+    phase = np.exp(-1j * np.outer(ts, ens.omega))
+    got_p, got_d = wp.evolve(packet65, pot, xs, ts)
+    assert np.array_equal(got_p, phase @ (ens.coef * ref_p).T)
+    assert np.array_equal(got_d, phase @ (ens.coef * ref_d).T)
+    psi_only, no_dpsi = wp._blocked(ens, xs, ts, derivative=False)
+    assert no_dpsi is None and np.array_equal(psi_only, got_p)
+    for x in xs[:8]:
+        p1, d1 = ens.modes_at(float(x))
+        r1, s1 = modes_at(float(x))
+        assert np.array_equal(p1, r1) and np.array_equal(d1, s1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x0=st.floats(-500.0, 500.0), dx=st.floats(1e-3, 1.0),
+       n=st.integers(wp.PHASE_BLOCK + 1, 6 * wp.PHASE_BLOCK))
+def test_position_recurrence_matches_direct_exp(packet, x0, dx, n):
+    ens = wp._ensemble(packet, FREE)
+    xs = x0 + dx * np.arange(n)
+    assume(wp._is_even(xs, ens.k))
+    psi, dpsi = mode_rows(ens, xs)
+    direct = np.exp(1j * np.outer(xs, ens.k))
+    # each factor carries a few ulps of its exp argument
+    tol = wp.EVEN_GRID_TOL + 8 * np.finfo(float).eps * np.max(np.abs(xs)) * ens.k.max()
+    assert np.max(np.abs(psi - direct)) <= tol
+    assert np.max(np.abs(dpsi - 1j * ens.k * direct)) <= tol * ens.k.max()
+
+
+def test_norm_on_window_holds_no_position_by_node_matrix(packet):
+    wp.evolve(packet, BARRIER, 0.0, 0.0)   # the ensemble is built outside the trace
+    tracemalloc.start()
+    try:
+        wp.norm_on_window(packet, BARRIER, 1e-14, (-1000.0, 1000.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = 16 * 20001 * len(packet.k_nodes)   # one 20001 x 513 complex matrix
+    assert peak <= full / 10
+
+
+# ---------------------------------------------------------------------------
+# library-boundary checks and the ensemble cache
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["x", "t", "x-array", "t-array"])
+def test_evolve_rejects_non_finite_input(packet, bad, where):
+    x, t = 0.0, 0.0
+    if where == "x":
+        x = bad
+    elif where == "t":
+        t = bad
+    elif where == "x-array":
+        x = np.array([0.0, bad, 1.0])
+    else:
+        t = np.array([0.0, bad])
+    with pytest.raises(ValueError):
+        wp.evolve(packet, BARRIER, x, t)
+
+
+def test_ensemble_cache_keys_on_spectral_content():
+    # same k0, dk and node count; only k_floor moves the nodes
+    pot = PiecewisePotential.square(1.0, 5.0)
+    a = wp.SpectralPacket.gaussian(0.1, 0.05, n_nodes=65, k_floor=1e-4)
+    b = wp.SpectralPacket.gaussian(0.1, 0.05, n_nodes=65, k_floor=0.02)
+    for p in (a, b):
+        want = sum(w * g * g * abs(solve_transfer_matrix(pot, float(k)).amp_T) ** 2
+                   for k, w, g in zip(p.k_nodes, p.weights, p.amplitude))
+        assert wp.transmitted_norm(p, pot) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError):
+        a.k_nodes[0] = 1.0   # the key stays true: packet arrays are read-only
