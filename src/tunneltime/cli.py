@@ -168,8 +168,15 @@ def write_csv(path: Path, run: RunConfig, columns, rows, meta: dict | None = Non
     for key in sorted(meta or {}):
         lines.append(f"# meta: {key} = {_fmt(meta[key])}")
     lines.append(",".join(columns))
+    # a row of floats (np.float64 included) formats as _fmt would, in one step
+    ncol = len(columns)
+    float_row = ",".join(["%.17e"] * ncol)
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        row = tuple(row)
+        if len(row) == ncol and all(isinstance(v, float) for v in row):
+            lines.append(float_row % row)
+        else:
+            lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -234,14 +241,15 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str, series):
 
     for i, (label, x, y) in enumerate(series):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        ok = np.isfinite(x) & np.isfinite(y)
+        # Python floats: scalar arithmetic on them is several times cheaper
+        # than on np.float64, with the same IEEE results
+        x = np.asarray(x, dtype=float).tolist()
+        y = np.asarray(y, dtype=float).tolist()
         # break the polyline at non-finite points instead of bridging them
         run_pts: list[str] = []
-        for j in range(x.size):
-            if ok[j]:
-                run_pts.append(f"{sx(x[j]):.2f},{sy(y[j]):.2f}")
+        for xj, yj in zip(x, y):
+            if math.isfinite(xj) and math.isfinite(yj):
+                run_pts.append(f"{sx(xj):.2f},{sy(yj):.2f}")
             elif run_pts:
                 parts.append(f'<polyline points="{" ".join(run_pts)}" fill="none" '
                              f'stroke="{color}" stroke-width="1.5"/>')
@@ -277,8 +285,7 @@ TIMES_COLUMNS = [
 ]
 
 
-def _times_row(V0: float, d: float, k: float):
-    params = SquareBarrierParams(V0, d)
+def _times_row(params: SquareBarrierParams, k: float):
     T, R, alpha, beta = closed_form_square(params, k)
     rep = tms.time_report(params, k)
     return (k, float(E_of_k(k)), T, R, alpha, beta,
@@ -301,12 +308,12 @@ def cmd_times(run: RunConfig) -> int:
             raise ConfigError("missing required config key 'd'")
         which = _pick_one(cfg, "k", "E")
         k = cfg["k"] if which == "k" else float(k_of_E(cfg["E"]))
-        rows.append(_times_row(cfg["V0"], cfg["d"], k))
+        rows.append(_times_row(SquareBarrierParams(cfg["V0"], cfg["d"]), k))
     elif sweeps[0] == "d":
         which = _pick_one(cfg, "k", "E")
         k = cfg["k"] if which == "k" else float(k_of_E(cfg["E"]))
         for d in _sweep(cfg, "d"):
-            rows.append(_times_row(cfg["V0"], float(d), k))
+            rows.append(_times_row(SquareBarrierParams(cfg["V0"], float(d)), k))
     else:
         if cfg["d"] is None:
             raise ConfigError("missing required config key 'd'")
@@ -314,8 +321,9 @@ def cmd_times(run: RunConfig) -> int:
             raise ConfigError("fixed k/E conflicts with a k/E sweep")
         vals = _sweep(cfg, sweeps[0])
         ks = vals if sweeps[0] == "k" else np.asarray(k_of_E(vals))
-        for k in ks:
-            rows.append(_times_row(cfg["V0"], cfg["d"], float(k)))
+        params = SquareBarrierParams(cfg["V0"], cfg["d"])
+        for k in ks.tolist():
+            rows.append(_times_row(params, k))
 
     write_csv(run.out_dir / "times.csv", run, TIMES_COLUMNS, rows)
     return 0

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scattering import PiecewisePotential, SquareBarrierParams, solve_transfer_matrix
+from .scattering import (
+    PiecewisePotential,
+    SquareBarrierParams,
+    _phase_slopes,
+    solve_transfer_matrix,
+)
 from .times import extrapolated_phase_times
 from .units import ELECTRON, UnitSystem
 
@@ -34,6 +39,8 @@ class WaveguideSpec:
     omega: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.b) and math.isfinite(self.omega)):
+            raise ValueError(f"b and omega must be finite, got b={self.b}, omega={self.omega}")
         if self.b <= 0 or self.omega <= 0:
             raise ValueError("b and omega must be positive")
 
@@ -175,9 +182,28 @@ def superluminal_threshold(omega_ratio: float, lo: float = 1e-3, hi: float = 50.
 # two opaque barriers separated by a free gap
 
 
-def _total_phase(pot: PiecewisePotential, k: float, units: UnitSystem):
-    st = solve_transfer_matrix(pot, k, units)
-    return np.angle(st.amp_T)
+def _single_beta(d: float, V0: float, k: float, units: UnitSystem):
+    """Reflection phase of one barrier below its top; None where the
+    resonance margin does not apply (no barrier, or E >= V0)."""
+    if d > 0 and V0 > float(units.E_of_k(k)):
+        return solve_transfer_matrix(PiecewisePotential.square(V0, d), k, units).beta
+    return None
+
+
+def _gap_time(d: float, L_gap: float, V0: float, k: float, units: UnitSystem,
+              beta_single):
+    if d < 0 or L_gap < 0:
+        raise ValueError("widths must be >= 0")
+    total = 2.0 * d + L_gap
+    if L_gap == 0:
+        pot = PiecewisePotential.square(V0, 2.0 * d)
+    else:
+        pot = PiecewisePotential.double_barrier(V0, d, L_gap)
+    deriv = _phase_slopes(pot, k, units)[0]
+    v = float(units.v_of_k(k))
+    time = (total + deriv) / v
+    margin = 1.0 if beta_single is None else abs(math.sin(k * L_gap + beta_single))
+    return time, margin
 
 
 def double_barrier_time(d: float, L_gap: float, V0: float, k: float,
@@ -190,37 +216,16 @@ def double_barrier_time(d: float, L_gap: float, V0: float, k: float,
     Fabry-Perot resonance of the inter-barrier region; values below 0.1 mean
     the off-resonance premise is failing and the time may spike.
     """
-    if d < 0 or L_gap < 0:
-        raise ValueError("widths must be >= 0")
-    total = 2.0 * d + L_gap
-    if L_gap == 0:
-        pot = PiecewisePotential.square(V0, 2.0 * d)
-    else:
-        pot = PiecewisePotential.double_barrier(V0, d, L_gap)
-
-    def dalpha(h):
-        tp = solve_transfer_matrix(pot, k + h, units).amp_T
-        tm = solve_transfer_matrix(pot, k - h, units).amp_T
-        return float(np.angle(tp * np.conj(tm))) / (2.0 * h)
-
-    h = 1e-6 * k
-    d1 = dalpha(h)
-    d2 = dalpha(0.5 * h)
-    deriv = (4.0 * d2 - d1) / 3.0
-    v = float(units.v_of_k(k))
-    time = (total + deriv) / v
-
-    if d > 0 and V0 > float(units.E_of_k(k)):
-        beta_single = solve_transfer_matrix(
-            PiecewisePotential.square(V0, d), k, units).beta
-        margin = abs(math.sin(k * L_gap + beta_single))
-    else:
-        margin = 1.0
-    return time, margin
+    return _gap_time(d, L_gap, V0, k, units, _single_beta(d, V0, k, units))
 
 
 def gap_sweep(d: float, V0: float, k: float, gaps,
               units: UnitSystem = ELECTRON):
-    """[(L_gap, time, margin)] over an iterable of gap widths."""
-    return [(float(L), *double_barrier_time(d, float(L), V0, k, units))
+    """[(L_gap, time, margin)] over an iterable of gap widths.
+
+    The single barrier's reflection phase does not depend on the gap, so it
+    is solved once per sweep.
+    """
+    beta_single = _single_beta(d, V0, k, units)
+    return [(float(L), *_gap_time(d, float(L), V0, k, units, beta_single))
             for L in gaps]

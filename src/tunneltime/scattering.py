@@ -35,15 +35,19 @@ class SquareBarrierParams:
     units: UnitSystem = ELECTRON
 
     def __post_init__(self):
+        if not (math.isfinite(self.V0) and math.isfinite(self.d)):
+            raise ValueError(f"V0 and d must be finite, got V0={self.V0}, d={self.d}")
         if self.V0 <= 0:
             raise ValueError("V0 must be positive")
         if self.d < 0:
             raise ValueError("d must be >= 0")
+        # every closed form reads eps several times per k; convert once
+        object.__setattr__(self, "_eps", float(self.units.k_of_E(self.V0)))
 
     @property
     def eps(self) -> float:
         """sqrt(2 m V0)/hbar in 1/A; eps^2 = k^2 + kappa^2 below the top."""
-        return float(self.units.k_of_E(self.V0))
+        return self._eps
 
     def potential(self) -> "PiecewisePotential":
         return PiecewisePotential.square(self.V0, self.d)
@@ -65,6 +69,8 @@ class PiecewisePotential:
         prev_r = None
         n = len(self.segments)
         for i, (xl, xr, V) in enumerate(self.segments):
+            if not (math.isfinite(xl) and math.isfinite(xr) and math.isfinite(V)):
+                raise ValueError(f"segment ({xl}, {xr}, {V}) is not finite")
             final_inf = self.semi_infinite and i == n - 1
             if xr < xl and not final_inf:
                 raise ValueError("segment with x_right < x_left")
@@ -183,6 +189,13 @@ def _local_q(E: float, V: float, units: UnitSystem) -> complex:
     return complex(np.sqrt((2.0 * units.electron_rest_eV * (E - V) + 0j)) / units.hbarc_eV_A)
 
 
+def _check_k(k) -> None:
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
+    if k <= 0:
+        raise ValueError("k must be positive")
+
+
 def solve_transfer_matrix(
     potential: PiecewisePotential, k: float, units: UnitSystem = ELECTRON
 ) -> ScatteringState:
@@ -192,8 +205,7 @@ def solve_transfer_matrix(
     growing exponential dominant in opaque segments, so no cancellation or
     rescaling is needed for total opacity up to ~600.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    _check_k(k)
     E = float(units.E_of_k(k))
     segs = potential.segments
 
@@ -207,9 +219,9 @@ def solve_transfer_matrix(
             _b_right=np.zeros(0, complex),
         )
 
+    qs = [_local_q(E, V, units) for _, _, V in segs]
     total_opacity = 0.0
-    for xl, xr, V in segs:
-        q = _local_q(E, V, units)
+    for (xl, xr, _), q in zip(segs, qs):
         total_opacity += abs(q.imag) * (xr - xl)
     if total_opacity > _MAX_TOTAL_KAPPA_D:
         raise ValueError(f"total opacity kappa*d = {total_opacity:.1f} exceeds supported range")
@@ -220,8 +232,7 @@ def solve_transfer_matrix(
     if potential.semi_infinite:
         # final medium: psi = e^{i q_f (x - x_edge)} for E > V_f, or pure decay
         x_edge = segs[-1][0]
-        q_f = _local_q(E, segs[-1][2], units)
-        psi, dpsi = 1.0 + 0.0j, 1j * q_f
+        psi, dpsi = 1.0 + 0.0j, 1j * qs[-1]
         sweep = segs[:-1]
         frame_right = x_edge
     else:
@@ -232,8 +243,7 @@ def solve_transfer_matrix(
     # interface values, rightmost first; element i belongs to the right edge
     # of sweep segment len(sweep)-1-i
     edge_vals = [(psi, dpsi)]
-    for xl, xr, V in reversed(sweep):
-        q = _local_q(E, V, units)
+    for (xl, xr, _), q in zip(reversed(sweep), reversed(qs[:len(sweep)])):
         psi, dpsi = _seg_prop(psi, dpsi, q, -(xr - xl))
         edge_vals.append((psi, dpsi))
 
@@ -261,8 +271,7 @@ def solve_transfer_matrix(
     dpsi_r = np.zeros(n, complex)
     b_right = np.zeros(n, complex)
 
-    for j, (xl, xr, V) in enumerate(segs):
-        q = _local_q(E, V, units)
+    for j, ((xl, xr, _), q) in enumerate(zip(segs, qs)):
         kap = -1j * q  # real decay constant for E < V
         kappas[j] = kap
         if potential.semi_infinite and j == n - 1:
@@ -291,6 +300,24 @@ def solve_transfer_matrix(
         _psi_l=psi_l, _dpsi_l=dpsi_l, _psi_r=psi_r, _dpsi_r=dpsi_r,
         _b_right=b_right,
     )
+
+
+def _phase_slopes(potential: PiecewisePotential, k: float, units: UnitSystem):
+    """(dalpha/dk, dbeta/dk) of the transfer-matrix amplitudes at k.
+
+    Centered differences with step 1e-6 k and one Richardson step. Branch
+    cuts cancel in angle(t(k+h) conj(t(k-h))) for small h.
+    """
+    def slopes(h):
+        sp = solve_transfer_matrix(potential, k + h, units)
+        sm = solve_transfer_matrix(potential, k - h, units)
+        return (float(np.angle(sp.amp_T * np.conj(sm.amp_T))) / (2.0 * h),
+                float(np.angle(sp.amp_R * np.conj(sm.amp_R))) / (2.0 * h))
+
+    h = 1e-6 * k
+    a1, b1 = slopes(h)
+    a2, b2 = slopes(0.5 * h)
+    return (4.0 * a2 - a1) / 3.0, (4.0 * b2 - b1) / 3.0
 
 
 def _interior(state: ScatteringState, x: np.ndarray):
@@ -388,9 +415,7 @@ def closed_form_square(params: SquareBarrierParams, k: float):
     below the top; above the top it jumps by pi only at exact reflection
     zeros, where the phase is undefined anyway.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    u = params.units
+    _check_k(k)
     eps = params.eps
     d = params.d
     if d == 0:

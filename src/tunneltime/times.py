@@ -23,6 +23,8 @@ from .scattering import (
     PiecewisePotential,
     ScatteringState,
     SquareBarrierParams,
+    _check_k,
+    _phase_slopes,
     closed_form_square,
     solve_transfer_matrix,
     step_reflection,
@@ -136,6 +138,29 @@ def _continue_through_top(f, params: SquareBarrierParams, k: float):
     return 0.5 * (lo + hi)
 
 
+def _scaled_den(k: float, kap: float, eps: float, d: float):
+    """(g2, D_sc) below the top: g2 = e^{-2 kappa d} and
+    D_sc = D e^{-2 kappa d}, D = 4 k^2 kappa^2 + eps^4 sinh^2(kappa d).
+    The scaled pair stays finite at any opacity."""
+    g2 = math.exp(-2.0 * kap * d)
+    return g2, 4.0 * k * k * kap * kap * g2 + eps ** 4 * (0.5 * (1.0 - g2)) ** 2
+
+
+def _den_above(k: float, kt: float, eps: float, d: float) -> float:
+    """D continued above the top: 4 k^2 kt^2 + eps^4 sin^2(kt d)."""
+    return 4.0 * k * k * kt * kt + eps ** 4 * math.sin(kt * d) ** 2
+
+
+def _sideband_pair(params: SquareBarrierParams, k: float):
+    """(m d/(hbar kappa), hbar k/(V0 kappa)); kappa -> kt above the top."""
+    if _at_top(params, k):
+        return _continue_through_top(_sideband_pair, params, k)
+    kap, kt = _split_k(params, k)
+    kv = kap if kap is not None else kt
+    u = params.units
+    return u.m_over_hbar * params.d / kv, u.hbar_eV_s * k / (params.V0 * kv)
+
+
 def _fd_richardson(f, x: float, h: float) -> float:
     """Centered difference with one Richardson step (O(h^4))."""
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)
@@ -150,10 +175,7 @@ def tau_equivalent(params: SquareBarrierParams, k: float) -> float:
 
 def tau_semiclassical(params: SquareBarrierParams, k: float) -> float:
     """m d/(hbar kappa); interior-momentum crossing above the top."""
-    if _at_top(params, k):
-        return _continue_through_top(tau_semiclassical, params, k)
-    kap, kt = _split_k(params, k)
-    return params.units.m_over_hbar * params.d / (kap if kap is not None else kt)
+    return _sideband_pair(params, k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +193,9 @@ def hartman_bracket(params: SquareBarrierParams, k: float) -> float:
     if k >= eps:
         raise ValueError("bracket defined below the barrier top")
     kap = math.sqrt(eps * eps - k * k)
-    g2 = math.exp(-2.0 * kap * d)
     # numerator and denominator both scaled by e^{-2 kappa d}: finite at any opacity
+    g2, D_sc = _scaled_den(k, kap, eps, d)
     sh2_sc = 0.5 * (1.0 - g2 * g2)        # sinh(2 kappa d) e^{-2 kappa d}
-    D_sc = 4.0 * k * k * kap * kap * g2 + eps ** 4 * (0.5 * (1.0 - g2)) ** 2
     num_sc = 2.0 * kap * d * k * k * (kap * kap - k * k) * g2 + eps ** 4 * sh2_sc
     return num_sc / D_sc
 
@@ -185,8 +206,7 @@ def extrapolated_phase_times(params: SquareBarrierParams, k: float):
     Both channels coincide for the square barrier. Above the top the
     continued form is used; at k = eps the one-sided limit.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    _check_k(k)
     if params.d == 0:
         return 0.0, 0.0
     if _at_top(params, k):
@@ -198,9 +218,8 @@ def extrapolated_phase_times(params: SquareBarrierParams, k: float):
     if kap is not None:
         tau = u.m_over_hbar / (k * kap) * hartman_bracket(params, k)
     else:
-        Dt = 4.0 * k * k * kt * kt + eps ** 4 * math.sin(kt * d) ** 2
         num = 2.0 * kt * d * k * k * (kt * kt + k * k) - eps ** 4 * math.sin(2.0 * kt * d)
-        tau = u.m_over_hbar / (k * kt) * num / Dt
+        tau = u.m_over_hbar / (k * kt) * num / _den_above(k, kt, eps, d)
     return tau, tau
 
 
@@ -214,20 +233,7 @@ def phase_times_fd(params: SquareBarrierParams, k: float):
     if params.d == 0:
         return 0.0, 0.0
     u = params.units
-    pot = params.potential()
-    h = 1e-6 * k
-
-    def dphase(h_):
-        sp = solve_transfer_matrix(pot, k + h_, u)
-        sm = solve_transfer_matrix(pot, k - h_, u)
-        da = float(np.angle(sp.amp_T * np.conj(sm.amp_T))) / (2.0 * h_)
-        db = float(np.angle(sp.amp_R * np.conj(sm.amp_R))) / (2.0 * h_)
-        return da, db
-
-    a1, b1 = dphase(h)
-    a2, b2 = dphase(0.5 * h)
-    alpha_prime = (4.0 * a2 - a1) / 3.0
-    beta_prime = (4.0 * b2 - b1) / 3.0
+    alpha_prime, beta_prime = _phase_slopes(params.potential(), k, u)
     v = u.v_of_k(k)
     return (params.d + alpha_prime) / v, beta_prime / v
 
@@ -251,13 +257,11 @@ def dwell_time_closed(params: SquareBarrierParams, k: float) -> float:
     d = params.d
     kap, kt = _split_k(params, k)
     if kap is not None:
-        g2 = math.exp(-2.0 * kap * d)
-        D_sc = 4.0 * k * k * kap * kap * g2 + eps ** 4 * (0.5 * (1.0 - g2)) ** 2
+        g2, D_sc = _scaled_den(k, kap, eps, d)
         num_sc = 2.0 * kap * d * (kap * kap - k * k) * g2 + eps ** 2 * 0.5 * (1.0 - g2 * g2)
         return u.m_over_hbar * k / kap * num_sc / D_sc
-    Dt = 4.0 * k * k * kt * kt + eps ** 4 * math.sin(kt * d) ** 2
     num = 2.0 * kt * d * (kt * kt + k * k) - eps ** 2 * math.sin(2.0 * kt * d)
-    return u.m_over_hbar * k / kt * num / Dt
+    return u.m_over_hbar * k / kt * num / _den_above(k, kt, eps, d)
 
 
 def dwell_time(potential: PiecewisePotential, k: float, x1: float, x2: float,
@@ -304,17 +308,15 @@ def larmor_times(params: SquareBarrierParams, k: float):
     tau_y = dwell_time_closed(params, k)
     kap, kt = _split_k(params, k)
     if kap is not None:
-        g2 = math.exp(-2.0 * kap * d)
-        D_sc = 4.0 * k * k * kap * kap * g2 + eps ** 4 * (0.5 * (1.0 - g2)) ** 2
+        g2, D_sc = _scaled_den(k, kap, eps, d)
         sh2_sc = (0.5 * (1.0 - g2)) ** 2            # sinh^2 e^{-2 kappa d}
         sh_two_sc = 0.5 * (1.0 - g2 * g2)           # sinh(2 kappa d) e^{-2 kappa d}
         num_sc = (kap * kap - k * k) * sh2_sc + (kap * d * eps * eps / 2.0) * sh_two_sc
         tau_z = u.m_over_hbar * eps * eps / (kap * kap) * num_sc / D_sc
     else:
-        Dt = 4.0 * k * k * kt * kt + eps ** 4 * math.sin(kt * d) ** 2
         s = math.sin(kt * d)
         num = (kt * kt + k * k) * s * s - (kt * d * eps * eps / 2.0) * math.sin(2.0 * kt * d)
-        tau_z = u.m_over_hbar * eps * eps / (kt * kt) * num / Dt
+        tau_z = u.m_over_hbar * eps * eps / (kt * kt) * num / _den_above(k, kt, eps, d)
     return tau_y, tau_z, math.hypot(tau_y, tau_z)
 
 
@@ -397,9 +399,7 @@ def buttiker_landauer(params: SquareBarrierParams, k: float, omega: float = 0.0,
     if k >= eps * (1.0 - _TOP_REL_WINDOW):
         raise ValueError("sideband times undefined at or above the barrier top")
     E = float(u.E_of_k(k))
-    kap = math.sqrt(eps * eps - k * k)
-    tau_T = u.m_over_hbar * params.d / kap
-    tau_R = u.hbar_eV_s * k / (params.V0 * kap)
+    tau_T, tau_R = _sideband_pair(params, k)
     if omega < 0:
         raise ValueError("omega must be >= 0")
     hw = u.hbar_eV_s * omega
@@ -522,7 +522,7 @@ def reshaping_check(params: SquareBarrierParams, k0: float, dk: float,
     lo = max(1e-4, k0 - 6.0 * dk)
     hi = k0 + 6.0 * dk
     ks = np.linspace(lo, hi, n_grid)
-    T = np.array([closed_form_square(params, kk)[0] for kk in ks])
+    T = np.array([closed_form_square(params, kk)[0] for kk in ks.tolist()])
     f = np.exp(-((ks - k0) ** 2) / (2.0 * dk * dk))
     prod = T * f
     peak_shift = float(ks[int(np.argmax(prod))] - k0)
@@ -606,40 +606,24 @@ def time_report(params: SquareBarrierParams, k: float) -> TimeReport:
     the top (continued forms; sideband and semiclassical times then use the
     interior oscillatory wavenumber).
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    u = params.units
+    _check_k(k)
     dt_T, dt_R = extrapolated_phase_times(params, k)
+    # tau_y is the (0, d) dwell time and the real part of the complex time
     tau_y, tau_z, tau_x = larmor_times(params, k)
-    tau_d = dwell_time_closed(params, k)
-
-    def bl_pair(p: SquareBarrierParams, kv: float):
-        eps = p.eps
-        if kv < eps:
-            kap = math.sqrt(eps * eps - kv * kv)
-        else:
-            kap = math.sqrt(kv * kv - eps * eps)
-        return (u.m_over_hbar * p.d / kap, u.hbar_eV_s * kv / (p.V0 * kap))
-
-    if _at_top(params, k) or params.d == 0:
-        if params.d == 0:
-            bl_T = bl_R = 0.0
-        else:
-            bl_T, bl_R = _continue_through_top(bl_pair, params, k)
-    else:
-        bl_T, bl_R = bl_pair(params, k)
+    # tau_BL_T is the semiclassical time m d/(hbar kappa)
+    bl_T, bl_R = _sideband_pair(params, k) if params.d > 0 else (0.0, 0.0)
 
     return TimeReport(
         k=k,
         tau_eq=tau_equivalent(params, k),
         dtau_phase_T=dt_T,
         dtau_phase_R=dt_R,
-        tau_dwell=tau_d,
+        tau_dwell=tau_y,
         tau_larmor_y=tau_y,
         tau_larmor_z=tau_z,
         tau_larmor_x=tau_x,
         tau_BL_T=bl_T,
         tau_BL_R=bl_R,
-        tau_semiclassical=tau_semiclassical(params, k) if params.d > 0 else 0.0,
-        tau_complex=complex_time(params, k),
+        tau_semiclassical=bl_T,
+        tau_complex=complex(tau_y, tau_z),
     )

@@ -1,0 +1,444 @@
+"""Stationary path: outputs bit-identical to the earlier per-call code, each
+quantity computed once per row, and inputs validated in the library.
+
+The ``_parent_*`` helpers are verbatim copies of the code the stationary path
+replaced: ``time_report``'s composition (three dwell evaluations, two Larmor
+evaluations and a private ``bl_pair``), the ``_fmt`` row join of
+``write_csv``, and ``write_svg`` with its np.float64 point loop. The
+closed forms and transfer-matrix routes are pinned against the frozen copy
+of the package that the benchmark keeps in ``bench/baseline/tunneltime``,
+whose ``units``, ``scattering``, ``times`` and ``optical`` modules are the
+code before the shared helpers (scaled ``D``, phase slope, sideband pair)
+were folded out. The tests pin the current code to both, bit for bit.
+"""
+
+import importlib
+import importlib.util
+import math
+import sys
+from dataclasses import astuple, is_dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tunneltime import cli, optical
+from tunneltime import scattering as sc
+from tunneltime import times as tms
+from tunneltime.scattering import PiecewisePotential, SquareBarrierParams
+from tunneltime.times import (
+    TimeReport,
+    _at_top,
+    _continue_through_top,
+    complex_time,
+    dwell_time_closed,
+    extrapolated_phase_times,
+    larmor_times,
+    tau_equivalent,
+    tau_semiclassical,
+)
+from tunneltime.units import UnitSystem, k_of_E
+
+V0 = 10.0
+EPS = float(k_of_E(V0))
+BAD = [math.nan, math.inf, -math.inf]
+
+_SVG_COLORS = cli._SVG_COLORS
+
+
+# ---------------------------------------------------------------------------
+# verbatim copies of the replaced code
+
+
+def _parent_time_report(params: SquareBarrierParams, k: float) -> TimeReport:
+    if k <= 0:
+        raise ValueError("k must be positive")
+    u = params.units
+    dt_T, dt_R = extrapolated_phase_times(params, k)
+    tau_y, tau_z, tau_x = larmor_times(params, k)
+    tau_d = dwell_time_closed(params, k)
+
+    def bl_pair(p: SquareBarrierParams, kv: float):
+        eps = p.eps
+        if kv < eps:
+            kap = math.sqrt(eps * eps - kv * kv)
+        else:
+            kap = math.sqrt(kv * kv - eps * eps)
+        return (u.m_over_hbar * p.d / kap, u.hbar_eV_s * kv / (p.V0 * kap))
+
+    if _at_top(params, k) or params.d == 0:
+        if params.d == 0:
+            bl_T = bl_R = 0.0
+        else:
+            bl_T, bl_R = _continue_through_top(bl_pair, params, k)
+    else:
+        bl_T, bl_R = bl_pair(params, k)
+
+    return TimeReport(
+        k=k,
+        tau_eq=tau_equivalent(params, k),
+        dtau_phase_T=dt_T,
+        dtau_phase_R=dt_R,
+        tau_dwell=tau_d,
+        tau_larmor_y=tau_y,
+        tau_larmor_z=tau_z,
+        tau_larmor_x=tau_x,
+        tau_BL_T=bl_T,
+        tau_BL_R=bl_R,
+        tau_semiclassical=tau_semiclassical(params, k) if params.d > 0 else 0.0,
+        tau_complex=complex_time(params, k),
+    )
+
+
+def _parent_fmt(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return "%.17e" % float(v)
+    return str(v)
+
+
+def _parent_row_join(row) -> str:
+    return ",".join(_parent_fmt(v) for v in row)
+
+
+def _parent_write_svg(path: Path, title: str, xlabel: str, ylabel: str, series):
+    """Static line chart: axes, ticks, legend, one polyline per series.
+
+    ``series`` is a list of (label, x, y); non-finite points split the line.
+    """
+    W, H = 800, 520
+    ml, mr, mt, mb = 90, 30, 45, 60
+
+    xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
+    ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
+    fx = xs[np.isfinite(xs)]
+    fy = ys[np.isfinite(ys)]
+    if fx.size == 0 or fy.size == 0:
+        fx, fy = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+    x0, x1 = float(fx.min()), float(fx.max())
+    y0, y1 = float(fy.min()), float(fy.max())
+    if x1 == x0:
+        x0, x1 = x0 - 1.0, x1 + 1.0
+    if y1 == y0:
+        y0, y1 = y0 - 1.0, y1 + 1.0
+    padx, pady = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
+    x0, x1 = x0 - padx, x1 + padx
+    y0, y1 = y0 - pady, y1 + pady
+
+    def sx(x):
+        return ml + (x - x0) / (x1 - x0) * (W - ml - mr)
+
+    def sy(y):
+        return H - mb - (y - y0) / (y1 - y0) * (H - mt - mb)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+        f'viewBox="0 0 {W} {H}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        f'<text x="{W / 2:.0f}" y="22" text-anchor="middle" font-size="15">{title}</text>',
+        f'<rect x="{ml}" y="{mt}" width="{W - ml - mr}" height="{H - mt - mb}" '
+        f'fill="none" stroke="black"/>',
+    ]
+    for tick in np.linspace(x0 + padx, x1 - padx, 5):
+        px = sx(tick)
+        parts.append(f'<line x1="{px:.1f}" y1="{H - mb}" x2="{px:.1f}" '
+                     f'y2="{H - mb + 5}" stroke="black"/>')
+        parts.append(f'<text x="{px:.1f}" y="{H - mb + 20}" '
+                     f'text-anchor="middle">{tick:.3g}</text>')
+    for tick in np.linspace(y0 + pady, y1 - pady, 5):
+        py = sy(tick)
+        parts.append(f'<line x1="{ml - 5}" y1="{py:.1f}" x2="{ml}" '
+                     f'y2="{py:.1f}" stroke="black"/>')
+        parts.append(f'<text x="{ml - 8}" y="{py + 4:.1f}" '
+                     f'text-anchor="end">{tick:.3g}</text>')
+    parts.append(f'<text x="{W / 2:.0f}" y="{H - 15}" '
+                 f'text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="20" y="{(H - mb + mt) / 2:.0f}" text-anchor="middle" '
+                 f'transform="rotate(-90 20 {(H - mb + mt) / 2:.0f})">{ylabel}</text>')
+
+    for i, (label, x, y) in enumerate(series):
+        color = _SVG_COLORS[i % len(_SVG_COLORS)]
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        ok = np.isfinite(x) & np.isfinite(y)
+        # break the polyline at non-finite points instead of bridging them
+        run_pts: list[str] = []
+        for j in range(x.size):
+            if ok[j]:
+                run_pts.append(f"{sx(x[j]):.2f},{sy(y[j]):.2f}")
+            elif run_pts:
+                parts.append(f'<polyline points="{" ".join(run_pts)}" fill="none" '
+                             f'stroke="{color}" stroke-width="1.5"/>')
+                run_pts = []
+        if run_pts:
+            parts.append(f'<polyline points="{" ".join(run_pts)}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
+        ly = mt + 18 + 16 * i
+        parts.append(f'<line x1="{W - mr - 150}" y1="{ly - 4}" x2="{W - mr - 120}" '
+                     f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<text x="{W - mr - 114}" y="{ly}">{label}</text>')
+    parts.append("</svg>")
+    path.write_text("\n".join(parts) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# bit identity
+
+
+def _bytes(value) -> bytes:
+    """Exact bytes of a number, a tuple of numbers or a dataclass of them."""
+    if is_dataclass(value):
+        value = astuple(value)
+    return np.array(value, dtype=complex).tobytes()
+
+
+TOP_KS = [0.3 * EPS, 0.9 * EPS, EPS * (1.0 - 5e-10), EPS, EPS * (1.0 + 5e-10),
+          1.2 * EPS, 2.5 * EPS]
+
+
+@pytest.mark.parametrize("d", [0.0, 0.4, 5.0, 12.0])
+@pytest.mark.parametrize("k", TOP_KS)
+def test_time_report_bit_identical(d, k):
+    params = SquareBarrierParams(V0, d)
+    new = tms.time_report(params, k)
+    old = _parent_time_report(params, k)
+    assert np.array_equal(np.array(astuple(new), dtype=complex),
+                          np.array(astuple(old), dtype=complex))
+    assert _bytes(new) == _bytes(old)
+
+
+def test_time_report_bit_identical_d_sweep():
+    k = float(k_of_E(0.55 * V0))
+    for d in np.linspace(0.3, 18.0, 41).tolist():
+        params = SquareBarrierParams(V0, d)
+        assert _bytes(tms.time_report(params, k)) == \
+            _bytes(_parent_time_report(params, k))
+
+
+CSV_ROWS = [
+    (0.1, np.float64(1.0) / 3.0, math.nan, math.inf, -math.inf),
+    (-0.0, 5e-324, 1.7976931348623157e308, np.float64("nan"), np.float64("-inf")),
+    (True, 1, np.int64(3), 2.5, np.float64(2.5)),
+    (np.bool_(False), np.float32(0.1), "none", math.nan, -math.inf),
+    [1.0, 2.0, 3.0, 4.0, 5.0],
+    (1.0, 2.0, 3.0),
+    (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+    (0, 1, 2, 3, 4),
+]
+
+
+def test_write_csv_rows_match_fmt_join(tmp_path):
+    run = cli.RunConfig("times", {"V0": 10.0}, tmp_path)
+    cols = ["a", "b", "c", "d", "e"]
+    grid = np.linspace(0.0, 1.0, 7)
+    rows = CSV_ROWS + list(zip(grid, grid ** 2, -grid, grid / 3.0, np.sqrt(grid)))
+    path = tmp_path / "rows.csv"
+    cli.write_csv(path, run, cols, rows)
+    body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    assert body[0] == ",".join(cols)
+    assert body[1:] == [_parent_row_join(r) for r in rows]
+
+
+def _svg_series():
+    x = np.linspace(-2.0, 3.0, 41)
+    y = np.sin(x) * 1e-15
+    y_gap = y.copy()
+    y_gap[[0, 7, 8, 20, 40]] = [np.nan, np.inf, np.nan, -np.inf, np.nan]
+    x_gap = x.copy()
+    x_gap[13] = np.nan
+    return [("plain", x, y), ("nan breaks", x, y_gap), ("x breaks", x_gap, y),
+            ("flat", x.tolist(), [2.0] * x.size), ("all nan", x, np.full(x.size, np.nan))]
+
+
+@pytest.mark.parametrize("pick", [slice(None), slice(0, 1), slice(3, 4), slice(4, 5)])
+def test_write_svg_bytes_match_parent(tmp_path, pick):
+    series = _svg_series()[pick]
+    cli.write_svg(tmp_path / "new.svg", "t", "x", "y", series)
+    _parent_write_svg(tmp_path / "old.svg", "t", "x", "y", series)
+    assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+
+
+FROZEN = Path(__file__).resolve().parent.parent / "bench" / "baseline" / "tunneltime"
+
+
+@pytest.fixture(scope="module")
+def frozen():
+    """The frozen package, imported as ``tunneltime_frozen`` (its imports are
+    relative, so it loads under any name)."""
+    name = "tunneltime_frozen"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, FROZEN / "__init__.py", submodule_search_locations=[str(FROZEN)])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return {m: importlib.import_module(f"{name}.{m}")
+            for m in ("scattering", "times", "optical")}
+
+
+CLOSED = ["closed_form_square", "extrapolated_phase_times", "dwell_time_closed",
+          "larmor_times", "tau_semiclassical", "complex_time", "phase_times_fd",
+          "larmor_times_kappa_derivative", "time_report"]
+
+
+@pytest.mark.parametrize("V0_, d", [(3.0, 0.0), (3.0, 7.0), (V0, 0.4), (V0, 5.0),
+                                    (V0, 12.0)])
+def test_stationary_forms_match_frozen_copy(frozen, V0_, d):
+    eps = float(k_of_E(V0_))
+    new_p = SquareBarrierParams(V0_, d)
+    old_p = frozen["scattering"].SquareBarrierParams(V0_, d)
+    for k in [r * eps for r in (0.05, 0.3, 0.9, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.2, 2.5)]:
+        for name in CLOSED:
+            mod = sc if name == "closed_form_square" else tms
+            old_mod = frozen["scattering" if mod is sc else "times"]
+            assert _bytes(getattr(mod, name)(new_p, k)) == \
+                _bytes(getattr(old_mod, name)(old_p, k)), (name, k)
+        if k < eps * (1.0 - 1e-9) and d > 0:
+            assert tms.hartman_bracket(new_p, k) == frozen["times"].hartman_bracket(old_p, k)
+            new_bl = tms.buttiker_landauer(new_p, k, omega=1e12, deltaV=0.01 * V0_)
+            old_bl = frozen["times"].buttiker_landauer(old_p, k, omega=1e12, deltaV=0.01 * V0_)
+            assert _bytes(new_bl) == _bytes(old_bl)
+
+
+def test_transfer_routes_match_frozen_copy(frozen):
+    k = float(k_of_E(5.0))
+    fs = frozen["scattering"]
+    for new_pot, old_pot in [
+        (PiecewisePotential.square(V0, 5.0), fs.PiecewisePotential.square(V0, 5.0)),
+        (PiecewisePotential.double_barrier(V0, 2.0, 3.0),
+         fs.PiecewisePotential.double_barrier(V0, 2.0, 3.0)),
+        (PiecewisePotential.step(V0), fs.PiecewisePotential.step(V0)),
+    ]:
+        for kk in (0.3 * k, k, 1.7 * EPS):
+            new, old = sc.solve_transfer_matrix(new_pot, kk), fs.solve_transfer_matrix(old_pot, kk)
+            for field in ("amp_T", "amp_R", "kappas", "A", "B", "_psi_l", "_dpsi_l",
+                          "_psi_r", "_dpsi_r", "_b_right"):
+                assert _bytes(getattr(new, field)) == _bytes(getattr(old, field)), field
+    gaps = [0.0, 1.0, 4.0, 9.5]
+    for d, V0_ in [(2.0, V0), (0.0, V0), (3.0, 4.0)]:
+        assert _bytes(optical.gap_sweep(d, V0_, k, gaps)) == \
+            _bytes(frozen["optical"].gap_sweep(d, V0_, k, gaps))
+
+
+# ---------------------------------------------------------------------------
+# each quantity once per row
+
+
+def _count(monkeypatch, owner, name, tally, key=None):
+    orig = getattr(owner, name)
+    key = key or name
+
+    def counted(*args, **kwargs):
+        tally[key] = tally.get(key, 0) + 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_time_report_off_top_runs_dwell_and_larmor_once(monkeypatch):
+    tally = {}
+    _count(monkeypatch, tms, "dwell_time_closed", tally)
+    _count(monkeypatch, tms, "larmor_times", tally)
+    tms.time_report(SquareBarrierParams(V0, 5.0), 0.7 * EPS)
+    assert tally == {"dwell_time_closed": 1, "larmor_times": 1}
+
+
+def test_eps_converts_once_per_instance(monkeypatch):
+    tally = {}
+    _count(monkeypatch, UnitSystem, "k_of_E", tally)
+    p = SquareBarrierParams(V0, 5.0)
+    for _ in range(3):
+        assert p.eps == EPS
+    assert tally == {"k_of_E": 1}
+    SquareBarrierParams(V0, 6.0).eps
+    assert tally == {"k_of_E": 2}
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_gap_sweep_solves_single_barrier_once(monkeypatch, n):
+    tally = {}
+    # both bindings, so the count holds wherever the solver is looked up
+    for mod in (sc, optical):
+        _count(monkeypatch, mod, "solve_transfer_matrix", tally, key="solve")
+    optical.gap_sweep(2.0, V0, float(k_of_E(5.0)), np.linspace(1.0, 9.0, n))
+    assert tally == {"solve": 4 * n + 1}
+
+
+@pytest.mark.parametrize("pot, n_seg", [
+    (PiecewisePotential.square(V0, 5.0), 1),
+    (PiecewisePotential.double_barrier(V0, 2.0, 3.0), 3),
+    (PiecewisePotential.step(V0), 1),
+])
+def test_transfer_solve_takes_local_q_once_per_segment(monkeypatch, pot, n_seg):
+    tally = {}
+    _count(monkeypatch, sc, "_local_q", tally)
+    sc.solve_transfer_matrix(pot, 0.6 * EPS)
+    assert tally == {"_local_q": n_seg}
+
+
+# ---------------------------------------------------------------------------
+# library-level validation
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_square_barrier_rejects_non_finite(monkeypatch, bad):
+    tally = {}
+    _count(monkeypatch, UnitSystem, "k_of_E", tally)
+    with pytest.raises(ValueError):
+        SquareBarrierParams(bad, 5.0)
+    with pytest.raises(ValueError):
+        SquareBarrierParams(V0, bad)
+    assert tally == {}   # rejected before eps is computed
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_k_must_be_finite(bad):
+    params = SquareBarrierParams(V0, 5.0)
+    with pytest.raises(ValueError):
+        sc.closed_form_square(params, bad)
+    with pytest.raises(ValueError):
+        sc.solve_transfer_matrix(params.potential(), bad)
+    with pytest.raises(ValueError):
+        tms.time_report(params, bad)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_potential_rejects_non_finite(bad):
+    for seg in ((bad, 5.0, V0), (0.0, bad, V0), (0.0, 5.0, bad)):
+        with pytest.raises(ValueError):
+            PiecewisePotential(segments=(seg,))
+    with pytest.raises(ValueError):
+        PiecewisePotential.double_barrier(bad, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_waveguide_spec_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        optical.WaveguideSpec(b=bad, omega=1e10)
+    with pytest.raises(ValueError):
+        optical.WaveguideSpec(b=0.02, omega=bad)
+
+
+@pytest.mark.parametrize("args", [
+    ["times", "--set", "V0=10", "--set", "d=nan", "--set", "E=5"],
+    ["times", "--set", "V0=nan", "--set", "d=5", "--set", "E=5"],
+    ["times", "--set", "V0=inf", "--set", "d=5", "--set", "E=5"],
+    ["times", "--set", "V0=10", "--set", "d=inf", "--set", "k_min=0.5",
+     "--set", "k_max=2", "--set", "k_points=5"],
+    ["optical", "--set", "b=nan"],
+    ["optical", "--set", "b=inf"],
+])
+def test_cli_non_finite_exits_2_without_csv(tmp_path, capsys, args):
+    assert cli.main(args + ["--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_optical_gap_height_nan_exits_2(tmp_path, capsys):
+    # a NaN barrier height must stop the run, not fill the gap table with NaN
+    assert cli.main(["optical", "--set", "gap_V0=nan", "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "optical_gap.csv").exists()
