@@ -112,8 +112,8 @@ class RunConfig:
 def _positive(cfg: dict, *keys: str):
     for key in keys:
         v = cfg[key]
-        if v is not None and v <= 0:
-            raise ConfigError(f"'{key}' must be positive, got {v}")
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise ConfigError(f"'{key}' must be finite and positive, got {v}")
 
 
 def _pick_one(cfg: dict, *keys: str) -> str:
@@ -533,29 +533,24 @@ def cmd_optical(run: RunConfig) -> int:
     if cfg["gap_E"] >= cfg["gap_V0"]:
         raise ConfigError("gap sweep needs gap_E < gap_V0")
 
+    # all three tables first: a failing gap sweep must leave none behind
     omega_c = math.pi * optical.C_M_S / cfg["b"]
-    rows = []
+    disp = []
     for ratio in _sweep(cfg, "ratio"):
         spec = optical.WaveguideSpec(b=cfg["b"], omega=float(ratio) * omega_c)
         kappa, v_g = optical.waveguide_dispersion(spec)
-        rows.append((float(ratio), spec.omega, kappa.real, kappa.imag, v_g))
-    write_csv(run.out_dir / "optical_dispersion.csv", run,
-              ["omega_ratio", "omega_rad_s", "kappa_re_1_m", "kappa_im_1_m",
-               "v_group_m_s"], rows, meta={"omega_c_rad_s": omega_c})
+        disp.append((float(ratio), spec.omega, kappa.real, kappa.imag, v_g))
 
     spec = optical.WaveguideSpec(b=cfg["b"], omega=cfg["omega_ratio"] * omega_c)
     kap = abs(optical.waveguide_dispersion(spec)[0].imag)
-    rows = []
+    trav = []
     for kapL in _sweep(cfg, "kapL"):
         L = float(kapL) / kap
         t_dir = optical.traversal_time_direct(spec, L)
         t_map = optical.traversal_time_mapped(spec, L)
-        rows.append((float(kapL), L, t_dir, t_map, L / (optical.C_M_S * t_dir)))
-    write_csv(run.out_dir / "optical_traversal.csv", run,
-              ["kapL", "L_m", "tau_direct_s", "tau_mapped_s", "speed_over_c"],
-              rows,
-              meta={"kappa_1_m": kap,
-                    "superluminal_kapL": optical.superluminal_threshold(cfg["omega_ratio"])})
+        trav.append((float(kapL), L, t_dir, t_map, L / (optical.C_M_S * t_dir)))
+    trav_meta = {"kappa_1_m": kap,
+                 "superluminal_kapL": optical.superluminal_threshold(cfg["omega_ratio"])}
 
     u = ELECTRON
     k = float(k_of_E(cfg["gap_E"]))
@@ -564,6 +559,13 @@ def cmd_optical(run: RunConfig) -> int:
         d = 15.0 / float(u.kappa_of(cfg["gap_E"], cfg["gap_V0"]))
     gaps = _sweep(cfg, "gap")
     swept = optical.gap_sweep(d, cfg["gap_V0"], k, gaps)
+
+    write_csv(run.out_dir / "optical_dispersion.csv", run,
+              ["omega_ratio", "omega_rad_s", "kappa_re_1_m", "kappa_im_1_m",
+               "v_group_m_s"], disp, meta={"omega_c_rad_s": omega_c})
+    write_csv(run.out_dir / "optical_traversal.csv", run,
+              ["kapL", "L_m", "tau_direct_s", "tau_mapped_s", "speed_over_c"],
+              trav, meta=trav_meta)
     write_csv(run.out_dir / "optical_gap.csv", run,
               ["L_gap_A", "time_s", "margin"], swept,
               meta={"gap_d_A": d, "gap_k": k})

@@ -8,8 +8,9 @@ Two independent routes to the same physics:
 
 Conventions: incident wave e^{ikx} from the left with unit amplitude,
 psi_I = e^{ikx} + R e^{i beta} e^{-ikx},  psi_III = T e^{i alpha} e^{ikx}.
-Inside segment j the solution is A_j e^{-kappa_j (x-xl_j)} + B_j e^{+kappa_j (x-xl_j)}
-with kappa_j = sqrt(2m(V_j - E))/hbar taken real for E < V_j and -i*q_j
+Inside segment j the solution is A_j e^{-kappa_j (x-xl_j)} + b_j e^{-kappa_j (xr_j-x)},
+the decaying part anchored at the left edge and the growing part at the right
+edge, with kappa_j = sqrt(2m(V_j - E))/hbar taken real for E < V_j and -i*q_j
 (pure imaginary) for E > V_j.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,8 @@ from .units import ELECTRON, UnitSystem
 
 # total opacity guard: exp() stays in range well below this
 _MAX_TOTAL_KAPPA_D = 600.0
+# |q w| below this: an E = V segment, where psi is linear in x
+_LINEAR_QW = 1e-12
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,100 @@ def _seg_prop(psi, dpsi, q, w):
     return c * psi + s_over_q * dpsi, q_s * psi + c * dpsi
 
 
+class _Modes:
+    """psi(x; k) and dpsi/dx over a row of stationary states of one potential.
+
+    Positions fall into regions by the segment edges: region 0 lies left of
+    the potential, region j + 1 inside segment j, and the last region right
+    of it: free space, or a semi-infinite potential's final medium
+    (wavenumber q_f, anchored at its edge x_out).
+    """
+
+    def __init__(self, states, potential: PiecewisePotential):
+        self.k = np.array([s.k for s in states], dtype=float)
+        self.ik = 1j * self.k
+        self.amp_T = np.array([s.amp_T for s in states])
+        self.amp_R = np.array([s.amp_R for s in states])
+        segs = potential.segments
+        if potential.semi_infinite:
+            self.ik_out = -np.array([s.kappas[-1] for s in states])   # i q_f
+            self.x_out = segs[-1][0]
+            segs = segs[:-1]
+        else:
+            self.ik_out, self.x_out = self.ik, 0.0
+        self.ik_amp_T = self.ik_out * self.amp_T
+        self.edges = [potential.x_left] + [xr for _, xr, _ in segs] if potential.segments else []
+        self.segs = []
+        for j, (xl, xr, _) in enumerate(segs):
+            kap = np.array([s.kappas[j] for s in states])
+            A = np.array([s.A[j] for s in states])
+            b_right = np.array([s._b_right[j] for s in states])
+            # E = V nodes: the exponential basis is degenerate, psi is linear
+            lin = np.flatnonzero(np.abs(kap * (xr - xl)) < _LINEAR_QW)
+            psi_l = np.array([states[i]._psi_l[j] for i in lin], complex)
+            dpsi_l = np.array([states[i]._dpsi_l[j] for i in lin], complex)
+            self.segs.append((xl, xr, -kap, A, b_right, -kap * A, kap * b_right,
+                              lin, psi_l, dpsi_l))
+
+    def modes(self, region: int, x, e_p=None, derivative: bool = True):
+        """(psi_j(x), dpsi_j(x)) over the k row for positions in one region.
+
+        x is a float (rows of shape (nk,)) or a column of floats (shape
+        (m, nk)); e_p, when given, holds exp(ikx) there for the free regions
+        of a finite potential and is overwritten. dpsi is None when
+        derivative is False. Inside a segment neither anchored factor grows,
+        so the form is stable at any opacity; segments always take exp
+        directly, since a recurrence offset of the growing factor could
+        overflow.
+        """
+        if region == 0 or region > len(self.segs):
+            if e_p is None:
+                e_p = np.exp(self.ik * x if region == 0 else self.ik_out * (x - self.x_out))
+            # products in place (a block's arrays are large), with the
+            # operand order of the plain formula: SIMD complex products
+            # round differently when the operands swap
+            if region == 0:
+                r_m = np.conj(e_p)
+                np.multiply(self.amp_R, r_m, out=r_m)
+                dpsi = self.ik * (e_p - r_m) if derivative else None
+                r_m += e_p
+                return r_m, dpsi
+            dpsi = self.ik_amp_T * e_p if derivative else None
+            np.multiply(self.amp_T, e_p, out=e_p)
+            return e_p, dpsi
+        xl, xr, nkap, A, b_right, nkap_A, kap_b, lin, psi_l, dpsi_l = self.segs[region - 1]
+        dec = np.exp(nkap * (x - xl))
+        grow = np.exp(nkap * (xr - x))
+        psi = A * dec + b_right * grow
+        dpsi = nkap_A * dec + kap_b * grow if derivative else None
+        if lin.size:
+            psi[..., lin] = psi_l + dpsi_l * (x - xl)
+            if derivative:
+                dpsi[..., lin] = dpsi_l
+        return psi, dpsi
+
+    def at(self, xs: np.ndarray, e_p=None, regions=None, derivative: bool = True):
+        """(psi, dpsi) of shape (len(xs), nk) at positions xs in any regions.
+
+        e_p is as in modes, one row per position; regions, when given, holds
+        the region of each position.
+        """
+        if regions is None:
+            regions = np.searchsorted(self.edges, xs, side="right")
+        x = xs[:, None]
+        if regions.size and (regions == regions[0]).all():
+            return self.modes(int(regions[0]), x, e_p, derivative)
+        psi = np.empty((len(xs), len(self.k)), complex)
+        dpsi = np.empty_like(psi) if derivative else None
+        for r in set(regions.tolist()):
+            sel = regions == r
+            p, d = self.modes(r, x[sel], None if e_p is None else e_p[sel], derivative)
+            psi[sel] = p
+            if derivative:
+                dpsi[sel] = d
+        return psi, dpsi
+
+
 @dataclass
 class ScatteringState:
     """Full stationary solution at one wavenumber, unit incident amplitude."""
@@ -151,15 +249,13 @@ class ScatteringState:
     amp_R: complex
     kappas: np.ndarray          # per-segment decay constants (complex 1/A)
     A: np.ndarray               # per-segment coefficient of e^{-kappa (x-xl)}
-    B: np.ndarray               # per-segment coefficient of e^{+kappa (x-xl)}
     potential: PiecewisePotential
     units: UnitSystem = ELECTRON
-    # interface data for numerically stable interior evaluation
+    # left-edge values (psi of an E = V segment is linear from them) and the
+    # coefficient of the growing part e^{-kappa (xr-x)}
     _psi_l: np.ndarray = field(default=None, repr=False)
     _dpsi_l: np.ndarray = field(default=None, repr=False)
-    _psi_r: np.ndarray = field(default=None, repr=False)
-    _dpsi_r: np.ndarray = field(default=None, repr=False)
-    _b_right: np.ndarray = field(default=None, repr=False)  # growing part anchored at xr
+    _b_right: np.ndarray = field(default=None, repr=False)
 
     @property
     def T(self) -> float:
@@ -177,8 +273,15 @@ class ScatteringState:
     def beta(self) -> float:
         return float(np.angle(self.amp_R))
 
+    @cached_property
+    def _modes(self) -> _Modes:
+        return _Modes([self], self.potential)
+
     def psi_and_dpsi(self, x):
-        return _interior(self, np.asarray(x, dtype=float))
+        """(psi, dpsi/dx) at x: scalars for a scalar x, else arrays of its shape."""
+        x = np.asarray(x, dtype=float)
+        psi, dpsi = self._modes.at(x.ravel())
+        return psi.reshape(x.shape)[()], dpsi.reshape(x.shape)[()]
 
     def psi(self, x):
         return self.psi_and_dpsi(x)[0]
@@ -212,10 +315,9 @@ def solve_transfer_matrix(
     if not segs:
         return ScatteringState(
             k=k, E=E, amp_T=1.0 + 0.0j, amp_R=0.0 + 0.0j,
-            kappas=np.zeros(0, complex), A=np.zeros(0, complex), B=np.zeros(0, complex),
+            kappas=np.zeros(0, complex), A=np.zeros(0, complex),
             potential=potential, units=units,
             _psi_l=np.zeros(0, complex), _dpsi_l=np.zeros(0, complex),
-            _psi_r=np.zeros(0, complex), _dpsi_r=np.zeros(0, complex),
             _b_right=np.zeros(0, complex),
         )
 
@@ -227,18 +329,11 @@ def solve_transfer_matrix(
         raise ValueError(f"total opacity kappa*d = {total_opacity:.1f} exceeds supported range")
 
     x_left = segs[0][0]
-    x_right = segs[-1][1]
-
     if potential.semi_infinite:
         # final medium: psi = e^{i q_f (x - x_edge)} for E > V_f, or pure decay
-        x_edge = segs[-1][0]
-        psi, dpsi = 1.0 + 0.0j, 1j * qs[-1]
-        sweep = segs[:-1]
-        frame_right = x_edge
+        psi, dpsi, sweep = 1.0 + 0.0j, 1j * qs[-1], segs[:-1]
     else:
-        psi, dpsi = 1.0 + 0.0j, 1j * k
-        sweep = segs
-        frame_right = x_right
+        psi, dpsi, sweep = 1.0 + 0.0j, 1j * k, segs
 
     # interface values, rightmost first; element i belongs to the right edge
     # of sweep segment len(sweep)-1-i
@@ -252,53 +347,37 @@ def solve_transfer_matrix(
     a_g = a * np.exp(-1j * k * x_left)
     b_g = b * np.exp(1j * k * x_left)
     amp_R = b_g / a_g
-    if potential.semi_infinite:
-        amp_T = np.exp(0j) / a_g  # amplitude of the final-medium mode at x_edge
-    else:
-        amp_T = np.exp(-1j * k * frame_right) / a_g
+    # a semi-infinite potential's amp_T is its final-medium mode's at x_edge
+    amp_T = (np.exp(0j) if potential.semi_infinite else np.exp(-1j * k * segs[-1][1])) / a_g
 
     # normalize interior data to unit incident amplitude
     edge_vals = [(p / a_g, dp / a_g) for (p, dp) in edge_vals]
     edge_vals.reverse()  # now leftmost interface first
 
     n = len(segs)
-    kappas = np.zeros(n, complex)
-    A = np.zeros(n, complex)
-    B = np.zeros(n, complex)
-    psi_l = np.zeros(n, complex)
-    dpsi_l = np.zeros(n, complex)
-    psi_r = np.zeros(n, complex)
-    dpsi_r = np.zeros(n, complex)
-    b_right = np.zeros(n, complex)
+    kappas, A, psi_l, dpsi_l, b_right = (np.zeros(n, complex) for _ in range(5))
 
     for j, ((xl, xr, _), q) in enumerate(zip(segs, qs)):
         kap = -1j * q  # real decay constant for E < V
         kappas[j] = kap
         if potential.semi_infinite and j == n - 1:
-            pl, dl = complex(amp_T), complex(amp_T) * 1j * q
-            pr, dr = pl, dl  # frame anchor only
-            Aj, Bj, bR = complex(amp_T), 0.0 + 0.0j, 0.0 + 0.0j
-        else:
-            pl, dl = edge_vals[j]
-            pr, dr = edge_vals[j + 1]
-            w = xr - xl
-            if abs(q * w) < 1e-12:
-                # linear segment: exponential basis is degenerate bookkeeping
-                Aj = Bj = 0.5 * pl
-                bR = 0.5 * pr
-            else:
-                Aj = 0.5 * (pl - dl / kap)
-                bR = 0.5 * (pr + dr / kap)  # exact growing-part value at xr
-                Bj = bR * np.exp(-kap * w)
-        A[j], B[j], b_right[j] = Aj, Bj, bR
+            A[j] = psi_l[j] = complex(amp_T)
+            dpsi_l[j] = complex(amp_T) * 1j * q
+            continue
+        pl, dl = edge_vals[j]
+        pr, dr = edge_vals[j + 1]
         psi_l[j], dpsi_l[j] = pl, dl
-        psi_r[j], dpsi_r[j] = pr, dr
+        if abs(q * (xr - xl)) < _LINEAR_QW:
+            # linear segment: exponential basis is degenerate bookkeeping
+            A[j], b_right[j] = 0.5 * pl, 0.5 * pr
+        else:
+            A[j] = 0.5 * (pl - dl / kap)
+            b_right[j] = 0.5 * (pr + dr / kap)  # exact growing-part value at xr
 
     return ScatteringState(
         k=k, E=E, amp_T=complex(amp_T), amp_R=complex(amp_R),
-        kappas=kappas, A=A, B=B, potential=potential, units=units,
-        _psi_l=psi_l, _dpsi_l=dpsi_l, _psi_r=psi_r, _dpsi_r=dpsi_r,
-        _b_right=b_right,
+        kappas=kappas, A=A, potential=potential, units=units,
+        _psi_l=psi_l, _dpsi_l=dpsi_l, _b_right=b_right,
     )
 
 
@@ -318,76 +397,6 @@ def _phase_slopes(potential: PiecewisePotential, k: float, units: UnitSystem):
     a1, b1 = slopes(h)
     a2, b2 = slopes(0.5 * h)
     return (4.0 * a2 - a1) / 3.0, (4.0 * b2 - b1) / 3.0
-
-
-def _interior(state: ScatteringState, x: np.ndarray):
-    """psi and dpsi/dx at arbitrary points, stable for opaque segments.
-
-    Evanescent segments combine the decaying component anchored at the left
-    edge with the growing component anchored at the right edge, so both
-    factors only ever decay.
-    """
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
-    psi = np.zeros(xs.shape, complex)
-    dpsi = np.zeros(xs.shape, complex)
-    pot = state.potential
-    k = state.k
-    xl0, xr0 = pot.x_left, pot.x_right
-
-    left = xs < xl0
-    if np.any(left):
-        e_p = np.exp(1j * k * xs[left])
-        e_m = np.exp(-1j * k * xs[left])
-        psi[left] = e_p + state.amp_R * e_m
-        dpsi[left] = 1j * k * (e_p - state.amp_R * e_m)
-
-    if pot.semi_infinite and pot.segments:
-        x_edge = pot.segments[-1][0]
-        inside_final = xs >= x_edge
-        if np.any(inside_final):
-            q = 1j * state.kappas[-1]
-            ph = np.exp(1j * q * (xs[inside_final] - x_edge))
-            psi[inside_final] = state.amp_T * ph
-            dpsi[inside_final] = state.amp_T * 1j * q * ph
-        right_limit = x_edge
-    else:
-        right = xs >= xr0
-        if np.any(right):
-            e_p = np.exp(1j * k * xs[right])
-            psi[right] = state.amp_T * e_p
-            dpsi[right] = state.amp_T * 1j * k * e_p
-        right_limit = xr0
-
-    n = len(pot.segments)
-    for j, (xl, xr, V) in enumerate(pot.segments):
-        if pot.semi_infinite and j == n - 1:
-            continue
-        sel = (xs >= xl0) & (xs < right_limit) & (xs >= xl) & (xs < xr)
-        if not np.any(sel):
-            continue
-        xj = xs[sel]
-        kap = state.kappas[j]
-        q = 1j * kap
-        w = xr - xl
-        if abs(q * w) < 1e-12:
-            # E == V segment: psi linear in x
-            psi[sel] = state._psi_l[j] + state._dpsi_l[j] * (xj - xl)
-            dpsi[sel] = state._dpsi_l[j]
-        elif kap.real > 0:
-            dec = np.exp(-kap * (xj - xl))
-            grow = np.exp(-kap * (xr - xj))
-            psi[sel] = state.A[j] * dec + state._b_right[j] * grow
-            dpsi[sel] = -kap * state.A[j] * dec + kap * state._b_right[j] * grow
-        else:
-            e_p = np.exp(-kap * (xj - xl))  # oscillatory: |e^{+-kap w}| = 1
-            e_m = np.exp(kap * (xj - xl))
-            psi[sel] = state.A[j] * e_p + state.B[j] * e_m
-            dpsi[sel] = -kap * state.A[j] * e_p + kap * state.B[j] * e_m
-
-    if scalar:
-        return psi[0], dpsi[0]
-    return psi, dpsi
 
 
 def interior_wavefunction(state: ScatteringState, x):

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .scattering import (
     PiecewisePotential,
@@ -267,14 +266,15 @@ def dwell_time_closed(params: SquareBarrierParams, k: float) -> float:
 def dwell_time(potential: PiecewisePotential, k: float, x1: float, x2: float,
                units: UnitSystem = ELECTRON) -> float:
     """Probability content of [x1, x2] over incident flux, by quadrature."""
+    from scipy.integrate import quad   # deferred: scipy is slow to import
+
     if x2 <= x1:
         raise ValueError("x1 < x2 required")
     state = solve_transfer_matrix(potential, k, units)
     v = float(units.v_of_k(k))
 
     def rho(x):
-        p, _ = state.psi_and_dpsi(np.float64(x))
-        return abs(p) ** 2
+        return abs(state.psi(np.float64(x))) ** 2
 
     cuts = [x1] + [c for xl, xr, _ in potential.segments for c in (xl, xr)
                    if x1 < c < x2] + [x2]

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from .scattering import PiecewisePotential, solve_transfer_matrix
+from .scattering import PiecewisePotential, _Modes, solve_transfer_matrix
 from .units import ELECTRON, UnitSystem
 
 T_SPAN = (-1e-13, 1e-13)       # scan interval for locating flux support, s
@@ -91,81 +90,22 @@ class SpectralPacket:
         return 1.0 / (float(self.units.v_of_k(self.k0)) * self.dk)
 
 
-class _Ensemble:
-    """Cached stationary solutions of one potential on a packet's k grid.
-
-    Positions fall into regions by the segment edges: region 0 lies left of
-    the potential, region j + 1 inside segment j, and region n + 1 right of
-    the last of n segments.
-    """
+class _Ensemble(_Modes):
+    """Cached stationary modes of one potential on a packet's k grid, with
+    the packet's spectral coefficients and frequencies."""
 
     def __init__(self, packet: SpectralPacket, potential: PiecewisePotential):
         if potential.semi_infinite:
             raise ValueError("packet evolution needs a finite-range potential")
         u = packet.units
-        self.k = packet.k_nodes
-        self.ik = 1j * self.k
+        super().__init__([solve_transfer_matrix(potential, float(kk), u)
+                          for kk in packet.k_nodes], potential)
         self.coef = packet.weights * packet.amplitude / math.sqrt(2.0 * math.pi)
         self.omega = u.E_of_k(self.k) / u.hbar_eV_s
-        states = [solve_transfer_matrix(potential, float(kk), u) for kk in self.k]
-        self.amp_T = np.array([s.amp_T for s in states])
-        self.amp_R = np.array([s.amp_R for s in states])
-        self.ik_amp_T = self.ik * self.amp_T
-        segs = potential.segments
-        self.edges = [potential.x_left] + [xr for _, xr, _ in segs] if segs else []
-        self.segs = []
-        for j, (xl, xr, _) in enumerate(segs):
-            kap = np.array([s.kappas[j] for s in states])
-            A = np.array([s.A[j] for s in states])
-            b_right = np.array([s._b_right[j] for s in states])
-            # E = V nodes: the exponential basis is degenerate, psi is linear
-            lin = np.flatnonzero(np.abs(kap) * (xr - xl) < 1e-12)
-            psi_l = np.array([states[i]._psi_l[j] for i in lin], complex)
-            dpsi_l = np.array([states[i]._dpsi_l[j] for i in lin], complex)
-            self.segs.append((xl, xr, -kap, A, b_right, -kap * A, kap * b_right,
-                              lin, psi_l, dpsi_l))
-
-    def _modes(self, region: int, x, e_p=None, derivative: bool = True):
-        """(psi_j(x), dpsi_j(x)) over the k grid for positions in one region.
-
-        x is a float (rows of shape (nk,)) or a column of floats (shape
-        (m, nk)); e_p, when given, holds exp(ikx) at those positions for the
-        free regions and is overwritten. dpsi is None when derivative is
-        False. Evanescent segments take the decaying part anchored at the
-        left edge and the growing part anchored at the right edge, so
-        neither factor grows: stable at any opacity. They always take exp
-        directly, since a recurrence offset of the growing factor could
-        overflow.
-        """
-        if region == 0 or region > len(self.segs):
-            if e_p is None:
-                e_p = np.exp(self.ik * x)
-            # products in place (a block's arrays are large), with the
-            # operand order of the plain formula: SIMD complex products
-            # round differently when the operands swap
-            if region == 0:
-                r_m = np.conj(e_p)
-                np.multiply(self.amp_R, r_m, out=r_m)
-                dpsi = self.ik * (e_p - r_m) if derivative else None
-                r_m += e_p
-                return r_m, dpsi
-            dpsi = self.ik_amp_T * e_p if derivative else None
-            np.multiply(self.amp_T, e_p, out=e_p)
-            return e_p, dpsi
-        xl, xr, nkap, A, b_right, nkap_A, kap_b, lin, psi_l, dpsi_l = self.segs[region - 1]
-        dec = np.exp(nkap * (x - xl))
-        grow = np.exp(nkap * (xr - x))
-        psi = A * dec + b_right * grow
-        dpsi = nkap_A * dec + kap_b * grow if derivative else None
-        if lin.size:
-            psi[..., lin] = psi_l + dpsi_l * (x - xl)
-            if derivative:
-                dpsi[..., lin] = dpsi_l
-        return psi, dpsi
 
     def modes_at(self, x: float):
         """(psi_j(x), dpsi_j(x)) arrays over the k grid at one position."""
-        return self._modes(bisect.bisect_right(self.edges, x), x)
+        return self.modes(bisect.bisect_right(self.edges, x), x)
 
     def mode_blocks(self, xs: np.ndarray, derivative: bool = True):
         """Yield (row slice, psi, dpsi) for xs, PHASE_BLOCK positions at a time.
@@ -184,20 +124,7 @@ class _Ensemble:
         else:
             blocks = ((slice(s, s + B), None) for s in range(0, n, B))
         for rows, e_p in blocks:
-            x, reg = xs[rows, None], regions[rows]
-            if (reg == reg[0]).all():
-                psi, dpsi = self._modes(int(reg[0]), x, e_p, derivative)
-            else:
-                psi = np.empty((len(reg), len(self.k)), complex)
-                dpsi = np.empty_like(psi) if derivative else None
-                for r in set(reg.tolist()):
-                    sel = reg == r
-                    p, d = self._modes(r, x[sel], None if e_p is None else e_p[sel],
-                                       derivative)
-                    psi[sel] = p
-                    if derivative:
-                        dpsi[sel] = d
-            yield rows, psi, dpsi
+            yield rows, *self.at(xs[rows], e_p, regions[rows], derivative)
 
 
 _ENSEMBLES: dict = {}
@@ -371,6 +298,12 @@ def default_time_grid(packet: SpectralPacket, potential: PiecewisePotential,
     return np.arange(t_lo, t_hi + dt_fine / 2, dt_fine)
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0 (the formula of
+    scipy's cumulative_trapezoid with initial=0, bit for bit)."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def flux_records(packet: SpectralPacket, potential: PiecewisePotential, xs,
                  t_grid: np.ndarray | None = None,
                  dt_fine: float = DT_FINE) -> list[FluxRecord]:
@@ -387,8 +320,8 @@ def flux_records(packet: SpectralPacket, potential: PiecewisePotential, xs,
     for x, J in zip(xs, J_all):
         J_plus = np.clip(J, 0.0, None)
         J_minus = np.clip(J, None, 0.0)
-        N_gt = cumulative_trapezoid(J_plus, t_grid, initial=0.0)
-        N_lt = -cumulative_trapezoid(J_minus, t_grid, initial=0.0)
+        N_gt = _cumulative_trapezoid(J_plus, t_grid)
+        N_lt = -_cumulative_trapezoid(J_minus, t_grid)
         records.append(FluxRecord(x=float(x), t=t_grid, J=J, J_plus=J_plus,
                                   J_minus=J_minus, N_gt=N_gt, N_lt=N_lt))
     return records
@@ -562,7 +495,7 @@ def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
     xs = np.linspace(region[0], region[1], n_grid)
     psi, _ = _blocked(_ensemble(packet, potential), xs, t_start, derivative=False)
     rho = np.abs(psi) ** 2
-    cdf = cumulative_trapezoid(rho, xs, initial=0.0)
+    cdf = _cumulative_trapezoid(rho, xs)
     cdf /= cdf[-1]
     lo, hi = quantile_range
     qs = lo + (hi - lo) * (np.arange(n_seeds) + 0.5) / n_seeds
@@ -580,6 +513,8 @@ def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
     is marked degenerate, not silently continued. Barrier entry/exit times
     are interpolated from the dense solution where applicable.
     """
+    from scipy.integrate import solve_ivp   # deferred: scipy is slow to import
+
     ens_u = packet.units
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     psi0, _ = evolve(packet, potential, seeds, t_start)

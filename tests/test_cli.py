@@ -1,7 +1,9 @@
 """Command line contract: exit codes, config handling, table shapes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +125,21 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "times.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs most of a CLI call's start-up; only a few library
+    # routines import it, at their call sites
+    import tunneltime
+
+    src = str(Path(tunneltime.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tunneltime.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_determinism_modulo_timestamp(tmp_path):

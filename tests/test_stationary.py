@@ -314,8 +314,7 @@ def test_transfer_routes_match_frozen_copy(frozen):
     ]:
         for kk in (0.3 * k, k, 1.7 * EPS):
             new, old = sc.solve_transfer_matrix(new_pot, kk), fs.solve_transfer_matrix(old_pot, kk)
-            for field in ("amp_T", "amp_R", "kappas", "A", "B", "_psi_l", "_dpsi_l",
-                          "_psi_r", "_dpsi_r", "_b_right"):
+            for field in ("amp_T", "amp_R", "kappas", "A", "_psi_l", "_dpsi_l", "_b_right"):
                 assert _bytes(getattr(new, field)) == _bytes(getattr(old, field)), field
     gaps = [0.0, 1.0, 4.0, 9.5]
     for d, V0_ in [(2.0, V0), (0.0, V0), (3.0, 4.0)]:
@@ -430,6 +429,8 @@ def test_waveguide_spec_rejects_non_finite(bad):
      "--set", "k_max=2", "--set", "k_points=5"],
     ["optical", "--set", "b=nan"],
     ["optical", "--set", "b=inf"],
+    ["evolve", "--set", "V0=10", "--set", "d=5", "--set", "E=5", "--set", "dk=0.02",
+     "--set", "n_nodes=65", "--set", "x_points=20", "--set", "flux_floor=nan"],
 ])
 def test_cli_non_finite_exits_2_without_csv(tmp_path, capsys, args):
     assert cli.main(args + ["--out", str(tmp_path)]) == 2
@@ -442,3 +443,14 @@ def test_cli_optical_gap_height_nan_exits_2(tmp_path, capsys):
     assert cli.main(["optical", "--set", "gap_V0=nan", "--out", str(tmp_path)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "optical_gap.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--set", "gap_min=5", "--set", "gap_max=1"],
+    ["--set", "gap_d=1000"],
+])
+def test_cli_optical_bad_gap_sweep_writes_no_table(tmp_path, args):
+    # the gap sweep fails after the other two tables are computed; none of
+    # the three may be written
+    assert cli.main(["optical"] + args + ["--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ import scipy.linalg as sla
 from hypothesis import assume, given, settings, strategies as st
 
 from tunneltime import wavepacket as wp
-from tunneltime.scattering import PiecewisePotential, SquareBarrierParams, solve_transfer_matrix
+from tunneltime.scattering import (
+    PiecewisePotential,
+    SquareBarrierParams,
+    solve_transfer_matrix,
+    step_reflection,
+)
 from tunneltime.times import dwell_time_closed
 from tunneltime.units import ELECTRON, k_of_E
 
@@ -519,6 +525,149 @@ def test_short_position_lists_are_bit_identical_to_per_x_formula(packet65):
         p1, d1 = ens.modes_at(float(x))
         r1, s1 = modes_at(float(x))
         assert np.array_equal(p1, r1) and np.array_equal(d1, s1)
+
+
+# The per-state evaluator that ScatteringState.psi_and_dpsi replaced, kept
+# verbatim as the independent oracle of the shared mode evaluator.
+def _interior(state, x: np.ndarray):
+    """psi and dpsi/dx at arbitrary points, stable for opaque segments.
+
+    Evanescent segments combine the decaying component anchored at the left
+    edge with the growing component anchored at the right edge, so both
+    factors only ever decay.
+    """
+    scalar = x.ndim == 0
+    xs = np.atleast_1d(x)
+    psi = np.zeros(xs.shape, complex)
+    dpsi = np.zeros(xs.shape, complex)
+    pot = state.potential
+    k = state.k
+    xl0, xr0 = pot.x_left, pot.x_right
+
+    left = xs < xl0
+    if np.any(left):
+        e_p = np.exp(1j * k * xs[left])
+        e_m = np.exp(-1j * k * xs[left])
+        psi[left] = e_p + state.amp_R * e_m
+        dpsi[left] = 1j * k * (e_p - state.amp_R * e_m)
+
+    if pot.semi_infinite and pot.segments:
+        x_edge = pot.segments[-1][0]
+        inside_final = xs >= x_edge
+        if np.any(inside_final):
+            q = 1j * state.kappas[-1]
+            ph = np.exp(1j * q * (xs[inside_final] - x_edge))
+            psi[inside_final] = state.amp_T * ph
+            dpsi[inside_final] = state.amp_T * 1j * q * ph
+        right_limit = x_edge
+    else:
+        right = xs >= xr0
+        if np.any(right):
+            e_p = np.exp(1j * k * xs[right])
+            psi[right] = state.amp_T * e_p
+            dpsi[right] = state.amp_T * 1j * k * e_p
+        right_limit = xr0
+
+    n = len(pot.segments)
+    for j, (xl, xr, V) in enumerate(pot.segments):
+        if pot.semi_infinite and j == n - 1:
+            continue
+        sel = (xs >= xl0) & (xs < right_limit) & (xs >= xl) & (xs < xr)
+        if not np.any(sel):
+            continue
+        xj = xs[sel]
+        kap = state.kappas[j]
+        q = 1j * kap
+        w = xr - xl
+        if abs(q * w) < 1e-12:
+            # E == V segment: psi linear in x
+            psi[sel] = state._psi_l[j] + state._dpsi_l[j] * (xj - xl)
+            dpsi[sel] = state._dpsi_l[j]
+        elif kap.real > 0:
+            dec = np.exp(-kap * (xj - xl))
+            grow = np.exp(-kap * (xr - xj))
+            psi[sel] = state.A[j] * dec + state._b_right[j] * grow
+            dpsi[sel] = -kap * state.A[j] * dec + kap * state._b_right[j] * grow
+        else:
+            e_p = np.exp(-kap * (xj - xl))  # oscillatory: |e^{+-kap w}| = 1
+            e_m = np.exp(kap * (xj - xl))
+            psi[sel] = state.A[j] * e_p + state.B[j] * e_m
+            dpsi[sel] = -kap * state.A[j] * e_p + kap * state.B[j] * e_m
+
+    if scalar:
+        return psi[0], dpsi[0]
+    return psi, dpsi
+
+
+def with_left_anchored_B(state):
+    """The state with the coefficient B of e^{+kappa (x-xl)} that _interior
+    reads, formed as the earlier solver formed it."""
+    B = np.zeros(len(state.kappas), complex)
+    pot = state.potential
+    for j, (xl, xr, _) in enumerate(pot.segments):
+        if pot.semi_infinite and j == len(B) - 1:
+            continue
+        kap, w = state.kappas[j], xr - xl
+        if abs(1j * kap * w) < 1e-12:
+            B[j] = 0.5 * state._psi_l[j]
+        else:
+            B[j] = state._b_right[j] * np.exp(-kap * w)
+    return SimpleNamespace(**vars(state), B=B)
+
+
+def oracle_cases(packet65):
+    """(potential, energies in eV) pairs: every region kind, both sides of
+    each barrier top, and the E = V node of linear_segment_potential."""
+    lin = linear_segment_potential(packet65)
+    E_lin = [float(ELECTRON.E_of_k(float(k))) for k in packet65.k_nodes]
+    return [
+        (PiecewisePotential.square(10.0, 5.0), [1.0, 5.0, 9.9, 10.5, 12.0]),
+        (PiecewisePotential.square(3.0, 5.0), [1.0, 4.0, 12.0]),
+        (PiecewisePotential.double_barrier(5.3, 2.0, 3.0), [1.0, 5.0, 6.0, 12.0]),
+        (lin, E_lin),
+        (PiecewisePotential.step(10.0), [1.0, 5.0, 9.9, 10.5, 12.0]),
+        (PiecewisePotential.step(3.0, x_edge=1.5), [1.0, 4.0, 12.0]),
+    ]
+
+
+def test_psi_and_dpsi_match_interior_copy(packet65):
+    xs = np.concatenate([np.linspace(-12.0, 14.0, 521), [0.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0]])
+    for pot, energies in oracle_cases(packet65):
+        for E in energies:
+            st_ = solve_transfer_matrix(pot, float(k_of_E(E)))
+            want_p, want_d = _interior(with_left_anchored_B(st_), xs)
+            got_p, got_d = st_.psi_and_dpsi(xs)
+            assert rel_err(got_p, want_p) <= 1e-12, (pot, E)
+            assert rel_err(got_d, want_d) <= 1e-12, (pot, E)
+            for x in (-3.0, 0.0, 2.5, 9.0):   # scalars give scalars
+                p, d = st_.psi_and_dpsi(x)
+                assert np.ndim(p) == 0 and np.ndim(d) == 0
+                assert p == st_.psi_and_dpsi(np.array([x]))[0][0]
+
+
+def test_step_interior_matches_closed_form():
+    # below the top psi = (1 + r) e^{-kappa x} in the step (x > 0)
+    V0_ = 10.0
+    xs = np.linspace(0.0, 6.0, 61)
+    for E in (1.0, 5.0, 9.9):
+        k = float(k_of_E(E))
+        kap = float(ELECTRON.kappa_of(E, V0_))
+        st_ = solve_transfer_matrix(PiecewisePotential.step(V0_), k)
+        psi, dpsi = st_.psi_and_dpsi(xs)
+        want = (1.0 + step_reflection(V0_, k)) * np.exp(-kap * xs)
+        assert rel_err(psi, want) <= 1e-12
+        assert rel_err(dpsi, -kap * want) <= 1e-12
+
+
+def test_cumulative_trapezoid_matches_scipy():
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 64, 1001, 20001):
+        for x in (np.linspace(-1e-13, 1e-13, n), np.sort(rng.uniform(-50.0, 50.0, n))):
+            y = rng.standard_normal(n)
+            assert np.array_equal(wp._cumulative_trapezoid(y, x),
+                                  cumulative_trapezoid(y, x, initial=0.0))
 
 
 @settings(max_examples=60, deadline=None)
