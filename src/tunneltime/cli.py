@@ -599,6 +599,9 @@ BOHM_SCHEMA = {
 def cmd_bohm(run: RunConfig) -> int:
     cfg = run.values
     _positive(cfg, "V0", "d", "E", "k0", "dk", "n_traj", "n_out", "rtol")
+    if not (math.isfinite(cfg["t_start"]) and math.isfinite(cfg["t_end"])):
+        raise ConfigError(f"'t_start' and 't_end' must be finite, got "
+                          f"{cfg['t_start']} and {cfg['t_end']}")
     if cfg["t_end"] <= cfg["t_start"]:
         raise ConfigError("t_end must exceed t_start")
     packet = _packet_from(cfg)

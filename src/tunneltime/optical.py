@@ -190,22 +190,6 @@ def _single_beta(d: float, V0: float, k: float, units: UnitSystem):
     return None
 
 
-def _gap_time(d: float, L_gap: float, V0: float, k: float, units: UnitSystem,
-              beta_single):
-    if d < 0 or L_gap < 0:
-        raise ValueError("widths must be >= 0")
-    total = 2.0 * d + L_gap
-    if L_gap == 0:
-        pot = PiecewisePotential.square(V0, 2.0 * d)
-    else:
-        pot = PiecewisePotential.double_barrier(V0, d, L_gap)
-    deriv = _phase_slopes(pot, k, units)[0]
-    v = float(units.v_of_k(k))
-    time = (total + deriv) / v
-    margin = 1.0 if beta_single is None else abs(math.sin(k * L_gap + beta_single))
-    return time, margin
-
-
 def double_barrier_time(d: float, L_gap: float, V0: float, k: float,
                         units: UnitSystem = ELECTRON):
     """(total extrapolated phase time, resonance margin) for barrier-gap-barrier.
@@ -216,16 +200,30 @@ def double_barrier_time(d: float, L_gap: float, V0: float, k: float,
     Fabry-Perot resonance of the inter-barrier region; values below 0.1 mean
     the off-resonance premise is failing and the time may spike.
     """
-    return _gap_time(d, L_gap, V0, k, units, _single_beta(d, V0, k, units))
+    return gap_sweep(d, V0, k, [L_gap], units)[0][1:]
 
 
 def gap_sweep(d: float, V0: float, k: float, gaps,
               units: UnitSystem = ELECTRON):
     """[(L_gap, time, margin)] over an iterable of gap widths.
 
-    The single barrier's reflection phase does not depend on the gap, so it
-    is solved once per sweep.
+    Time and margin as in double_barrier_time. One batched transfer sweep
+    covers every gap; a zero gap is the single barrier of width 2d. The
+    single barrier's reflection phase does not depend on the gap, so it is
+    solved once per sweep.
     """
+    L = np.array([float(g) for g in gaps])
+    if not (math.isfinite(d) and math.isfinite(V0) and np.isfinite(L).all()):
+        raise ValueError(f"d, V0 and the gaps must be finite, got d={d}, V0={V0}")
+    if d < 0 or (L < 0).any():
+        raise ValueError("widths must be >= 0")
     beta_single = _single_beta(d, V0, k, units)
-    return [(float(L), *_gap_time(d, float(L), V0, k, units, beta_single))
-            for L in gaps]
+    # a zero gap is PiecewisePotential.square(V0, 2d): all of 2d in the first
+    # segment, the other two empty
+    x1 = np.where(L == 0, 2.0 * d, d)
+    x2 = np.where(L == 0, 2.0 * d, d + L)
+    x3 = 2.0 * d + L
+    deriv = _phase_slopes(((0.0, x1, V0), (x1, x2, 0.0), (x2, x3, V0)), k, units)[0]
+    times = (2.0 * d + L + deriv) / float(units.v_of_k(k))
+    return [(Lg, t, 1.0 if beta_single is None else abs(math.sin(k * Lg + beta_single)))
+            for Lg, t in zip(L.tolist(), times.tolist())]

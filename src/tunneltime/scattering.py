@@ -131,17 +131,29 @@ class PiecewisePotential:
 def _seg_prop(psi, dpsi, q, w):
     """Propagate (psi, psi') across width w at local wavenumber q (complex).
 
-    Series branch keeps the q -> 0 (E = V) segment exact instead of 0/0.
+    Takes scalars or broadcast arrays. Series branch keeps the q -> 0 (E = V)
+    segment exact instead of 0/0; an array that mixes the two branches is
+    propagated in two parts, each through its own branch.
     """
     qw = q * w
-    if abs(qw) < 1e-8:
+    series = abs(qw) < 1e-8
+    if isinstance(series, np.ndarray):
+        if series.any() and not series.all():
+            parts = np.broadcast_arrays(psi, dpsi, q, w)
+            psi_w, dpsi_w = np.empty(series.shape, complex), np.empty(series.shape, complex)
+            for sel in (series, ~series):
+                psi_w[sel], dpsi_w[sel] = _seg_prop(*(a[sel] for a in parts))
+            return psi_w, dpsi_w
+        series = series.all()
+    if series:
         c = 1.0 - qw * qw / 2.0
         s_over_q = w * (1.0 - qw * qw / 6.0)
         q_s = -q * qw * (1.0 - qw * qw / 6.0)  # -q*sin(qw)
     else:
+        s = np.sin(qw)
         c = np.cos(qw)
-        s_over_q = np.sin(qw) / q
-        q_s = -q * np.sin(qw)
+        s_over_q = s / q
+        q_s = -q * s
     return c * psi + s_over_q * dpsi, q_s * psi + c * dpsi
 
 
@@ -381,21 +393,74 @@ def solve_transfer_matrix(
     )
 
 
-def _phase_slopes(potential: PiecewisePotential, k: float, units: UnitSystem):
+def _cmul(a, b):
+    """a * b on arrays, rounded as CPython's complex product rounds.
+
+    numpy's SIMD complex multiply may fuse the two products of a part into
+    one rounding; with general complex operands that changes the last bit.
+    """
+    out = np.empty(np.broadcast(a, b).shape, complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _sweep_amplitudes(segments, k, units: UnitSystem):
+    """(amp_T, amp_R) of solve_transfer_matrix over broadcast arrays.
+
+    segments holds the contiguous (xl, xr, V) triples of a finite
+    potential, leftmost first, with scalar V; the edges may be arrays,
+    which broadcast with the array k to one potential per element. A
+    segment of zero width in an element propagates as the identity there,
+    as if PiecewisePotential had left it out. Every element rounds exactly
+    as solve_transfer_matrix does on its potential: the propagation
+    coefficients are real or pure imaginary, so their array products round
+    as scalar ones; the general products go through _cmul.
+    """
+    # E and q element by element through the scalar solver's conversions:
+    # numpy squares an array by multiplication but a scalar through pow, and
+    # the two differ in the last bit for about one k in 1,300
+    Es = [float(units.E_of_k(x)) for x in np.ravel(k)]
+    qs = [np.reshape([_local_q(E, V, units) for E in Es], np.shape(k))
+          for _, _, V in segments]
+    total_opacity = 0.0
+    for (xl, xr, _), q in zip(segments, qs):
+        total_opacity = total_opacity + np.abs(q.imag) * (xr - xl)
+    if np.any(total_opacity > _MAX_TOTAL_KAPPA_D):
+        raise ValueError(f"total opacity kappa*d = {np.max(total_opacity):.1f} "
+                         "exceeds supported range")
+
+    psi, dpsi = 1.0 + 0.0j, 1j * k
+    for (xl, xr, _), q in zip(reversed(segments), reversed(qs)):
+        psi, dpsi = _seg_prop(psi, dpsi, q, -(xr - xl))
+
+    a = 0.5 * (psi + dpsi / (1j * k))
+    b = 0.5 * (psi - dpsi / (1j * k))
+    x_left, x_right = segments[0][0], segments[-1][1]
+    a_g = _cmul(a, np.exp(-1j * k * x_left))
+    b_g = _cmul(b, np.exp(1j * k * x_left))
+    return np.exp(-1j * k * x_right) / a_g, b_g / a_g
+
+
+def _phase_slopes(segments, k: float, units: UnitSystem):
     """(dalpha/dk, dbeta/dk) of the transfer-matrix amplitudes at k.
 
-    Centered differences with step 1e-6 k and one Richardson step. Branch
-    cuts cancel in angle(t(k+h) conj(t(k-h))) for small h.
+    segments as in _sweep_amplitudes; the slopes take the broadcast shape of
+    its edges. Centered differences with step 1e-6 k and one Richardson
+    step, all four shifted k in one sweep. Branch cuts cancel in
+    angle(t(k+h) conj(t(k-h))) for small h.
     """
-    def slopes(h):
-        sp = solve_transfer_matrix(potential, k + h, units)
-        sm = solve_transfer_matrix(potential, k - h, units)
-        return (float(np.angle(sp.amp_T * np.conj(sm.amp_T))) / (2.0 * h),
-                float(np.angle(sp.amp_R * np.conj(sm.amp_R))) / (2.0 * h))
-
+    _check_k(k)
     h = 1e-6 * k
-    a1, b1 = slopes(h)
-    a2, b2 = slopes(0.5 * h)
+    ndim = max(np.ndim(x) for seg in segments for x in seg)
+    ks = np.array([k + h, k - h, k + 0.5 * h, k - 0.5 * h]).reshape((4,) + (1,) * ndim)
+    amp_T, amp_R = _sweep_amplitudes(segments, ks, units)
+
+    def slopes(amp, i, h):
+        return np.angle(_cmul(amp[i], np.conj(amp[i + 1]))) / (2.0 * h)
+
+    a1, a2 = slopes(amp_T, 0, h), slopes(amp_T, 2, 0.5 * h)
+    b1, b2 = slopes(amp_R, 0, h), slopes(amp_R, 2, 0.5 * h)
     return (4.0 * a2 - a1) / 3.0, (4.0 * b2 - b1) / 3.0
 
 

@@ -232,7 +232,7 @@ def phase_times_fd(params: SquareBarrierParams, k: float):
     if params.d == 0:
         return 0.0, 0.0
     u = params.units
-    alpha_prime, beta_prime = _phase_slopes(params.potential(), k, u)
+    alpha_prime, beta_prime = _phase_slopes(params.potential().segments, k, u)
     v = u.v_of_k(k)
     return (params.d + alpha_prime) / v, beta_prime / v
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ SUPPORT_SIGMAS = 10.0          # refined window padding in packet time-widths
 SUPPORT_THRESHOLD = 1e-8       # of max |J|; above this the flux is still flowing
 PHASE_BLOCK = 64               # rows of the exp(-i omega t) matrix held at once
 EVEN_GRID_TOL = 1e-12          # rad; max phase error the even-grid recurrence may add
+ENSEMBLE_CACHE_SIZE = 8        # packet ensembles kept for reuse, least recent dropped
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,8 @@ class _Ensemble(_Modes):
             yield rows, *self.at(xs[rows], e_p, regions[rows], derivative)
 
 
-_ENSEMBLES: dict = {}
+# the most recently used ensembles, keyed on (potential, packet content)
+_ENSEMBLES: OrderedDict = OrderedDict()
 
 
 def _ensemble(packet: SpectralPacket, potential: PiecewisePotential) -> _Ensemble:
@@ -136,6 +139,10 @@ def _ensemble(packet: SpectralPacket, potential: PiecewisePotential) -> _Ensembl
     if ens is None:
         ens = _Ensemble(packet, potential)
         _ENSEMBLES[key] = ens
+        if len(_ENSEMBLES) > ENSEMBLE_CACHE_SIZE:
+            _ENSEMBLES.popitem(last=False)
+    else:
+        _ENSEMBLES.move_to_end(key)
     return ens
 
 
@@ -511,12 +518,16 @@ def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
     Fixed-order adaptive integration (RK45) with step control on |dx|;
     a trajectory that meets density below rho_floor_rel * rho(seed maximum)
     is marked degenerate, not silently continued. Barrier entry/exit times
-    are interpolated from the dense solution where applicable.
+    are interpolated from the dense solution where applicable. Non-finite
+    t_start, t_end or seeds raise ValueError before any integration.
     """
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and np.isfinite(seeds).all()):
+        raise ValueError(f"t_start, t_end and the seeds must be finite, got "
+                         f"t_start={t_start}, t_end={t_end}, seeds={seeds}")
     from scipy.integrate import solve_ivp   # deferred: scipy is slow to import
 
     ens_u = packet.units
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     psi0, _ = evolve(packet, potential, seeds, t_start)
     rho_floor = rho_floor_rel * float(np.max(np.abs(psi0) ** 2))
     t_eval = np.linspace(t_start, t_end, n_out)

@@ -346,6 +346,15 @@ def test_bohm_summary_table(bohm_out):
     assert float(meta_value(bohm_out / "bohm_summary.csv", "flux_tau_T_s")) > 0
 
 
+@pytest.mark.parametrize("setting", ["t_end=inf", "t_end=nan", "t_start=-inf", "t_start=nan"])
+def test_bohm_non_finite_window_exits_2_without_csv(tmp_path, capsys, setting):
+    args = ["bohm", "--set", "V0=10", "--set", "d=5", "--set", "E=5", "--set", "dk=0.02",
+            "--set", "n_nodes=65", "--set", setting]
+    assert run(args, tmp_path) == 2
+    assert "finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bohm_trajectory_table(bohm_out):
     names, data = read_table(bohm_out / "bohm_traj.csv")
     assert names == ["t_s", "x_0", "x_1"]

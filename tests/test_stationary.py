@@ -4,7 +4,9 @@ quantity computed once per row, and inputs validated in the library.
 The ``_parent_*`` helpers are verbatim copies of the code the stationary path
 replaced: ``time_report``'s composition (three dwell evaluations, two Larmor
 evaluations and a private ``bl_pair``), the ``_fmt`` row join of
-``write_csv``, and ``write_svg`` with its np.float64 point loop. The
+``write_csv``, ``write_svg`` with its np.float64 point loop, and the
+per-k phase slopes and per-gap time that the batched transfer sweep
+replaced (``_parent_phase_slopes``, ``_parent_gap_time``). The
 closed forms and transfer-matrix routes are pinned against the frozen copy
 of the package that the benchmark keeps in ``bench/baseline/tunneltime``,
 whose ``units``, ``scattering``, ``times`` and ``optical`` modules are the
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunneltime import cli, optical
 from tunneltime import scattering as sc
@@ -363,7 +366,17 @@ def test_gap_sweep_solves_single_barrier_once(monkeypatch, n):
     for mod in (sc, optical):
         _count(monkeypatch, mod, "solve_transfer_matrix", tally, key="solve")
     optical.gap_sweep(2.0, V0, float(k_of_E(5.0)), np.linspace(1.0, 9.0, n))
-    assert tally == {"solve": 4 * n + 1}
+    assert tally == {"solve": 1}
+
+
+def test_gap_sweep_batches_every_gap_in_one_sweep(monkeypatch):
+    tally, seen = {}, []
+    _count(monkeypatch, sc, "_sweep_amplitudes", tally, key="sweep")
+    for n in (2, 2001):
+        tally.clear()
+        optical.gap_sweep(2.0, V0, float(k_of_E(5.0)), np.linspace(1.0, 9.0, n))
+        seen.append(dict(tally))
+    assert seen == [{"sweep": 1}, {"sweep": 1}]
 
 
 @pytest.mark.parametrize("pot, n_seg", [
@@ -454,3 +467,148 @@ def test_cli_optical_bad_gap_sweep_writes_no_table(tmp_path, args):
     # the three may be written
     assert cli.main(["optical"] + args + ["--out", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# batched transfer sweep: the gap sweep and the phase slopes against verbatim
+# copies of the per-k, per-gap code they replaced
+
+
+def _parent_phase_slopes(potential: PiecewisePotential, k: float, units: UnitSystem):
+    """(dalpha/dk, dbeta/dk) of the transfer-matrix amplitudes at k.
+
+    Centered differences with step 1e-6 k and one Richardson step. Branch
+    cuts cancel in angle(t(k+h) conj(t(k-h))) for small h.
+    """
+    def slopes(h):
+        sp = sc.solve_transfer_matrix(potential, k + h, units)
+        sm = sc.solve_transfer_matrix(potential, k - h, units)
+        return (float(np.angle(sp.amp_T * np.conj(sm.amp_T))) / (2.0 * h),
+                float(np.angle(sp.amp_R * np.conj(sm.amp_R))) / (2.0 * h))
+
+    h = 1e-6 * k
+    a1, b1 = slopes(h)
+    a2, b2 = slopes(0.5 * h)
+    return (4.0 * a2 - a1) / 3.0, (4.0 * b2 - b1) / 3.0
+
+
+def _parent_gap_time(d: float, L_gap: float, V0: float, k: float, units: UnitSystem,
+                     beta_single):
+    if d < 0 or L_gap < 0:
+        raise ValueError("widths must be >= 0")
+    total = 2.0 * d + L_gap
+    if L_gap == 0:
+        pot = PiecewisePotential.square(V0, 2.0 * d)
+    else:
+        pot = PiecewisePotential.double_barrier(V0, d, L_gap)
+    deriv = _parent_phase_slopes(pot, k, units)[0]
+    v = float(units.v_of_k(k))
+    time = (total + deriv) / v
+    margin = 1.0 if beta_single is None else abs(math.sin(k * L_gap + beta_single))
+    return time, margin
+
+
+def _parent_gap_sweep(d, V0_, k, gaps, units=sc.ELECTRON):
+    beta_single = optical._single_beta(d, V0_, k, units)
+    return [(float(L), *_parent_gap_time(d, float(L), V0_, k, units, beta_single))
+            for L in gaps]
+
+
+# k on both sides of the barrier top, at it (the E = V series branch) and
+# within 5e-10 of it
+SLOPE_KS = [0.05, 0.6, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.3, 2.5]
+
+
+@pytest.mark.parametrize("pot", [
+    PiecewisePotential.square(V0, 5.0),
+    PiecewisePotential.square(3.0, 0.4),
+    PiecewisePotential.double_barrier(V0, 2.0, 3.0),
+    # off the origin, with unequal heights: the general complex products
+    PiecewisePotential(((-3.1, 0.5, 2.4), (0.5, 6.1, 0.0), (6.1, 9.7, 1.7))),
+])
+@pytest.mark.parametrize("r", SLOPE_KS)
+def test_phase_slopes_match_per_k_copy(pot, r):
+    k = r * float(k_of_E(pot.segments[0][2]))
+    want = _parent_phase_slopes(pot, k, sc.ELECTRON)
+    assert _bytes(sc._phase_slopes(pot.segments, k, sc.ELECTRON)) == _bytes(want)
+
+
+def test_seg_prop_array_matches_scalar_calls():
+    # one array mixing the E = V series branch (q = 0, |q w| < 1e-8) with
+    # decaying and oscillating segments, and a zero width
+    q = np.array([0j, 3e-9 + 0j, 1.3j, 0.7 + 0j, 2e-12j, 1.1j])
+    w = np.array([-3.0, -2.0, -1.5, -0.4, -1.0, -0.0])
+    psi = np.array([1 + 0.5j, -0.2 + 2j, 0.3 - 0.1j, 1j, 2.0 + 0j, -1.5 + 0.25j])
+    dpsi = np.array([0.4j, 1.2 - 0.3j, -0.7 + 0.9j, 0.5 + 0j, 1 - 1j, 0.125 - 3j])
+    got = sc._seg_prop(psi, dpsi, q, w)
+    for i in range(len(q)):
+        want = sc._seg_prop(complex(psi[i]), complex(dpsi[i]), complex(q[i]), float(w[i]))
+        assert _bytes((got[0][i], got[1][i])) == _bytes(want), i
+
+
+@settings(max_examples=60, deadline=None)
+@given(V0_=st.floats(1.0, 12.0), erel=st.floats(0.05, 0.95), d=st.floats(0.05, 20.0),
+       gaps=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-8), st.floats(0.0, 30.0)),
+                     min_size=1, max_size=12))
+def test_gap_sweep_matches_per_gap_copy(V0_, erel, d, gaps):
+    k = float(k_of_E(erel * V0_))
+    assert _bytes(optical.gap_sweep(d, V0_, k, gaps)) == \
+        _bytes(_parent_gap_sweep(d, V0_, k, gaps))
+
+
+def test_cli_size_gap_sweep_matches_frozen_copy(frozen):
+    # the optical command's sweep: 2,001 gaps, barriers of opacity 15 each
+    for V0_, E in [(10.0, 5.0), (7.3, 2.6)]:
+        k = float(k_of_E(E))
+        d = 15.0 / float(sc.ELECTRON.kappa_of(E, V0_))
+        gaps = np.linspace(0.0, 20.0, 2001)
+        assert _bytes(optical.gap_sweep(d, V0_, k, gaps)) == \
+            _bytes(frozen["optical"].gap_sweep(d, V0_, k, gaps))
+
+
+@pytest.mark.parametrize("gaps", [[1.0, math.nan], [math.inf], [2.0, -math.inf],
+                                  [3.0, -1.0], [-1e-300]])
+def test_gap_sweep_rejects_bad_gaps(gaps):
+    with pytest.raises(ValueError):
+        optical.gap_sweep(2.0, V0, float(k_of_E(5.0)), gaps)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_gap_sweep_rejects_non_finite_barrier(bad):
+    k = float(k_of_E(5.0))
+    with pytest.raises(ValueError):
+        optical.gap_sweep(bad, V0, k, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        optical.gap_sweep(2.0, bad, k, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        optical.double_barrier_time(2.0, 1.0, V0, bad)
+
+
+def test_gap_sweep_rejects_opacity_past_limit():
+    k = float(k_of_E(5.0))
+    kap = float(sc.ELECTRON.kappa_of(5.0, V0))
+    d = 0.6 * sc._MAX_TOTAL_KAPPA_D / kap      # one barrier solves, two do not
+    optical.gap_sweep(0.8 * d, V0, k, [1.0])
+    with pytest.raises(ValueError, match="opacity"):
+        optical.gap_sweep(d, V0, k, [0.0, 1.0])
+
+
+def test_phase_slopes_match_where_array_and_scalar_energy_differ():
+    # numpy squares an array by multiplication and a scalar through pow; find
+    # a k whose shifted values include one where that moves a local q
+    u = sc.ELECTRON
+
+    def split(kk):
+        E_array, E_scalar = float(u.E_of_k(np.array([kk]))[0]), float(u.E_of_k(kk))
+        return any(sc._local_q(E_array, V, u) != sc._local_q(E_scalar, V, u)
+                   for V in (V0, 0.0))
+
+    def shifted(k):
+        h = 1e-6 * k
+        return k + h, k - h, k + 0.5 * h, k - 0.5 * h
+
+    k = next(k for k in np.linspace(1.0, 1.1, 20001).tolist()
+             if any(split(kk) for kk in shifted(k)))
+    pot = PiecewisePotential.double_barrier(V0, 2.0, 3.0)
+    want = _parent_phase_slopes(pot, k, u)
+    assert _bytes(sc._phase_slopes(pot.segments, k, u)) == _bytes(want)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 from types import SimpleNamespace
 
 import numpy as np
@@ -728,3 +729,50 @@ def test_ensemble_cache_keys_on_spectral_content():
         assert wp.transmitted_norm(p, pot) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
         a.k_nodes[0] = 1.0   # the key stays true: packet arrays are read-only
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["t_start", "t_end", "seeds"])
+def test_bohm_trajectories_reject_non_finite_input(packet, monkeypatch, bad, where):
+    calls = []
+    monkeypatch.setattr(wp, "evolve", lambda *args, **kwargs: calls.append(args))
+    kwargs = {"seeds": [-100.0, -90.0], "t_start": -3e-14, "t_end": 1.5e-14}
+    kwargs[where] = [-100.0, bad] if where == "seeds" else bad
+    with pytest.raises(ValueError, match="finite"):
+        wp.bohm_trajectories(packet, BARRIER, **kwargs)
+    assert calls == []   # rejected before the first density evaluation
+
+
+def _cache_packets(n):
+    return [wp.SpectralPacket.gaussian(K5 * (1.0 + 0.01 * i), DK, n_nodes=33)
+            for i in range(n)]
+
+
+def test_ensemble_cache_drops_least_recent(monkeypatch):
+    monkeypatch.setattr(wp, "_ENSEMBLES", OrderedDict())
+    size = wp.ENSEMBLE_CACHE_SIZE
+    packets = _cache_packets(size + 1)
+    built = [wp._ensemble(p, BARRIER) for p in packets[:size]]
+    # a repeated pair is a hit, and becomes the most recent entry
+    assert wp._ensemble(packets[0], BARRIER) is built[0]
+    wp._ensemble(packets[size], BARRIER)
+    assert len(wp._ENSEMBLES) == size
+    order = packets[2:size] + packets[:1] + packets[size:]
+    assert list(wp._ENSEMBLES) == [(BARRIER, p._key) for p in order]
+    assert wp._ensemble(packets[0], BARRIER) is built[0]
+    assert wp._ensemble(packets[1], BARRIER) is not built[1]    # evicted, so rebuilt
+
+
+def test_rebuilt_ensemble_evolves_bit_identically(monkeypatch):
+    monkeypatch.setattr(wp, "_ENSEMBLES", OrderedDict())
+    first, *others = _cache_packets(wp.ENSEMBLE_CACHE_SIZE + 1)
+    xs, ts = np.linspace(-30.0, 40.0, 9), np.linspace(-2e-14, 2e-14, 5)
+    before = wp._ensemble(first, BARRIER)
+    want = wp.evolve(first, BARRIER, xs, ts)
+    for p in others:
+        wp._ensemble(p, BARRIER)
+    assert (BARRIER, first._key) not in wp._ENSEMBLES
+    got = wp.evolve(first, BARRIER, xs, ts)
+    assert wp._ensemble(first, BARRIER) is not before
+    for w, g in zip(want, got):
+        assert w.tobytes() == g.tobytes()
