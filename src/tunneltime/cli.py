@@ -623,7 +623,7 @@ def cmd_bohm(run: RunConfig) -> int:
     dwells = []
     flagged = False
     for i, (seed, traj) in enumerate(zip(seeds, trajs)):
-        transmitted = bool(traj.x[-1] > pot.x_right)
+        transmitted = bool(traj.x.size and traj.x[-1] > pot.x_right)
         flagged = flagged or traj.degenerate
         dwell = traj.barrier_dwell
         if transmitted and not traj.degenerate and math.isfinite(dwell):
@@ -644,10 +644,13 @@ def cmd_bohm(run: RunConfig) -> int:
               ["traj_id", "seed_x_A", "transmitted", "degenerate",
                "entry_t_s", "exit_t_s", "dwell_s"], rows, meta=meta)
 
-    t_eval = trajs[0].t
-    traj_rows = []
-    for j in range(t_eval.size):
-        traj_rows.append((float(t_eval[j]), *(float(tr.x[j]) for tr in trajs)))
+    # the full output grid; a trajectory that stopped early (flagged
+    # degenerate) reads nan after its last sample
+    t_eval = np.linspace(cfg["t_start"], cfg["t_end"], cfg["n_out"])
+    x_cols = np.full((len(trajs), t_eval.size), np.nan)
+    for col, tr in zip(x_cols, trajs):
+        col[:tr.x.size] = tr.x
+    traj_rows = [(t, *xs) for t, xs in zip(t_eval.tolist(), x_cols.T.tolist())]
     write_csv(run.out_dir / "bohm_traj.csv", run,
               ["t_s"] + [f"x_{i}" for i in range(len(trajs))], traj_rows)
     if cfg["svg"]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -190,15 +191,24 @@ def evolve(packet: SpectralPacket, potential: PiecewisePotential, x, t):
     """
     ens = _ensemble(packet, potential)
     if np.ndim(x) == 0 and np.ndim(t) == 0:
-        # the one-point call of guidance integration: no blocks to set up
-        xv, tv = float(x), float(t)
-        if not (math.isfinite(xv) and math.isfinite(tv)):
-            raise ValueError("x and t must be finite")
-        pj, dj = ens.modes_at(xv)
-        phase = _phase(np.array([tv]), ens.omega)
-        return ((phase @ (ens.coef * pj)[:, None])[0, 0],
-                (phase @ (ens.coef * dj)[:, None])[0, 0])
+        return _point(ens, x, t)
     return _blocked(ens, x, t, derivative=True)
+
+
+def _point(ens: _Ensemble, x, t):
+    """(Psi, dPsi/dx) at one position and time: evolve's scalar case.
+
+    Guidance integration calls this directly with an ensemble it resolved
+    once, so a right-hand side pays neither the cache lookup nor evolve's
+    dispatch, and no blocks are set up.
+    """
+    xv, tv = float(x), float(t)
+    if not (math.isfinite(xv) and math.isfinite(tv)):
+        raise ValueError("x and t must be finite")
+    pj, dj = ens.modes_at(xv)
+    phase = _phase(np.array([tv]), ens.omega)
+    return ((phase @ (ens.coef * pj)[:, None])[0, 0],
+            (phase @ (ens.coef * dj)[:, None])[0, 0])
 
 
 def _blocked(ens: _Ensemble, x, t, derivative: bool):
@@ -482,7 +492,7 @@ class BohmTrajectory:
 def bohm_velocity(packet: SpectralPacket, potential: PiecewisePotential,
                   x: float, t: float, rho_floor: float = 0.0) -> float:
     """Guidance velocity J/rho in A/s; raises when rho is below the floor."""
-    psi, dpsi = evolve(packet, potential, x, t)
+    psi, dpsi = _point(_ensemble(packet, potential), x, t)
     rho = abs(psi) ** 2
     if rho <= rho_floor:
         raise ValueError("density below floor; velocity undefined near node")
@@ -515,19 +525,22 @@ def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
                       n_out: int = 801) -> list[BohmTrajectory]:
     """Integrate guidance trajectories x' = J/rho from each seed.
 
-    Fixed-order adaptive integration (RK45) with step control on |dx|;
-    a trajectory that meets density below rho_floor_rel * rho(seed maximum)
-    is marked degenerate, not silently continued. Barrier entry/exit times
-    are interpolated from the dense solution where applicable. Non-finite
-    t_start, t_end or seeds raise ValueError before any integration.
+    Adaptive Dormand-Prince 5(4) integration (_rk45, which reproduces scipy's
+    solve_ivp RK45 bit for bit) with step control on |dx|, sampled on n_out
+    evenly spaced times from t_start to t_end. A trajectory that meets
+    density below rho_floor_rel * rho(seed maximum), or whose step size
+    collapses, is marked degenerate, not silently continued; after a
+    collapse its t and x stop at the last step that succeeded. Barrier
+    entry/exit times are interpolated from the samples where applicable.
+    Non-finite t_start, t_end or seeds raise ValueError before any
+    integration.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     if not (math.isfinite(t_start) and math.isfinite(t_end) and np.isfinite(seeds).all()):
         raise ValueError(f"t_start, t_end and the seeds must be finite, got "
                          f"t_start={t_start}, t_end={t_end}, seeds={seeds}")
-    from scipy.integrate import solve_ivp   # deferred: scipy is slow to import
-
-    ens_u = packet.units
+    ens = _ensemble(packet, potential)
+    hbar_over_m = packet.units.hbar_over_m
     psi0, _ = evolve(packet, potential, seeds, t_start)
     rho_floor = rho_floor_rel * float(np.max(np.abs(psi0) ** 2))
     t_eval = np.linspace(t_start, t_end, n_out)
@@ -535,29 +548,170 @@ def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
 
     out = []
     for x0 in seeds:
-        hit_floor = [False]
+        hit_floor = False
 
-        def rhs(t, y):
-            psi, dpsi = evolve(packet, potential, float(y[0]), float(t))
+        def guidance(t, x):
+            nonlocal hit_floor
+            psi, dpsi = _point(ens, x, t)
             rho = abs(psi) ** 2
             if rho < rho_floor:
-                hit_floor[0] = True
-                return [0.0]
-            return [ens_u.hbar_over_m * float(np.imag(np.conj(psi) * dpsi)) / rho]
+                hit_floor = True
+                return 0.0
+            return hbar_over_m * float(np.imag(np.conj(psi) * dpsi)) / rho
 
-        sol = solve_ivp(rhs, (t_start, t_end), [float(x0)], method="RK45",
-                        t_eval=t_eval, rtol=rtol, atol=1e-4 * x_scale)
-        xs = sol.y[0]
-        traj = BohmTrajectory(t=sol.t, x=xs, degenerate=hit_floor[0] or not sol.success)
+        ts, xs, ok = _rk45(guidance, t_start, t_end, float(x0), t_eval,
+                           rtol=rtol, atol=1e-4 * x_scale)
+        traj = BohmTrajectory(t=ts, x=xs, degenerate=hit_floor or not ok)
         if potential.segments:
-            xl, xr = potential.x_left, potential.x_right
-            traj.barrier_entry = _first_crossing(sol.t, xs, xl)
-            traj.barrier_exit = _first_crossing(sol.t, xs, xr)
+            traj.barrier_entry = _first_crossing(ts, xs, potential.x_left)
+            traj.barrier_exit = _first_crossing(ts, xs, potential.x_right)
         out.append(traj)
     return out
 
 
+# scipy 1.17.1's RK45 tableau, as scipy writes it: the Dormand-Prince 5(4)
+# pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980)) with the
+# quartic dense output of Shampine, Math. Comp. 46, 135 (1986)
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_RK_EXPONENT = -1 / 5                  # -1 / (error estimator order + 1)
+_RK_SAFETY, _RK_MIN_FACTOR, _RK_MAX_FACTOR = 0.9, 0.2, 10
+_EPS = float(np.finfo(float).eps)
+
+
+def _rk45(fun, t0: float, t1: float, y0: float, t_eval: np.ndarray,
+          rtol: float, atol: float):
+    """Solve y' = fun(t, y) for one scalar y from t0 to t1, sampled at t_eval.
+
+    This is scipy 1.17.1's solve_ivp(fun, (t0, t1), [y0], method="RK45",
+    t_eval=t_eval, rtol=rtol, atol=atol) for one equation, doing scipy's
+    floating-point operations in scipy's order: elementwise steps on
+    scalars, and every combination of stages through np.dot on the shapes
+    scipy uses, since BLAS may sum in its own order. The two agree bit for
+    bit, which keeps the chaotic guidance trajectories where they were.
+
+    fun takes and returns floats. t_eval is ordered from t0 towards t1 and
+    lies between them. Returns (t, y, success). When the step size falls
+    below 10 ulps of t, success is False and t, y hold the samples up to
+    the last step that succeeded.
+    """
+    t0, t1 = float(t0), float(t1)
+    if rtol < 100 * _EPS:
+        warnings.warn(f"rtol {rtol} is below 100 eps; using {100 * _EPS}", stacklevel=3)
+        rtol = np.maximum(rtol, 100 * _EPS)
+    y = float(y0)
+    f = fun(t0, y)
+    ts, ys = [], []
+    if t1 == t0:
+        return _rk45_out(ts, ys, True)
+    # samples are looked up on an ascending grid, as scipy does
+    direction = 1.0 if t1 > t0 else -1.0
+    t_eval = np.asarray(t_eval, dtype=float)[::int(direction)]
+    i_eval = 0 if direction > 0 else len(t_eval)
+
+    # the initial step (Hairer, Norsett & Wanner, Sec. II.4), as scipy's
+    # select_initial_step takes it; a one-element RMS norm is sqrt(v * v)
+    span = abs(t1 - t0)
+    scale = atol + abs(y) * rtol
+    d0 = _rms1(y / scale)
+    d1 = _rms1(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun(t0 + h0 * direction, y + h0 * direction * f)
+    d2 = _rms1((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, span)
+
+    K = np.empty((7, 1))
+    t = t0
+    while True:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return _rk45_out(ts, ys, False)
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                dy = np.dot(K[:s].T, _RK_A[s, :s]) * h
+                K[s] = fun(t + _RK_C[s] * h, y + dy[0])
+            y_new = y + (h * np.dot(K[:-1].T, _RK_B))[0]
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(abs(y), abs(y_new)) * rtol
+            error_norm = _rms1((np.dot(K.T, _RK_E) * h / scale)[0])
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _RK_MAX_FACTOR
+                else:
+                    factor = min(_RK_MAX_FACTOR, _RK_SAFETY * error_norm ** _RK_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_RK_MIN_FACTOR, _RK_SAFETY * error_norm ** _RK_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+
+        # samples inside the step, from the step's quartic dense output
+        if direction > 0:
+            i_new = np.searchsorted(t_eval, t, side="right")
+            t_step = t_eval[i_eval:i_new]
+        else:
+            i_new = np.searchsorted(t_eval, t, side="left")
+            t_step = t_eval[i_new:i_eval][::-1]
+        if t_step.size > 0:
+            Q = K.T.dot(_RK_P)
+            h = t - t_old
+            p = np.cumprod(np.tile((t_step - t_old) / h, (4, 1)), axis=0)
+            ts.append(t_step)
+            ys.append((h * np.dot(Q, p))[0] + y_old)
+            i_eval = i_new
+        if direction * (t - t1) >= 0:
+            return _rk45_out(ts, ys, True)
+
+
+def _rms1(v: float) -> float:
+    """scipy's RMS norm of a one-element vector, sqrt(v . v) / 1."""
+    return math.sqrt(v * v)
+
+
+def _rk45_out(ts: list, ys: list, success: bool):
+    if not ts:
+        return np.array([]), np.array([]), success
+    return np.concatenate(ts), np.concatenate(ys), success
+
+
 def _first_crossing(t: np.ndarray, x: np.ndarray, level: float) -> float:
+    if x.size == 0:
+        return math.nan
     above = x >= level
     idx = np.nonzero(above[1:] & ~above[:-1])[0]
     if above[0]:

@@ -127,19 +127,34 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "times.csv").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs most of a CLI call's start-up; only a few library
-    # routines import it, at their call sites
+def scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once code has run in a fresh interpreter."""
     import tunneltime
 
     src = str(Path(tunneltime.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, tunneltime.cli; print(sorted(m for m in sys.modules "
+         code + "\nimport sys; print(sorted(m for m in sys.modules "
          "if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs most of a CLI call's start-up; only times.dwell_time
+    # imports it, at its call site
+    assert scipy_modules_after("import tunneltime.cli") == "[]"
+
+
+def test_cli_bohm_run_leaves_scipy_unloaded(tmp_path):
+    # guidance integration runs on the in-package RK45
+    args = ["bohm", "--out", str(tmp_path), "--set", "V0=10", "--set", "d=2",
+            "--set", "E=5", "--set", "dk=0.05", "--set", "n_nodes=65",
+            "--set", "n_traj=2", "--set", "n_out=41", "--set", "with_flux=false"]
+    code = f"import tunneltime.cli\nassert tunneltime.cli.main({args!r}) == 0"
+    assert scipy_modules_after(code) == "[]"
+    assert (tmp_path / "bohm_traj.csv").exists()
 
 
 def test_determinism_modulo_timestamp(tmp_path):
@@ -361,3 +376,50 @@ def test_bohm_trajectory_table(bohm_out):
     assert data.shape == (81, 3)
     # seeded left of the barrier, ends ordered in time
     assert data[0, 1] < 0 and np.all(np.diff(data[:, 0]) > 0)
+
+
+SMALL_BOHM = ["bohm", "--set", "V0=10", "--set", "d=2", "--set", "E=5", "--set", "dk=0.05",
+              "--set", "n_traj=2", "--set", "n_nodes=65", "--set", "n_out=41",
+              "--set", "rtol=1e-5", "--set", "t_start=-1.2e-14", "--set", "t_end=1e-14",
+              "--set", "with_flux=false", "--set", "svg=true", "--strict"]
+
+
+@pytest.mark.parametrize("index, keep", [(0, 17), (1, 17), (1, 0)],
+                         ids=["short-first", "short-second", "empty"])
+def test_bohm_trajectory_that_stops_early_pads_its_column(tmp_path, monkeypatch, index, keep):
+    # an integration failure leaves a trajectory shorter than the output
+    # grid; the table keeps the full grid and reads nan past its end
+    from tunneltime import wavepacket as wp
+
+    real = wp.bohm_trajectories
+    kept = {}
+
+    def stopping(packet, pot, *args, **kwargs):
+        trajs = real(packet, pot, *args, **kwargs)
+        tr = trajs[index]
+        t, x = tr.t[:keep], tr.x[:keep]
+        trajs[index] = wp.BohmTrajectory(
+            t=t, x=x, degenerate=True,
+            barrier_entry=wp._first_crossing(t, x, pot.x_left),
+            barrier_exit=wp._first_crossing(t, x, pot.x_right))
+        kept["x"] = x
+        return trajs
+
+    monkeypatch.setattr(wp, "bohm_trajectories", stopping)
+    assert run(SMALL_BOHM, tmp_path) == 3     # the degenerate flag reaches --strict
+    names, data = read_table(tmp_path / "bohm_traj.csv")
+    assert names == ["t_s", "x_0", "x_1"]
+    assert data.shape == (41, 3)
+    assert np.array_equal(data[:, 0], np.linspace(-1.2e-14, 1e-14, 41))
+    col = data[:, 1 + index]
+    assert np.array_equal(col[:keep], kept["x"])
+    assert np.isnan(col[keep:]).all()
+    assert np.isfinite(data[:, 2 - index]).all()
+    names, summary = read_table(tmp_path / "bohm_summary.csv")
+    row = summary[index]
+    assert row[names.index("degenerate")] == 1.0
+    if keep == 0:
+        assert row[names.index("transmitted")] == 0.0
+        assert np.isnan(row[names.index("entry_t_s")])
+        assert np.isnan(row[names.index("exit_t_s")])
+    assert (tmp_path / "bohm_traj.svg").exists()
