@@ -124,6 +124,11 @@ def _pick_one(cfg: dict, *keys: str) -> str:
     return given[0]
 
 
+def _wavenumber(cfg: dict, key: str) -> float:
+    """The wavenumber set by exactly one of key (1/A) and E (eV)."""
+    return cfg[key] if _pick_one(cfg, key, "E") == key else float(k_of_E(cfg["E"]))
+
+
 def _sweep(cfg: dict, prefix: str) -> np.ndarray:
     lo = cfg[prefix + "_min"]
     hi = cfg[prefix + "_max"]
@@ -306,12 +311,10 @@ def cmd_times(run: RunConfig) -> int:
     if not sweeps:
         if cfg["d"] is None:
             raise ConfigError("missing required config key 'd'")
-        which = _pick_one(cfg, "k", "E")
-        k = cfg["k"] if which == "k" else float(k_of_E(cfg["E"]))
+        k = _wavenumber(cfg, "k")
         rows.append(_times_row(SquareBarrierParams(cfg["V0"], cfg["d"]), k))
     elif sweeps[0] == "d":
-        which = _pick_one(cfg, "k", "E")
-        k = cfg["k"] if which == "k" else float(k_of_E(cfg["E"]))
+        k = _wavenumber(cfg, "k")
         for d in _sweep(cfg, "d"):
             rows.append(_times_row(SquareBarrierParams(cfg["V0"], float(d)), k))
     else:
@@ -346,9 +349,7 @@ EVOLVE_SCHEMA = {
 
 
 def _packet_from(cfg) -> wp.SpectralPacket:
-    which = _pick_one(cfg, "k0", "E")
-    k0 = cfg["k0"] if which == "k0" else float(k_of_E(cfg["E"]))
-    return wp.SpectralPacket.gaussian(k0, cfg["dk"], n_nodes=cfg["n_nodes"])
+    return wp.SpectralPacket.gaussian(_wavenumber(cfg, "k0"), cfg["dk"], n_nodes=cfg["n_nodes"])
 
 
 def cmd_evolve(run: RunConfig) -> int:
@@ -413,8 +414,7 @@ HARTMAN_SCHEMA = {
 def cmd_hartman(run: RunConfig) -> int:
     cfg = run.values
     _positive(cfg, "V0", "E", "k", "dk", "d_min", "dt_fine", "flux_floor")
-    which = _pick_one(cfg, "k", "E")
-    k = cfg["k"] if which == "k" else float(k_of_E(cfg["E"]))
+    k = _wavenumber(cfg, "k")
     E = float(E_of_k(k))
     if E >= cfg["V0"]:
         raise ConfigError("hartman sweep needs E < V0 (tunnelling regime)")

@@ -2,8 +2,9 @@
 
 Two independent routes to the same physics:
 
-* a general transfer-matrix solver (``solve_transfer_matrix``) that propagates
-  (psi, psi') continuity data across segments, and
+* a general transfer-matrix solver (``solve_transfer_matrix``, the scalar
+  view of ``_transfer_sweep``) that propagates (psi, psi') continuity data
+  across segments, for one k or an array of them, and
 * closed forms for the single square barrier (``closed_form_square``).
 
 Conventions: incident wave e^{ikx} from the left with unit amplitude,
@@ -17,7 +18,7 @@ edge, with kappa_j = sqrt(2m(V_j - E))/hbar taken real for E < V_j and -i*q_j
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +29,8 @@ from .units import ELECTRON, UnitSystem
 _MAX_TOTAL_KAPPA_D = 600.0
 # |q w| below this: an E = V segment, where psi is linear in x
 _LINEAR_QW = 1e-12
+# |q w| below this: a segment propagates through the series branch
+_SERIES_QW = 1e-8
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def _seg_prop(psi, dpsi, q, w):
     propagated in two parts, each through its own branch.
     """
     qw = q * w
-    series = abs(qw) < 1e-8
+    series = abs(qw) < _SERIES_QW
     if isinstance(series, np.ndarray):
         if series.any() and not series.all():
             parts = np.broadcast_arrays(psi, dpsi, q, w)
@@ -157,6 +160,26 @@ def _seg_prop(psi, dpsi, q, w):
     return c * psi + s_over_q * dpsi, q_s * psi + c * dpsi
 
 
+@dataclass(kw_only=True)
+class _Solution:
+    """Stationary states from _transfer_sweep: E has the shape of k, the
+    amplitudes the broadcast shape S of k and the segment edges, kappas
+    (n_seg, *k.shape) and the other per-segment arrays (n_seg, *S)."""
+
+    k: float
+    E: float
+    amp_T: complex
+    amp_R: complex
+    kappas: np.ndarray          # per-segment decay constants (complex 1/A)
+    A: np.ndarray               # per-segment coefficient of e^{-kappa (x-xl)}
+    # left-edge values (psi of an E = V segment is linear from them), the
+    # coefficient of the growing part e^{-kappa (xr-x)}, and the E = V mask
+    _psi_l: np.ndarray = field(default=None, repr=False)
+    _dpsi_l: np.ndarray = field(default=None, repr=False)
+    _b_right: np.ndarray = field(default=None, repr=False)
+    _linear: np.ndarray = field(default=None, repr=False)
+
+
 class _Modes:
     """psi(x; k) and dpsi/dx over a row of stationary states of one potential.
 
@@ -166,14 +189,13 @@ class _Modes:
     (wavenumber q_f, anchored at its edge x_out).
     """
 
-    def __init__(self, states, potential: PiecewisePotential):
-        self.k = np.array([s.k for s in states], dtype=float)
+    def __init__(self, potential: PiecewisePotential, sol: _Solution):
+        self.k = sol.k
         self.ik = 1j * self.k
-        self.amp_T = np.array([s.amp_T for s in states])
-        self.amp_R = np.array([s.amp_R for s in states])
+        self.amp_T, self.amp_R = sol.amp_T, sol.amp_R
         segs = potential.segments
         if potential.semi_infinite:
-            self.ik_out = -np.array([s.kappas[-1] for s in states])   # i q_f
+            self.ik_out = -sol.kappas[-1]   # i q_f
             self.x_out = segs[-1][0]
             segs = segs[:-1]
         else:
@@ -182,15 +204,10 @@ class _Modes:
         self.edges = [potential.x_left] + [xr for _, xr, _ in segs] if potential.segments else []
         self.segs = []
         for j, (xl, xr, _) in enumerate(segs):
-            kap = np.array([s.kappas[j] for s in states])
-            A = np.array([s.A[j] for s in states])
-            b_right = np.array([s._b_right[j] for s in states])
-            # E = V nodes: the exponential basis is degenerate, psi is linear
-            lin = np.flatnonzero(np.abs(kap * (xr - xl)) < _LINEAR_QW)
-            psi_l = np.array([states[i]._psi_l[j] for i in lin], complex)
-            dpsi_l = np.array([states[i]._dpsi_l[j] for i in lin], complex)
+            kap, A, b_right = sol.kappas[j], sol.A[j], sol._b_right[j]
+            lin = np.flatnonzero(sol._linear[j])
             self.segs.append((xl, xr, -kap, A, b_right, -kap * A, kap * b_right,
-                              lin, psi_l, dpsi_l))
+                              lin, sol._psi_l[j, lin], sol._dpsi_l[j, lin]))
 
     def modes(self, region: int, x, e_p=None, derivative: bool = True):
         """(psi_j(x), dpsi_j(x)) over the k row for positions in one region.
@@ -252,22 +269,12 @@ class _Modes:
 
 
 @dataclass
-class ScatteringState:
-    """Full stationary solution at one wavenumber, unit incident amplitude."""
+class ScatteringState(_Solution):
+    """Full stationary solution at one wavenumber, unit incident amplitude:
+    _transfer_sweep at a scalar k, on its potential."""
 
-    k: float
-    E: float
-    amp_T: complex
-    amp_R: complex
-    kappas: np.ndarray          # per-segment decay constants (complex 1/A)
-    A: np.ndarray               # per-segment coefficient of e^{-kappa (x-xl)}
     potential: PiecewisePotential
     units: UnitSystem = ELECTRON
-    # left-edge values (psi of an E = V segment is linear from them) and the
-    # coefficient of the growing part e^{-kappa (xr-x)}
-    _psi_l: np.ndarray = field(default=None, repr=False)
-    _dpsi_l: np.ndarray = field(default=None, repr=False)
-    _b_right: np.ndarray = field(default=None, repr=False)
 
     @property
     def T(self) -> float:
@@ -287,7 +294,9 @@ class ScatteringState:
 
     @cached_property
     def _modes(self) -> _Modes:
-        return _Modes([self], self.potential)
+        # the evaluator takes a row of states: k of shape (1,)
+        row = {f.name: np.asarray(getattr(self, f.name))[..., None] for f in fields(_Solution)}
+        return _Modes(self.potential, _Solution(**row))
 
     def psi_and_dpsi(self, x):
         """(psi, dpsi/dx) at x: scalars for a scalar x, else arrays of its shape."""
@@ -311,88 +320,6 @@ def _check_k(k) -> None:
         raise ValueError("k must be positive")
 
 
-def solve_transfer_matrix(
-    potential: PiecewisePotential, k: float, units: UnitSystem = ELECTRON
-) -> ScatteringState:
-    """Solve the stationary problem by right-to-left continuity propagation.
-
-    Starting from the transmitted side and sweeping leftward keeps the
-    growing exponential dominant in opaque segments, so no cancellation or
-    rescaling is needed for total opacity up to ~600.
-    """
-    _check_k(k)
-    E = float(units.E_of_k(k))
-    segs = potential.segments
-
-    if not segs:
-        return ScatteringState(
-            k=k, E=E, amp_T=1.0 + 0.0j, amp_R=0.0 + 0.0j,
-            kappas=np.zeros(0, complex), A=np.zeros(0, complex),
-            potential=potential, units=units,
-            _psi_l=np.zeros(0, complex), _dpsi_l=np.zeros(0, complex),
-            _b_right=np.zeros(0, complex),
-        )
-
-    qs = [_local_q(E, V, units) for _, _, V in segs]
-    total_opacity = 0.0
-    for (xl, xr, _), q in zip(segs, qs):
-        total_opacity += abs(q.imag) * (xr - xl)
-    if total_opacity > _MAX_TOTAL_KAPPA_D:
-        raise ValueError(f"total opacity kappa*d = {total_opacity:.1f} exceeds supported range")
-
-    x_left = segs[0][0]
-    if potential.semi_infinite:
-        # final medium: psi = e^{i q_f (x - x_edge)} for E > V_f, or pure decay
-        psi, dpsi, sweep = 1.0 + 0.0j, 1j * qs[-1], segs[:-1]
-    else:
-        psi, dpsi, sweep = 1.0 + 0.0j, 1j * k, segs
-
-    # interface values, rightmost first; element i belongs to the right edge
-    # of sweep segment len(sweep)-1-i
-    edge_vals = [(psi, dpsi)]
-    for (xl, xr, _), q in zip(reversed(sweep), reversed(qs[:len(sweep)])):
-        psi, dpsi = _seg_prop(psi, dpsi, q, -(xr - xl))
-        edge_vals.append((psi, dpsi))
-
-    a = 0.5 * (psi + dpsi / (1j * k))
-    b = 0.5 * (psi - dpsi / (1j * k))
-    a_g = a * np.exp(-1j * k * x_left)
-    b_g = b * np.exp(1j * k * x_left)
-    amp_R = b_g / a_g
-    # a semi-infinite potential's amp_T is its final-medium mode's at x_edge
-    amp_T = (np.exp(0j) if potential.semi_infinite else np.exp(-1j * k * segs[-1][1])) / a_g
-
-    # normalize interior data to unit incident amplitude
-    edge_vals = [(p / a_g, dp / a_g) for (p, dp) in edge_vals]
-    edge_vals.reverse()  # now leftmost interface first
-
-    n = len(segs)
-    kappas, A, psi_l, dpsi_l, b_right = (np.zeros(n, complex) for _ in range(5))
-
-    for j, ((xl, xr, _), q) in enumerate(zip(segs, qs)):
-        kap = -1j * q  # real decay constant for E < V
-        kappas[j] = kap
-        if potential.semi_infinite and j == n - 1:
-            A[j] = psi_l[j] = complex(amp_T)
-            dpsi_l[j] = complex(amp_T) * 1j * q
-            continue
-        pl, dl = edge_vals[j]
-        pr, dr = edge_vals[j + 1]
-        psi_l[j], dpsi_l[j] = pl, dl
-        if abs(q * (xr - xl)) < _LINEAR_QW:
-            # linear segment: exponential basis is degenerate bookkeeping
-            A[j], b_right[j] = 0.5 * pl, 0.5 * pr
-        else:
-            A[j] = 0.5 * (pl - dl / kap)
-            b_right[j] = 0.5 * (pr + dr / kap)  # exact growing-part value at xr
-
-    return ScatteringState(
-        k=k, E=E, amp_T=complex(amp_T), amp_R=complex(amp_R),
-        kappas=kappas, A=A, potential=potential, units=units,
-        _psi_l=psi_l, _dpsi_l=dpsi_l, _b_right=b_right,
-    )
-
-
 def _cmul(a, b):
     """a * b on arrays, rounded as CPython's complex product rounds.
 
@@ -405,62 +332,123 @@ def _cmul(a, b):
     return out
 
 
-def _sweep_amplitudes(segments, k, units: UnitSystem):
-    """(amp_T, amp_R) of solve_transfer_matrix over broadcast arrays.
+def _py_div_ik(z, k):
+    """z / (1j * k) on arrays, rounded as CPython's complex quotient rounds:
+    it divides each part by k, where numpy multiplies by 1/k."""
+    out = np.empty(np.broadcast(z, k).shape, complex)
+    out.real = (z.real * 0.0 + z.imag) / k
+    out.imag = (z.imag * 0.0 - z.real) / k
+    return out
 
-    segments holds the contiguous (xl, xr, V) triples of a finite
-    potential, leftmost first, with scalar V; the edges may be arrays,
-    which broadcast with the array k to one potential per element. A
-    segment of zero width in an element propagates as the identity there,
-    as if PiecewisePotential had left it out. Every element rounds exactly
-    as solve_transfer_matrix does on its potential: the propagation
-    coefficients are real or pure imaginary, so their array products round
-    as scalar ones; the general products go through _cmul.
+
+def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False) -> _Solution:
+    """Stationary states at every element of k, unit incident amplitude.
+
+    segments holds the contiguous (xl, xr, V) triples of the potential,
+    leftmost first, with scalar V; the edges may be arrays, broadcast
+    against k, one potential per element. A zero-width segment propagates
+    as the identity. semi_infinite makes the last segment the final medium.
+    Sweeping right to left from the transmitted side keeps the growing
+    exponential dominant, so total opacity up to ~600 needs no rescaling.
+    Each element is bit for bit the scalar solve at its k: the propagation
+    coefficients are real or pure imaginary, so array products round as
+    scalar ones, and the general products go through _cmul.
     """
-    # E and q element by element through the scalar solver's conversions:
-    # numpy squares an array by multiplication but a scalar through pow, and
-    # the two differ in the last bit for about one k in 1,300
-    Es = [float(units.E_of_k(x)) for x in np.ravel(k)]
-    qs = [np.reshape([_local_q(E, V, units) for E in Es], np.shape(k))
-          for _, _, V in segments]
+    k = np.asarray(k, dtype=float)
+    if not (np.isfinite(k).all() and (k > 0).all()):
+        raise ValueError(f"k must be finite and positive, got {k}")
+    # E and q element by element through the scalar conversions: numpy
+    # squares an array by multiplication but a scalar through pow, and the
+    # two differ in the last bit for about one k in 1,300
+    Es = [float(units.E_of_k(x)) for x in k.ravel()]
+    E = np.array(Es).reshape(k.shape)
+    shape = np.broadcast_shapes(k.shape, *(x.shape for seg in segments for x in seg[:2]
+                                           if isinstance(x, np.ndarray)))
+    n = len(segments)
+    if not n:
+        none = np.zeros((0,) + shape, complex)
+        return _Solution(k=k, E=E, amp_T=np.ones(shape, complex), amp_R=np.zeros(shape, complex),
+                         kappas=none, A=none, _psi_l=none, _dpsi_l=none, _b_right=none,
+                         _linear=np.zeros((0,) + shape, bool))
+
+    qs = [np.array([_local_q(e, V, units) for e in Es]).reshape(k.shape) for _, _, V in segments]
+    widths = [xr - xl for xl, xr, _ in segments]
     total_opacity = 0.0
-    for (xl, xr, _), q in zip(segments, qs):
-        total_opacity = total_opacity + np.abs(q.imag) * (xr - xl)
+    for q, w in zip(qs, widths):
+        total_opacity = total_opacity + np.abs(q.imag) * w
     if np.any(total_opacity > _MAX_TOTAL_KAPPA_D):
         raise ValueError(f"total opacity kappa*d = {np.max(total_opacity):.1f} "
                          "exceeds supported range")
+    abs_qw = [np.abs(q * w) for q, w in zip(qs, widths)]
 
-    psi, dpsi = 1.0 + 0.0j, 1j * k
-    for (xl, xr, _), q in zip(reversed(segments), reversed(qs)):
-        psi, dpsi = _seg_prop(psi, dpsi, q, -(xr - xl))
+    # the final medium: psi = e^{i q_f (x - x_edge)} for E > V_f, or pure decay
+    n_sweep = n - 1 if semi_infinite else n
+    ik = 1j * k
+    psi_end, dpsi_end = 1.0 + 0.0j, 1j * qs[-1] if semi_infinite else ik
+    A, b_right, psi_l, dpsi_l = (np.zeros((n,) + shape, complex) for _ in range(4))
+    # where every step takes the series branch (or there is none: a bare
+    # step), the per-k solver's psi and dpsi were Python complexes, whose
+    # quotient by ik rounds as _py_div_ik does
+    all_series = True
+    psi, dpsi = psi_end, dpsi_end
+    for j in reversed(range(n_sweep)):
+        psi, dpsi = psi_l[j], dpsi_l[j] = _seg_prop(psi, dpsi, qs[j], -widths[j])
+        all_series = all_series & (abs_qw[j] < _SERIES_QW)
 
-    a = 0.5 * (psi + dpsi / (1j * k))
-    b = 0.5 * (psi - dpsi / (1j * k))
-    x_left, x_right = segments[0][0], segments[-1][1]
-    a_g = _cmul(a, np.exp(-1j * k * x_left))
-    b_g = _cmul(b, np.exp(1j * k * x_left))
-    return np.exp(-1j * k * x_right) / a_g, b_g / a_g
+    ratio = np.where(all_series, _py_div_ik(dpsi, k), dpsi / ik)
+    x_left = segments[0][0]
+    a_g = _cmul(0.5 * (psi + ratio), np.exp(-1j * k * x_left))
+    amp_R = _cmul(0.5 * (psi - ratio), np.exp(1j * k * x_left)) / a_g
+    # a semi-infinite potential's amp_T is its final-medium mode's at x_edge
+    amp_T = (np.exp(0j) if semi_infinite else np.exp(-1j * k * segments[-1][1])) / a_g
+
+    # interior data at unit incident amplitude
+    psi_l[:n_sweep] /= a_g
+    dpsi_l[:n_sweep] /= a_g
+    right = psi_end / a_g, dpsi_end / a_g
+    kappas = -1j * np.array(qs)  # real decay constants for E < V
+    linear = np.zeros((n,) + shape, bool)
+    for j in range(n_sweep):
+        pl, dl = psi_l[j], dpsi_l[j]
+        pr, dr = (psi_l[j + 1], dpsi_l[j + 1]) if j + 1 < n_sweep else right
+        lin = linear[j] = abs_qw[j] < _LINEAR_QW
+        kap = np.where(lin, 1.0, kappas[j])   # keeps 1/0 out of the E = V elements
+        A[j] = np.where(lin, 0.5 * pl, 0.5 * (pl - dl / kap))
+        b_right[j] = np.where(lin, 0.5 * pr, 0.5 * (pr + dr / kap))  # growing part at xr
+    if semi_infinite:
+        A[-1] = psi_l[-1] = amp_T
+        dpsi_l[-1] = amp_T * 1j * qs[-1]
+    return _Solution(k=k, E=E, amp_T=amp_T, amp_R=amp_R, kappas=kappas, A=A, _psi_l=psi_l,
+                     _dpsi_l=dpsi_l, _b_right=b_right, _linear=linear)
+
+
+def solve_transfer_matrix(
+    potential: PiecewisePotential, k: float, units: UnitSystem = ELECTRON
+) -> ScatteringState:
+    """Solve the stationary problem at one k: _transfer_sweep at a scalar k."""
+    sol = _transfer_sweep(potential.segments, k, units, potential.semi_infinite)
+    return ScatteringState(potential, units, **{**vars(sol), "k": k, "E": float(sol.E),
+                           "amp_T": complex(sol.amp_T), "amp_R": complex(sol.amp_R)})
 
 
 def _phase_slopes(segments, k: float, units: UnitSystem):
     """(dalpha/dk, dbeta/dk) of the transfer-matrix amplitudes at k.
 
-    segments as in _sweep_amplitudes; the slopes take the broadcast shape of
+    segments as in _transfer_sweep; the slopes take the broadcast shape of
     its edges. Centered differences with step 1e-6 k and one Richardson
     step, all four shifted k in one sweep. Branch cuts cancel in
     angle(t(k+h) conj(t(k-h))) for small h.
     """
-    _check_k(k)
     h = 1e-6 * k
     ndim = max(np.ndim(x) for seg in segments for x in seg)
     ks = np.array([k + h, k - h, k + 0.5 * h, k - 0.5 * h]).reshape((4,) + (1,) * ndim)
-    amp_T, amp_R = _sweep_amplitudes(segments, ks, units)
+    sol = _transfer_sweep(segments, ks, units)
 
     def slopes(amp, i, h):
         return np.angle(_cmul(amp[i], np.conj(amp[i + 1]))) / (2.0 * h)
 
-    a1, a2 = slopes(amp_T, 0, h), slopes(amp_T, 2, 0.5 * h)
-    b1, b2 = slopes(amp_R, 0, h), slopes(amp_R, 2, 0.5 * h)
+    a1, a2 = slopes(sol.amp_T, 0, h), slopes(sol.amp_T, 2, 0.5 * h)
+    b1, b2 = slopes(sol.amp_R, 0, h), slopes(sol.amp_R, 2, 0.5 * h)
     return (4.0 * a2 - a1) / 3.0, (4.0 * b2 - b1) / 3.0
 
 

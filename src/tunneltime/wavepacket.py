@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .scattering import PiecewisePotential, _Modes, solve_transfer_matrix
+from .scattering import PiecewisePotential, _Modes, _transfer_sweep
 from .units import ELECTRON, UnitSystem
 
 T_SPAN = (-1e-13, 1e-13)       # scan interval for locating flux support, s
@@ -72,6 +72,8 @@ class SpectralPacket:
     @classmethod
     def gaussian(cls, k0: float, dk: float, n_nodes: int = 513,
                  k_floor: float = 1e-4, units: UnitSystem = ELECTRON) -> "SpectralPacket":
+        if not (math.isfinite(k0) and math.isfinite(dk)):
+            raise ValueError(f"k0 and dk must be finite, got k0={k0}, dk={dk}")
         if k0 <= 0 or dk <= 0:
             raise ValueError("k0 and dk must be positive")
         lo = max(k_floor, k0 - 5.0 * dk)
@@ -101,8 +103,7 @@ class _Ensemble(_Modes):
         if potential.semi_infinite:
             raise ValueError("packet evolution needs a finite-range potential")
         u = packet.units
-        super().__init__([solve_transfer_matrix(potential, float(kk), u)
-                          for kk in packet.k_nodes], potential)
+        super().__init__(potential, _transfer_sweep(potential.segments, packet.k_nodes, u))
         self.coef = packet.weights * packet.amplitude / math.sqrt(2.0 * math.pi)
         self.omega = u.E_of_k(self.k) / u.hbar_eV_s
 

@@ -142,9 +142,16 @@ def scipy_modules_after(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs most of a CLI call's start-up; only times.dwell_time
-    # imports it, at its call site
+    # scipy costs most of a CLI call's start-up; the package does not use it
     assert scipy_modules_after("import tunneltime.cli") == "[]"
+
+
+def test_dwell_time_leaves_scipy_unloaded():
+    # the dwell-time quadrature is composite Gauss-Legendre in numpy
+    code = ("from tunneltime.scattering import PiecewisePotential\n"
+            "from tunneltime.times import dwell_time\n"
+            "assert dwell_time(PiecewisePotential.square(10.0, 5.0), 1.0, -2.0, 7.0) > 0")
+    assert scipy_modules_after(code) == "[]"
 
 
 def test_cli_bohm_run_leaves_scipy_unloaded(tmp_path):

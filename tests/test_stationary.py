@@ -41,6 +41,7 @@ from tunneltime.times import (
     tau_semiclassical,
 )
 from tunneltime.units import UnitSystem, k_of_E
+from tunneltime.wavepacket import SpectralPacket
 
 V0 = 10.0
 EPS = float(k_of_E(V0))
@@ -370,13 +371,15 @@ def test_gap_sweep_solves_single_barrier_once(monkeypatch, n):
 
 
 def test_gap_sweep_batches_every_gap_in_one_sweep(monkeypatch):
+    # the single barrier's one-row solve is a sweep of its own
     tally, seen = {}, []
-    _count(monkeypatch, sc, "_sweep_amplitudes", tally, key="sweep")
+    _count(monkeypatch, sc, "_transfer_sweep", tally, key="sweep")
+    _count(monkeypatch, optical, "solve_transfer_matrix", tally, key="solve")
     for n in (2, 2001):
         tally.clear()
         optical.gap_sweep(2.0, V0, float(k_of_E(5.0)), np.linspace(1.0, 9.0, n))
         seen.append(dict(tally))
-    assert seen == [{"sweep": 1}, {"sweep": 1}]
+    assert seen == [{"sweep": 2, "solve": 1}, {"sweep": 2, "solve": 1}]
 
 
 @pytest.mark.parametrize("pot, n_seg", [
@@ -612,3 +615,157 @@ def test_phase_slopes_match_where_array_and_scalar_energy_differ():
     pot = PiecewisePotential.double_barrier(V0, 2.0, 3.0)
     want = _parent_phase_slopes(pot, k, u)
     assert _bytes(sc._phase_slopes(pot.segments, k, u)) == _bytes(want)
+
+
+# ---------------------------------------------------------------------------
+# one transfer solver: every element of the array sweep, and the scalar view,
+# against a verbatim copy of the scalar solver it replaced
+
+
+def _parent_seg_prop(psi, dpsi, q, w):
+    """The scalar branch of _seg_prop, verbatim."""
+    qw = q * w
+    series = abs(qw) < 1e-8
+    if series:
+        c = 1.0 - qw * qw / 2.0
+        s_over_q = w * (1.0 - qw * qw / 6.0)
+        q_s = -q * qw * (1.0 - qw * qw / 6.0)  # -q*sin(qw)
+    else:
+        s = np.sin(qw)
+        c = np.cos(qw)
+        s_over_q = s / q
+        q_s = -q * s
+    return c * psi + s_over_q * dpsi, q_s * psi + c * dpsi
+
+
+def _parent_solve_transfer_matrix(potential, k: float, units=sc.ELECTRON):
+    sc._check_k(k)
+    E = float(units.E_of_k(k))
+    segs = potential.segments
+
+    if not segs:
+        return sc.ScatteringState(
+            k=k, E=E, amp_T=1.0 + 0.0j, amp_R=0.0 + 0.0j,
+            kappas=np.zeros(0, complex), A=np.zeros(0, complex),
+            potential=potential, units=units,
+            _psi_l=np.zeros(0, complex), _dpsi_l=np.zeros(0, complex),
+            _b_right=np.zeros(0, complex),
+        )
+
+    qs = [sc._local_q(E, V, units) for _, _, V in segs]
+    total_opacity = 0.0
+    for (xl, xr, _), q in zip(segs, qs):
+        total_opacity += abs(q.imag) * (xr - xl)
+    if total_opacity > sc._MAX_TOTAL_KAPPA_D:
+        raise ValueError(f"total opacity kappa*d = {total_opacity:.1f} exceeds supported range")
+
+    x_left = segs[0][0]
+    if potential.semi_infinite:
+        # final medium: psi = e^{i q_f (x - x_edge)} for E > V_f, or pure decay
+        psi, dpsi, sweep = 1.0 + 0.0j, 1j * qs[-1], segs[:-1]
+    else:
+        psi, dpsi, sweep = 1.0 + 0.0j, 1j * k, segs
+
+    # interface values, rightmost first; element i belongs to the right edge
+    # of sweep segment len(sweep)-1-i
+    edge_vals = [(psi, dpsi)]
+    for (xl, xr, _), q in zip(reversed(sweep), reversed(qs[:len(sweep)])):
+        psi, dpsi = _parent_seg_prop(psi, dpsi, q, -(xr - xl))
+        edge_vals.append((psi, dpsi))
+
+    a = 0.5 * (psi + dpsi / (1j * k))
+    b = 0.5 * (psi - dpsi / (1j * k))
+    a_g = a * np.exp(-1j * k * x_left)
+    b_g = b * np.exp(1j * k * x_left)
+    amp_R = b_g / a_g
+    # a semi-infinite potential's amp_T is its final-medium mode's at x_edge
+    amp_T = (np.exp(0j) if potential.semi_infinite else np.exp(-1j * k * segs[-1][1])) / a_g
+
+    # normalize interior data to unit incident amplitude
+    edge_vals = [(p / a_g, dp / a_g) for (p, dp) in edge_vals]
+    edge_vals.reverse()  # now leftmost interface first
+
+    n = len(segs)
+    kappas, A, psi_l, dpsi_l, b_right = (np.zeros(n, complex) for _ in range(5))
+
+    for j, ((xl, xr, _), q) in enumerate(zip(segs, qs)):
+        kap = -1j * q  # real decay constant for E < V
+        kappas[j] = kap
+        if potential.semi_infinite and j == n - 1:
+            A[j] = psi_l[j] = complex(amp_T)
+            dpsi_l[j] = complex(amp_T) * 1j * q
+            continue
+        pl, dl = edge_vals[j]
+        pr, dr = edge_vals[j + 1]
+        psi_l[j], dpsi_l[j] = pl, dl
+        if abs(q * (xr - xl)) < sc._LINEAR_QW:
+            # linear segment: exponential basis is degenerate bookkeeping
+            A[j], b_right[j] = 0.5 * pl, 0.5 * pr
+        else:
+            A[j] = 0.5 * (pl - dl / kap)
+            b_right[j] = 0.5 * (pr + dr / kap)  # exact growing-part value at xr
+
+    return sc.ScatteringState(
+        k=k, E=E, amp_T=complex(amp_T), amp_R=complex(amp_R),
+        kappas=kappas, A=A, potential=potential, units=units,
+        _psi_l=psi_l, _dpsi_l=dpsi_l, _b_right=b_right,
+    )
+
+
+STATE_FIELDS = ("E", "amp_T", "amp_R", "kappas", "A", "_psi_l", "_dpsi_l", "_b_right")
+
+
+def _assert_matches_parent(pot, ks):
+    """Every element of one sweep over ks, and the scalar solve at each k,
+    equal the parent's scalar solve bit for bit."""
+    sol = sc._transfer_sweep(pot.segments, np.array(ks), sc.ELECTRON, pot.semi_infinite)
+    for i, k in enumerate(ks):
+        want = _parent_solve_transfer_matrix(pot, k)
+        got = sc.solve_transfer_matrix(pot, k)
+        for name in STATE_FIELDS:
+            assert _bytes(getattr(got, name)) == _bytes(getattr(want, name)), (name, k)
+            assert _bytes(getattr(sol, name)[..., i]) == _bytes(getattr(want, name)), (name, k)
+    return sol
+
+
+@st.composite
+def _finite_potentials(draw):
+    """1-4 contiguous segments: heights from 0 to 12 eV, widths from 0 to 7 A
+    (total opacity up to ~50); zero-width segments drop out."""
+    x = draw(st.floats(-5.0, 5.0))
+    segs = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.one_of(st.just(0.0), st.floats(0.01, 7.0)))
+        V = draw(st.one_of(st.just(0.0), st.floats(0.5, 12.0)))
+        segs.append((x, x + w, V))
+        x += w
+    return PiecewisePotential(tuple(segs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pot=_finite_potentials(), data=st.data())
+def test_transfer_sweep_matches_parent_scalar_solver(pot, data):
+    # k anywhere on both sides of each barrier top, and exactly at E = V
+    tops = [float(k_of_E(V)) for _, _, V in pot.segments if V > 0]
+    k_el = st.floats(0.05, 3.0)
+    if tops:
+        k_el = st.one_of(k_el, st.sampled_from(tops))
+    _assert_matches_parent(pot, data.draw(st.lists(k_el, min_size=1, max_size=8)))
+
+
+@pytest.mark.parametrize("pot", [PiecewisePotential.step(V0), PiecewisePotential.step(3.0, 1.5),
+                                 PiecewisePotential(((-2.0, 1.0, 4.0), (1.0, 2.0, 3.0)),
+                                                    semi_infinite=True)])
+def test_transfer_sweep_matches_parent_on_steps(pot):
+    _assert_matches_parent(pot, [0.2 * EPS, 0.7 * EPS, float(k_of_E(3.0)), float(k_of_E(4.0)),
+                                 EPS, 1.3 * EPS, 2.5 * EPS])
+
+
+def test_transfer_sweep_matches_parent_on_the_e_equals_v_node():
+    # node 32 of the 65-node 5 eV packet sits within rounding of the
+    # barriers' top: kappa d ~ 3e-8, where the exponential basis nearly
+    # degenerates
+    pot = PiecewisePotential.double_barrier(5.0, 2.0, 3.0)
+    ks = SpectralPacket.gaussian(float(k_of_E(5.0)), 0.02, n_nodes=65).k_nodes.tolist()
+    sol = _assert_matches_parent(pot, ks)
+    assert np.abs(sol.kappas[[0, 2], 32] * 2.0).max() < 1e-7

@@ -86,7 +86,7 @@ def test_dwell_closed_vs_integral(krel):
     p = SquareBarrierParams(V0, 5.0)
     closed = tt.dwell_time_closed(p, k)
     quad = tt.dwell_time(p.potential(), k, 0.0, 5.0)
-    assert quad == pytest.approx(closed, rel=1e-8)
+    assert quad == pytest.approx(closed, rel=1e-8, abs=0.0)
 
 
 def test_dwell_asymptote():
@@ -101,7 +101,49 @@ def test_dwell_region_additivity():
     pot = PiecewisePotential.square(V0, 5.0)
     whole = tt.dwell_time(pot, k, -2.0, 7.0)
     parts = (tt.dwell_time(pot, k, -2.0, 2.0) + tt.dwell_time(pot, k, 2.0, 7.0))
-    assert parts == pytest.approx(whole, rel=1e-10)
+    assert parts == pytest.approx(whole, rel=1e-10, abs=0.0)
+
+
+def _quad_dwell_time(potential, k, x1, x2, units=ELECTRON):
+    """The adaptive-quadrature dwell time that Gauss-Legendre replaced."""
+    from scipy.integrate import quad
+
+    state = tt.solve_transfer_matrix(potential, k, units)
+    v = float(units.v_of_k(k))
+
+    def rho(x):
+        return abs(state.psi(np.float64(x))) ** 2
+
+    cuts = [x1] + [c for xl, xr, _ in potential.segments for c in (xl, xr)
+                   if x1 < c < x2] + [x2]
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if b <= a:
+            continue
+        val, _ = quad(rho, a, b, limit=400, epsabs=0.0, epsrel=1e-12)
+        total += val
+    return total / v
+
+
+@pytest.mark.parametrize("pot, k, x1, x2", [
+    (PiecewisePotential.square(V0, 5.0), 0.3 * EPS, -4.0, 9.0),
+    (PiecewisePotential.square(V0, 5.0), EPS, 0.0, 5.0),          # E = V: linear interior
+    (PiecewisePotential.square(V0, 5.0), 2.5 * EPS, -1.0, 6.0),
+    (PiecewisePotential.square(V0, 40.0 / float(EPS)), 0.6 * EPS, -3.0, 45.0 / float(EPS)),
+    (PiecewisePotential.square(V0, 30.0), 0.5 * EPS, -40.0, 70.0),   # wide and opaque
+    (PiecewisePotential.square(V0, 60.0), 0.1 * EPS, -5.0, 65.0),    # kappa d ~ 97
+    (PiecewisePotential.square(V0, 5.0), 2.5 * EPS, -60.0, 65.0),    # long free stretches
+    (PiecewisePotential.double_barrier(V0, 2.0, 3.0), K5, -2.0, 9.0),
+    (PiecewisePotential.step(V0), 0.5 * EPS, -3.0, 4.0),
+    (PiecewisePotential.step(3.0), 0.9 * EPS, -3.0, 4.0),        # above the step
+    (PiecewisePotential.free(), K5, -3.0, 4.0),
+])
+def test_dwell_time_matches_adaptive_quad(pot, k, x1, x2):
+    # dwell times are ~1e-15 s: approx's default 1e-12 absolute slack would
+    # pass anything
+    k = float(k)
+    assert tt.dwell_time(pot, k, x1, x2) == pytest.approx(_quad_dwell_time(pot, k, x1, x2),
+                                                          rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,44 @@ def test_packet_validation():
         wp.SpectralPacket.gaussian(K5, 0.0)
 
 
+@pytest.mark.parametrize("k0, dk", [(math.nan, DK), (math.inf, DK), (K5, math.nan),
+                                    (K5, math.inf), (-math.inf, DK)])
+def test_packet_rejects_non_finite(k0, dk):
+    with pytest.raises(ValueError, match="finite"):
+        wp.SpectralPacket.gaussian(k0, dk)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_ensemble_rejects_bad_node(packet, bad):
+    # a hand-made packet bypasses gaussian's checks; the solver still refuses
+    k = packet.k_nodes.copy()
+    k[7] = bad
+    odd = wp.SpectralPacket(k0=packet.k0, dk=packet.dk, k_nodes=k, weights=packet.weights,
+                            amplitude=packet.amplitude)
+    with pytest.raises(ValueError, match="k must be finite and positive"):
+        wp._Ensemble(odd, BARRIER)
+
+
+def test_ensemble_build_is_one_solve(packet, monkeypatch):
+    from tunneltime import scattering as sc
+
+    tally = {}
+
+    def counted(name, orig):
+        def call(*args, **kwargs):
+            tally[name] = tally.get(name, 0) + 1
+            return orig(*args, **kwargs)
+        return call
+
+    sweep = counted("sweep", sc._transfer_sweep)
+    for mod in (sc, wp):   # both bindings, wherever the solver is looked up
+        monkeypatch.setattr(mod, "_transfer_sweep", sweep)
+    monkeypatch.setattr(sc, "solve_transfer_matrix", counted("state", sc.solve_transfer_matrix))
+    monkeypatch.setattr(sc, "ScatteringState", counted("state", sc.ScatteringState))
+    wp._Ensemble(packet, PiecewisePotential.double_barrier(10.0, 2.0, 3.0))
+    assert tally == {"sweep": 1}
+
+
 def test_low_k0_grid_clipped():
     p = wp.SpectralPacket.gaussian(0.01, 0.05)
     assert p.k_nodes.min() >= 1e-4
