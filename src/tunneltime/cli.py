@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -154,11 +155,129 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# The float kernel below writes exactly what "%.17e" % v writes: the
+# correctly rounded (half-even) 18-digit significand, an exponent of at
+# least two digits, and nan / inf / -inf.
+_CELL = 26              # "-d.ddddddddddddddddde-ddd" plus its separator
+_BLOCK_CELLS = 2048     # cells formatted per numpy pass; bounds the buffers
+_TIE_WINDOW = 1e-9      # the tail is off by < 1e-12; nearer halves go to "%"
+_SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter
+
+
+def _double_double(num: int, den: int) -> tuple[float, float, float, float]:
+    """num/den as a head double, the head's Dekker halves and a tail double
+    (int/int true division rounds correctly)."""
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    return hi, hh, hi - hh, (num * b - a * den) / (den * b)
+
+
+@functools.cache
+def _decimal_scale(e: int) -> tuple:
+    """For the np.frexp exponent e, the k with 2**(e-1) * 10**k in [1e17, 1e18),
+    then 2**e * 10**k and 2**e * 10**(k-1) as `_double_double`s, the second for
+    significands that round up to 1e18."""
+    def ratio(k):
+        num, den = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+        return (num * 10 ** k, den) if k >= 0 else (num, den * 10 ** -k)
+
+    k = 17 - math.floor((e - 1) * math.log10(2.0))
+    while True:
+        num, den = ratio(k)
+        if num < 2 * 10 ** 17 * den:
+            k += 1
+        elif num >= 2 * 10 ** 18 * den:
+            k -= 1
+        else:
+            return (k, *_double_double(num, den), *_double_double(*ratio(k - 1)))
+
+
+@functools.cache
+def _ascii_tables() -> tuple[np.ndarray, np.ndarray, dict]:
+    """The 3-digit groups "000".."999"; the exponent fields of exponents -400
+    to 399 ("+05", "-123": a sign and two or three digits, NUL-padded in
+    front), indexed by exponent + 400; and the cells of the values that have
+    no significand (nan, inf, zeros)."""
+    digits = np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(),
+                           dtype="S3")
+    exps = np.frombuffer(b"".join(f"{i:+03d}".encode().rjust(4, b"\0")
+                                  for i in range(-400, 400)), dtype="S4")
+    cell = {s: np.frombuffer(s.encode().ljust(_CELL - 1, b"\0"), dtype=np.uint8)
+            for s in ("nan", "inf", "-inf",
+                      "0.00000000000000000e+00", "-0.00000000000000000e+00")}
+    return digits, exps, cell
+
+
+def _scaled_significand(f, hi, hh, hl, lo):
+    """round(f * (hi + lo)) as int64 for f in [0.5, 1), and where the
+    rounding is too near a half to decide from the double-double product."""
+    p = f * hi
+    c = _SPLIT * f
+    fh = c - (c - f)
+    fl = f - fh
+    # Dekker's two-product: p + err == f * hi exactly; p is integer-valued
+    tail = (((fh * hh - p) + fh * hl + fl * hh) + fl * hl) + f * lo
+    r = np.rint(tail)
+    return p.astype(np.int64) + r.astype(np.int64), np.abs(tail - r) > 0.5 - _TIE_WINDOW
+
+
+def _format_e17(block: np.ndarray) -> bytes:
+    """The bytes of ",".join("%.17e" % v for v in row) + "\\n" for each row of
+    a 2-D float64 block."""
+    digits, exps, special_cell = _ascii_tables()
+    v = block.ravel()
+    m = v.size
+    regular = np.isfinite(v) & (v != 0.0)
+    # |v| = f * 2**e; the significand is round(|v| * 10**k), the exponent 17 - k
+    f, e = np.frexp(np.where(regular, np.abs(v), 1.0))
+    e0 = int(e.min())
+    scale = np.array([_decimal_scale(x) for x in range(e0, int(e.max()) + 1)])
+    scale = scale.T.take(e - e0, axis=1)
+    k = scale[0].astype(np.int64)
+    n, near_half = _scaled_significand(f, *scale[1:5])
+    up = np.flatnonzero(n >= 10 ** 18)
+    if up.size:
+        n[up], near_half[up] = _scaled_significand(f[up], *scale[5:9, up])
+        k[up] -= 1
+    # the 18 digits in six 3-digit groups; the first digit moves left of the "."
+    groups = np.empty((m, 6), dtype=np.intp)
+    for j in range(5, 0, -1):
+        q = n // 1000
+        groups[:, j] = n - 1000 * q
+        n = q
+    groups[:, 0] = n
+
+    out = np.empty((m, _CELL), dtype=np.uint8)
+    out[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    out[:, 2:20] = digits.take(groups).view(np.uint8).reshape(m, 18)
+    out[:, 1] = out[:, 2]
+    out[:, 2] = ord(".")
+    out[:, 20] = ord("e")
+    out[:, 21:25] = exps.take(417 - k).view(np.uint8).reshape(m, 4)
+    out.reshape(block.shape + (_CELL,))[:, :, -1] = ord(",")
+    out.reshape(block.shape + (_CELL,))[:, -1, -1] = ord("\n")
+    if not regular.all():
+        out[np.isnan(v), :-1] = special_cell["nan"]
+        out[v == np.inf, :-1] = special_cell["inf"]
+        out[v == -np.inf, :-1] = special_cell["-inf"]
+        zero = v == 0.0
+        out[zero, :-1] = special_cell["0.00000000000000000e+00"]
+        out[zero & np.signbit(v), :-1] = special_cell["-0.00000000000000000e+00"]
+    # what the double-double cannot decide goes to Python
+    for i in np.flatnonzero(near_half & regular):
+        out[i, :-1] = np.frombuffer(
+            ("%.17e" % v[i]).encode().ljust(_CELL - 1, b"\0"), dtype=np.uint8)
+    return out.tobytes().replace(b"\0", b"")
+
+
 def write_csv(path: Path, run: RunConfig, columns, rows, meta: dict | None = None):
     """CSV with a # header block: version, config, constants, run metadata.
 
-    The header carries everything needed to reproduce the table; the single
-    timestamp line is the only part that varies between identical runs.
+    ``rows`` is a 2-D float64 array or a sequence of rows. The header carries
+    everything needed to reproduce the table; the single timestamp line is
+    the only part that varies between identical runs.
     """
     u = ELECTRON
     lines = [
@@ -173,16 +292,21 @@ def write_csv(path: Path, run: RunConfig, columns, rows, meta: dict | None = Non
     for key in sorted(meta or {}):
         lines.append(f"# meta: {key} = {_fmt(meta[key])}")
     lines.append(",".join(columns))
-    # a row of floats (np.float64 included) formats as _fmt would, in one step
     ncol = len(columns)
-    float_row = ",".join(["%.17e"] * ncol)
-    for row in rows:
-        row = tuple(row)
-        if len(row) == ncol and all(isinstance(v, float) for v in row):
-            lines.append(float_row % row)
+    if not isinstance(rows, np.ndarray):
+        rows = [tuple(row) for row in rows]
+        if ncol and all(len(row) == ncol and all(isinstance(v, float) for v in row)
+                        for row in rows):
+            rows = np.array(rows, dtype=float).reshape(len(rows), ncol)
+    with path.open("wb") as out:
+        out.write(("\n".join(lines) + "\n").encode())
+        if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+            step = max(1, _BLOCK_CELLS // rows.shape[1])
+            for i in range(0, rows.shape[0], step):
+                out.write(_format_e17(rows[i:i + step]))
         else:
-            lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+            out.write("".join(",".join(_fmt(v) for v in row) + "\n"
+                              for row in rows).encode())
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -246,21 +370,16 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str, series):
 
     for i, (label, x, y) in enumerate(series):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        # Python floats: scalar arithmetic on them is several times cheaper
-        # than on np.float64, with the same IEEE results
-        x = np.asarray(x, dtype=float).tolist()
-        y = np.asarray(y, dtype=float).tolist()
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        # sx and sy over the arrays: the same IEEE operations in the same order
+        with np.errstate(all="ignore"):
+            xy = np.column_stack((sx(x), sy(y)))
         # break the polyline at non-finite points instead of bridging them
-        run_pts: list[str] = []
-        for xj, yj in zip(x, y):
-            if math.isfinite(xj) and math.isfinite(yj):
-                run_pts.append(f"{sx(xj):.2f},{sy(yj):.2f}")
-            elif run_pts:
-                parts.append(f'<polyline points="{" ".join(run_pts)}" fill="none" '
-                             f'stroke="{color}" stroke-width="1.5"/>')
-                run_pts = []
-        if run_pts:
-            parts.append(f'<polyline points="{" ".join(run_pts)}" fill="none" '
+        ok = np.concatenate(([False], np.isfinite(x) & np.isfinite(y), [False]))
+        for a, b in np.flatnonzero(ok[1:] != ok[:-1]).reshape(-1, 2).tolist():
+            points = " ".join(["%.2f,%.2f"] * (b - a)) % tuple(xy[a:b].ravel().tolist())
+            parts.append(f'<polyline points="{points}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 18 + 16 * i
         parts.append(f'<line x1="{W - mr - 150}" y1="{ly - 4}" x2="{W - mr - 120}" '
@@ -491,9 +610,9 @@ def cmd_reshape(run: RunConfig) -> int:
         "violation_lo": res.violation_interval[0] if res.violation_interval else "none",
         "violation_hi": res.violation_interval[1] if res.violation_interval else "none",
     }
-    rows = zip(res.k_grid, res.transmission, res.weight, res.product)
+    table = np.column_stack([res.k_grid, res.transmission, res.weight, res.product])
     write_csv(run.out_dir / "reshape.csv", run,
-              ["k", "T", "f", "product"], rows, meta=meta)
+              ["k", "T", "f", "product"], table, meta=meta)
     if cfg["svg"]:
         write_svg(run.out_dir / "reshape.svg", "spectral filtering",
                   "k (1/A)", "value",
@@ -646,13 +765,12 @@ def cmd_bohm(run: RunConfig) -> int:
 
     # the full output grid; a trajectory that stopped early (flagged
     # degenerate) reads nan after its last sample
-    t_eval = np.linspace(cfg["t_start"], cfg["t_end"], cfg["n_out"])
-    x_cols = np.full((len(trajs), t_eval.size), np.nan)
-    for col, tr in zip(x_cols, trajs):
-        col[:tr.x.size] = tr.x
-    traj_rows = [(t, *xs) for t, xs in zip(t_eval.tolist(), x_cols.T.tolist())]
+    bohm_traj = np.full((cfg["n_out"], 1 + len(trajs)), np.nan)
+    bohm_traj[:, 0] = np.linspace(cfg["t_start"], cfg["t_end"], cfg["n_out"])
+    for col, tr in enumerate(trajs, 1):
+        bohm_traj[:tr.x.size, col] = tr.x
     write_csv(run.out_dir / "bohm_traj.csv", run,
-              ["t_s"] + [f"x_{i}" for i in range(len(trajs))], traj_rows)
+              ["t_s"] + [f"x_{i}" for i in range(len(trajs))], bohm_traj)
     if cfg["svg"]:
         write_svg(run.out_dir / "bohm_traj.svg", "guidance trajectories",
                   "t (s)", "x (A)",

@@ -127,15 +127,16 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "times.csv").exists()
 
 
-def scipy_modules_after(code: str) -> str:
-    """The scipy modules loaded once code has run in a fresh interpreter."""
+def modules_after(code: str, roots=("scipy",)) -> str:
+    """The modules under the given top-level names that are loaded once code
+    has run in a fresh interpreter."""
     import tunneltime
 
     src = str(Path(tunneltime.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c",
          code + "\nimport sys; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
+         f"if m.split('.')[0] in {tuple(roots)!r}))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -143,7 +144,7 @@ def scipy_modules_after(code: str) -> str:
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy costs most of a CLI call's start-up; the package does not use it
-    assert scipy_modules_after("import tunneltime.cli") == "[]"
+    assert modules_after("import tunneltime.cli") == "[]"
 
 
 def test_dwell_time_leaves_scipy_unloaded():
@@ -151,7 +152,19 @@ def test_dwell_time_leaves_scipy_unloaded():
     code = ("from tunneltime.scattering import PiecewisePotential\n"
             "from tunneltime.times import dwell_time\n"
             "assert dwell_time(PiecewisePotential.square(10.0, 5.0), 1.0, -2.0, 7.0) > 0")
-    assert scipy_modules_after(code) == "[]"
+    assert modules_after(code) == "[]"
+
+
+def test_float_csv_leaves_fractions_decimal_scipy_unloaded(tmp_path):
+    # the CSV float kernel builds its decimal scales from ints, not Fraction
+    # or Decimal, whose imports would add to every CLI call's start-up
+    code = ("import numpy as np\nfrom pathlib import Path\nfrom tunneltime import cli\n"
+            f"cli.write_csv(Path({str(tmp_path / 'f.csv')!r}), "
+            "cli.RunConfig('times', {}, Path('.')), ['a', 'b'], "
+            "np.array([[1.0, 2.5e-300], [np.nan, -0.0], [1e300, 7.0]]))")
+    assert modules_after(code, ("scipy", "fractions", "decimal")) == "[]"
+    assert (tmp_path / "f.csv").read_text().endswith(
+        "1.00000000000000005e+300,7.00000000000000000e+00\n")
 
 
 def test_cli_bohm_run_leaves_scipy_unloaded(tmp_path):
@@ -160,7 +173,7 @@ def test_cli_bohm_run_leaves_scipy_unloaded(tmp_path):
             "--set", "E=5", "--set", "dk=0.05", "--set", "n_nodes=65",
             "--set", "n_traj=2", "--set", "n_out=41", "--set", "with_flux=false"]
     code = f"import tunneltime.cli\nassert tunneltime.cli.main({args!r}) == 0"
-    assert scipy_modules_after(code) == "[]"
+    assert modules_after(code) == "[]"
     assert (tmp_path / "bohm_traj.csv").exists()
 
 

@@ -119,7 +119,7 @@ def test_deep_tunnelling_amplitude_scale():
     k = 0.5 * EPS
     kap = math.sqrt(EPS ** 2 - k ** 2)
     T = closed_form_square(SquareBarrierParams(V0, d), k)[0]
-    assert T == pytest.approx(4.0 * k * kap * math.exp(-kap * d) / EPS ** 2, rel=1e-3)
+    assert T == pytest.approx(4.0 * k * kap * math.exp(-kap * d) / EPS ** 2, rel=1e-3, abs=0)
 
 
 def test_above_barrier_resonances():

@@ -246,6 +246,91 @@ def test_write_csv_rows_match_fmt_join(tmp_path):
     assert body[1:] == [_parent_row_join(r) for r in rows]
 
 
+def _percent_rows(block) -> bytes:
+    """The reference the float kernel must reproduce: one "%" per cell."""
+    return "".join(",".join("%.17e" % v for v in row) + "\n"
+                   for row in np.asarray(block).tolist()).encode()
+
+
+def _assert_e17(values):
+    v = np.asarray(values, dtype=float)
+    for block in (v.reshape(-1, 1), v.reshape(1, -1)):
+        assert cli._format_e17(block) == _percent_rows(block)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40),
+       st.lists(st.floats(width=64, allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), min_size=1, max_size=40))
+def test_format_e17_matches_percent(bits, floats):
+    _assert_e17(np.array(bits, dtype=np.uint64).view(np.float64))
+    _assert_e17(floats)
+
+
+def _with_neighbours(v):
+    v = np.asarray(v, dtype=float)
+    return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+
+
+E17_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, math.nan, -math.nan, math.inf, -math.inf,
+    # exact halves at the 18th digit (round half to even)
+    1000000000000000.125, 1000000000000000.375, 1125899906842623.875,
+    # integers above 1e17
+    1e17, 1e17 + 16.0, 2.0 ** 57, 999999999999999872.0, 1e18, 2.0 ** 60, 1e19,
+    9007199254740993.0 * 2 ** 10,
+]
+
+
+def test_format_e17_edges():
+    _assert_e17(E17_EDGES)
+    _assert_e17(_with_neighbours(2.0 ** np.arange(-1074, 1024)))
+    _assert_e17(_with_neighbours(10.0 ** np.arange(-323, 309)))
+    _assert_e17(-_with_neighbours(10.0 ** np.arange(-323, 309)))
+
+
+def test_format_e17_python_fallback_gives_same_bytes(monkeypatch):
+    # a window wider than any rounding tail sends every cell through "%"
+    rng = np.random.default_rng(7)
+    block = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+                            E17_EDGES]).reshape(-1, 2)
+    fast = cli._format_e17(block)
+    monkeypatch.setattr(cli, "_TIE_WINDOW", 1.0)
+    assert cli._format_e17(block) == fast == _percent_rows(block)
+
+
+def _body(path: Path) -> bytes:
+    return b"".join(ln for ln in path.read_bytes().splitlines(keepends=True)
+                    if not ln.startswith(b"#"))
+
+
+@pytest.mark.parametrize("nrow,ncol", [(0, 3), (1, 3), (1, 1)]
+                         + [(cli._BLOCK_CELLS // 7 + d, 7) for d in (-1, 0, 1)]
+                         + [(3, cli._BLOCK_CELLS + 5)])
+def test_write_csv_float_table_shapes(tmp_path, nrow, ncol):
+    run = cli.RunConfig("times", {"V0": 10.0}, tmp_path)
+    cols = [f"c{j}" for j in range(ncol)]
+    rng = np.random.default_rng(nrow * 131 + ncol)
+    table = rng.standard_normal((nrow, ncol)) * 10.0 ** rng.integers(-20, 20, (nrow, ncol))
+    expect = (",".join(cols) + "\n").encode() + _percent_rows(table)
+    cli.write_csv(tmp_path / "array.csv", run, cols, table)
+    cli.write_csv(tmp_path / "rows.csv", run, cols, [tuple(r) for r in table.tolist()])
+    assert _body(tmp_path / "array.csv") == expect
+    assert _body(tmp_path / "rows.csv") == expect
+
+
+def test_write_csv_mixed_rows_skip_the_float_kernel(tmp_path, monkeypatch):
+    def refuse(block):
+        raise AssertionError("a table with a non-float cell reached the float kernel")
+
+    monkeypatch.setattr(cli, "_format_e17", refuse)
+    run = cli.RunConfig("times", {"V0": 10.0}, tmp_path)
+    for i, row in enumerate(CSV_ROWS[2:4] + CSV_ROWS[5:]):
+        cli.write_csv(tmp_path / f"{i}.csv", run, list("abcde"), [(1.0,) * 5, row])
+        assert _body(tmp_path / f"{i}.csv").decode().splitlines()[2] == _parent_row_join(row)
+
+
 def _svg_series():
     x = np.linspace(-2.0, 3.0, 41)
     y = np.sin(x) * 1e-15

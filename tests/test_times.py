@@ -25,13 +25,13 @@ def kappa(k):
 
 def test_tau_equivalent_is_free_flight():
     p = SquareBarrierParams(V0, 5.0)
-    assert tt.tau_equivalent(p, K5) == pytest.approx(5.0 / ELECTRON.v_of_k(K5), rel=1e-14)
+    assert tt.tau_equivalent(p, K5) == pytest.approx(5.0 / ELECTRON.v_of_k(K5), rel=1e-14, abs=0)
 
 
 def test_tau_semiclassical_uses_kappa_velocity():
     p = SquareBarrierParams(V0, 5.0)
     want = ELECTRON.m_over_hbar * 5.0 / kappa(K5)
-    assert tt.tau_semiclassical(p, K5) == pytest.approx(want, rel=1e-14)
+    assert tt.tau_semiclassical(p, K5) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +41,10 @@ def test_tau_semiclassical_uses_kappa_velocity():
 def test_hartman_saturation_value():
     # saturated phase delay 2m/(hbar k kappa) at E = V0/2
     sat = 2.0 * ELECTRON.m_over_hbar / (K5 * kappa(K5))
-    assert sat == pytest.approx(1.3164239135e-16, rel=1e-9)
+    assert sat == pytest.approx(1.3164239135e-16, rel=1e-9, abs=0)
     dT, dR = tt.extrapolated_phase_times(SquareBarrierParams(V0, 14.0), K5)
-    assert dT == pytest.approx(sat, rel=1e-2)
-    assert dR == pytest.approx(dT, rel=1e-14)  # symmetric barrier: equal delays
+    assert dT == pytest.approx(sat, rel=1e-2, abs=0)
+    assert dR == pytest.approx(dT, rel=1e-14, abs=0)  # symmetric barrier: equal delays
 
 
 def test_hartman_bracket_thick_limit():
@@ -63,8 +63,8 @@ def test_phase_times_closed_vs_fd(krel):
     k = krel * EPS
     dT_c, dR_c = tt.extrapolated_phase_times(p, k)
     dT_f, dR_f = tt.phase_times_fd(p, k)
-    assert dT_f == pytest.approx(dT_c, rel=1e-6)
-    assert dR_f == pytest.approx(dR_c, rel=1e-6)
+    assert dT_f == pytest.approx(dT_c, rel=1e-6, abs=0)
+    assert dR_f == pytest.approx(dR_c, rel=1e-6, abs=0)
 
 
 def test_phase_times_continuous_through_top():
@@ -72,8 +72,8 @@ def test_phase_times_continuous_through_top():
     lo = tt.extrapolated_phase_times(p, EPS * (1 - 2e-10))[0]
     at = tt.extrapolated_phase_times(p, EPS)[0]
     hi = tt.extrapolated_phase_times(p, EPS * (1 + 2e-10))[0]
-    assert lo == pytest.approx(at, rel=1e-5)
-    assert hi == pytest.approx(at, rel=1e-5)
+    assert lo == pytest.approx(at, rel=1e-5, abs=0)
+    assert hi == pytest.approx(at, rel=1e-5, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def test_dwell_asymptote():
     # hbar k/(V0 kappa) at kappa d = 15
     d = 15.0 / kappa(K5)
     want = HBAR_EVS * K5 / (V0 * kappa(K5))
-    assert tt.dwell_time_closed(SquareBarrierParams(V0, d), K5) == pytest.approx(want, rel=5e-3)
+    assert tt.dwell_time_closed(SquareBarrierParams(V0, d), K5) == pytest.approx(want, rel=5e-3, abs=0)
 
 
 def test_dwell_region_additivity():
@@ -156,16 +156,16 @@ def test_larmor_closed_vs_derivative_route(krel):
     k = krel * EPS
     ty_c, tz_c, tx_c = tt.larmor_times(p, k)
     ty_d, tz_d, tx_d = tt.larmor_times_kappa_derivative(p, k)
-    assert ty_d == pytest.approx(ty_c, rel=1e-6)
-    assert tz_d == pytest.approx(tz_c, rel=1e-6)
-    assert tx_c == pytest.approx(math.hypot(ty_c, tz_c), rel=1e-14)
+    assert ty_d == pytest.approx(ty_c, rel=1e-6, abs=0)
+    assert tz_d == pytest.approx(tz_c, rel=1e-6, abs=0)
+    assert tx_c == pytest.approx(math.hypot(ty_c, tz_c), rel=1e-14, abs=0)
 
 
 def test_larmor_equals_dwell():
     p = SquareBarrierParams(V0, 5.0)
     for k in (0.3 * EPS, 0.8 * EPS):
         ty, _, _ = tt.larmor_times(p, k)
-        assert ty == pytest.approx(tt.dwell_time_closed(p, k), rel=1e-10)
+        assert ty == pytest.approx(tt.dwell_time_closed(p, k), rel=1e-10, abs=0)
 
 
 def test_larmor_thick_limits():
@@ -173,17 +173,17 @@ def test_larmor_thick_limits():
     d = 15.0 / kap
     p = SquareBarrierParams(V0, d)
     ty, tz, _ = tt.larmor_times(p, K5)
-    assert tz == pytest.approx(ELECTRON.m_over_hbar * d / kap, rel=1e-2)
-    assert ty == pytest.approx(2.0 * ELECTRON.m_over_hbar * K5 / (EPS * EPS * kap), rel=1e-2)
+    assert tz == pytest.approx(ELECTRON.m_over_hbar * d / kap, rel=1e-2, abs=0)
+    assert ty == pytest.approx(2.0 * ELECTRON.m_over_hbar * K5 / (EPS * EPS * kap), rel=1e-2, abs=0)
 
 
 def test_complex_time_components():
     p = SquareBarrierParams(V0, 5.0)
     ty, tz, tx = tt.larmor_times(p, K5)
     ct = tt.complex_time(p, K5)
-    assert ct.real == pytest.approx(ty)
-    assert ct.imag == pytest.approx(tz)
-    assert abs(ct) == pytest.approx(tx, rel=1e-14)
+    assert ct.real == pytest.approx(ty, abs=0)
+    assert ct.imag == pytest.approx(tz, abs=0)
+    assert abs(ct) == pytest.approx(tx, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,8 @@ def test_bl_times_values():
     p = SquareBarrierParams(V0, 5.0)
     kap = kappa(K5)
     res = tt.buttiker_landauer(p, K5)
-    assert res.tau_BL_T == pytest.approx(ELECTRON.m_over_hbar * 5.0 / kap, rel=1e-14)
-    assert res.tau_BL_R == pytest.approx(HBAR_EVS * K5 / (V0 * kap), rel=1e-14)
+    assert res.tau_BL_T == pytest.approx(ELECTRON.m_over_hbar * 5.0 / kap, rel=1e-14, abs=0)
+    assert res.tau_BL_R == pytest.approx(HBAR_EVS * K5 / (V0 * kap), rel=1e-14, abs=0)
 
 
 def test_bl_zero_frequency_limit():
@@ -250,7 +250,7 @@ def test_self_interference_oscillates_with_probe_position():
     k = 0.5 * EPS
     r0 = tt.self_interference_identity(p, k, x1=-3.0)
     r1 = tt.self_interference_identity(p, k, x1=-3.0 - math.pi / (2.0 * k))
-    assert r0.tau_self_interference == pytest.approx(-r1.tau_self_interference, rel=1e-6)
+    assert r0.tau_self_interference == pytest.approx(-r1.tau_self_interference, rel=1e-6, abs=0)
 
 
 def test_self_interference_rejects_bad_probes():
@@ -265,10 +265,10 @@ def test_step_barrier_relations():
     k = 0.7 * EPS
     res = tt.step_barrier_times(V0, k)
     E = float(ELECTRON.E_of_k(k))
-    assert res.tau_dwell == pytest.approx((E / V0) * res.dtau_phase_R, rel=1e-12)
-    assert res.delta_tau_dwell == pytest.approx(((E - V0) / V0) * res.dtau_phase_R, rel=1e-12)
+    assert res.tau_dwell == pytest.approx((E / V0) * res.dtau_phase_R, rel=1e-12, abs=0)
+    assert res.delta_tau_dwell == pytest.approx(((E - V0) / V0) * res.dtau_phase_R, rel=1e-12, abs=0)
     # independent route: integral of the standing density over the decay region
-    assert tt.step_dwell_numeric(V0, k) == pytest.approx(res.tau_dwell, rel=1e-9)
+    assert tt.step_dwell_numeric(V0, k) == pytest.approx(res.tau_dwell, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def test_time_report_fields_finite():
                  "tau_BL_T", "tau_BL_R", "tau_semiclassical"):
         assert math.isfinite(getattr(rep, name)), name
     assert rep.k == K5
-    assert rep.tau_dwell == pytest.approx(rep.tau_larmor_y, rel=1e-10)
+    assert rep.tau_dwell == pytest.approx(rep.tau_larmor_y, rel=1e-10, abs=0)
 
 
 def test_time_report_finite_at_barrier_top():

@@ -7,7 +7,7 @@ from tunneltime import units as U
 
 
 def test_constant_values():
-    assert U.HBAR_EVS == pytest.approx(6.582119569e-16, rel=1e-12)
+    assert U.HBAR_EVS == pytest.approx(6.582119569e-16, rel=1e-12, abs=0)
     assert U.HBARC_EVA == pytest.approx(1973.269804, rel=1e-12)
     assert U.MC2_EV == pytest.approx(510998.95, rel=1e-12)
     assert U.C_A_S == pytest.approx(2.99792458e18, rel=1e-12)

@@ -36,7 +36,7 @@ def packet():
 def test_packet_normalization(packet):
     assert np.sum(packet.weights * packet.amplitude ** 2) == pytest.approx(1.0, rel=1e-13)
     assert packet.k_nodes.min() > 0
-    assert packet.sigma_t == pytest.approx(1.0 / (ELECTRON.v_of_k(K5) * DK), rel=1e-14)
+    assert packet.sigma_t == pytest.approx(1.0 / (ELECTRON.v_of_k(K5) * DK), rel=1e-14, abs=0)
 
 
 def test_packet_validation():
@@ -224,7 +224,7 @@ def test_free_arrival_moments(packet):
     st = wp.arrival_stats(wp.flux_series(packet, FREE, 0.0))
     assert st.mean_t_plus == pytest.approx(0.0, abs=1e-18)
     # |envelope|^2 arrival density narrows the width by sqrt(2)
-    assert math.sqrt(st.var_t_plus) == pytest.approx(packet.sigma_t / math.sqrt(2.0), rel=1e-2)
+    assert math.sqrt(st.var_t_plus) == pytest.approx(packet.sigma_t / math.sqrt(2.0), rel=1e-2, abs=0)
     assert st.total_plus_flux == pytest.approx(1.0, abs=1e-8)
     assert not st.low_confidence_plus
     assert st.low_confidence_minus  # no backward flux in free space
@@ -297,10 +297,10 @@ def test_mean_times_wiring(packet):
     recd = wp.flux_series(packet, BARRIER, 5.0)
     mt = wp.mean_times(rec0, recd)
     assert mt.tau_T == mt.tau_Pen
-    assert mt.tau_T == pytest.approx(3.4033e-15, rel=1e-3)   # frozen
-    assert mt.tau_R == pytest.approx(6.6804e-15, rel=1e-3)   # frozen
+    assert mt.tau_T == pytest.approx(3.4033e-15, rel=1e-3, abs=0)   # frozen
+    assert mt.tau_R == pytest.approx(6.6804e-15, rel=1e-3, abs=0)   # frozen
     assert mt.var_tau_T == pytest.approx(
-        wp.arrival_stats(rec0).var_t_plus + wp.arrival_stats(recd).var_t_plus, rel=1e-12)
+        wp.arrival_stats(rec0).var_t_plus + wp.arrival_stats(recd).var_t_plus, rel=1e-12, abs=0)
     assert mt.low_confidence  # transmitted flux below the floor at this opacity
 
 
@@ -311,7 +311,7 @@ def test_separated_packet_diagnostic_far_probes(packet):
     ri = wp.flux_series(packet, FREE, xi)
     rf = wp.flux_series(packet, FREE, xf)
     tau = wp.mean_times_separated_packets(ri, rf)
-    assert tau == pytest.approx((xf - xi) / ELECTRON.v_of_k(K5), rel=1e-3)
+    assert tau == pytest.approx((xf - xi) / ELECTRON.v_of_k(K5), rel=1e-3, abs=0)
 
 
 def test_packet_dwell_matches_spectral_average(packet):
@@ -320,7 +320,7 @@ def test_packet_dwell_matches_spectral_average(packet):
     want = sum(w * g * g * dwell_time_closed(SquareBarrierParams(10.0, 5.0), float(k))
                for k, w, g in zip(packet.k_nodes, packet.weights, packet.amplitude))
     got = wp.dwell_time_packet(packet, BARRIER, 0.0, 5.0)
-    assert got == pytest.approx(want, rel=1e-3)
+    assert got == pytest.approx(want, rel=1e-3, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def test_crank_nicolson_cross_check(packet):
         rec = wp.flux_series(packet, BARRIER, xp, t_grid=ts)
         spec.append(wp.arrival_stats(rec).mean_t_plus)
     pen_spec = spec[1] - spec[0]
-    assert pen_cn == pytest.approx(pen_spec, rel=5e-2)
+    assert pen_cn == pytest.approx(pen_spec, rel=5e-2, abs=0)
 
 
 # ---------------------------------------------------------------------------
