@@ -27,7 +27,7 @@ from . import __version__
 from . import optical
 from . import times as tms
 from . import wavepacket as wp
-from .scattering import PiecewisePotential, SquareBarrierParams, closed_form_square
+from .scattering import PiecewisePotential, SquareBarrierParams, _square_amplitudes
 from .units import ELECTRON, E_of_k, k_of_E, v_of_k
 
 
@@ -275,7 +275,8 @@ def _format_e17(block: np.ndarray) -> bytes:
 def write_csv(path: Path, run: RunConfig, columns, rows, meta: dict | None = None):
     """CSV with a # header block: version, config, constants, run metadata.
 
-    ``rows`` is a 2-D float64 array or a sequence of rows. The header carries
+    ``rows`` is a 2-D float64 array, which the float kernel writes, or a
+    sequence of rows of mixed cells, each written by _fmt. The header carries
     everything needed to reproduce the table; the single timestamp line is
     the only part that varies between identical runs.
     """
@@ -292,12 +293,6 @@ def write_csv(path: Path, run: RunConfig, columns, rows, meta: dict | None = Non
     for key in sorted(meta or {}):
         lines.append(f"# meta: {key} = {_fmt(meta[key])}")
     lines.append(",".join(columns))
-    ncol = len(columns)
-    if not isinstance(rows, np.ndarray):
-        rows = [tuple(row) for row in rows]
-        if ncol and all(len(row) == ncol and all(isinstance(v, float) for v in row)
-                        for row in rows):
-            rows = np.array(rows, dtype=float).reshape(len(rows), ncol)
     with path.open("wb") as out:
         out.write(("\n".join(lines) + "\n").encode())
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
@@ -409,16 +404,6 @@ TIMES_COLUMNS = [
 ]
 
 
-def _times_row(params: SquareBarrierParams, k: float):
-    T, R, alpha, beta = closed_form_square(params, k)
-    rep = tms.time_report(params, k)
-    return (k, float(E_of_k(k)), T, R, alpha, beta,
-            rep.tau_eq, rep.dtau_phase_T, rep.dtau_phase_R, rep.tau_dwell,
-            rep.tau_larmor_y, rep.tau_larmor_z, rep.tau_larmor_x,
-            rep.tau_BL_T, rep.tau_BL_R,
-            rep.tau_complex.real, rep.tau_complex.imag)
-
-
 def cmd_times(run: RunConfig) -> int:
     cfg = run.values
     _positive(cfg, "V0", "d", "k", "E", "k_min", "E_min", "d_min")
@@ -426,28 +411,28 @@ def cmd_times(run: RunConfig) -> int:
     if len(sweeps) > 1:
         raise ConfigError("at most one sweep (k, E or d) per run")
 
-    rows = []
-    if not sweeps:
-        if cfg["d"] is None:
-            raise ConfigError("missing required config key 'd'")
-        k = _wavenumber(cfg, "k")
-        rows.append(_times_row(SquareBarrierParams(cfg["V0"], cfg["d"]), k))
-    elif sweeps[0] == "d":
-        k = _wavenumber(cfg, "k")
-        for d in _sweep(cfg, "d"):
-            rows.append(_times_row(SquareBarrierParams(cfg["V0"], float(d)), k))
+    if sweeps == ["d"]:
+        k, d = _wavenumber(cfg, "k"), _sweep(cfg, "d")
+    elif cfg["d"] is None:
+        raise ConfigError("missing required config key 'd'")
+    elif not sweeps:
+        k, d = _wavenumber(cfg, "k"), cfg["d"]
     else:
-        if cfg["d"] is None:
-            raise ConfigError("missing required config key 'd'")
         if cfg["k"] is not None or cfg["E"] is not None:
             raise ConfigError("fixed k/E conflicts with a k/E sweep")
         vals = _sweep(cfg, sweeps[0])
-        ks = vals if sweeps[0] == "k" else np.asarray(k_of_E(vals))
-        params = SquareBarrierParams(cfg["V0"], cfg["d"])
-        for k in ks.tolist():
-            rows.append(_times_row(params, k))
+        k, d = (vals if sweeps[0] == "k" else np.asarray(k_of_E(vals))), cfg["d"]
 
-    write_csv(run.out_dir / "times.csv", run, TIMES_COLUMNS, rows)
+    # d > 0 on every row: time_report's zero-width sideband times never apply
+    params = SquareBarrierParams(cfg["V0"], 0.0)   # the widths are d
+    T, R, alpha, beta = _square_amplitudes(params, k, d)
+    t = tms._stationary_times(params, k, d)
+    # E as the scalar conversion rounds it, which an array k does not
+    E = np.fromiter(map(E_of_k, np.ravel(k).tolist()), float)
+    table = np.column_stack(np.broadcast_arrays(
+        k, E, T, R, alpha, beta, t.eq, t.phase, t.phase, t.dwell,
+        t.dwell, t.tau_z, t.tau_x, t.bl_T, t.bl_R, t.dwell, t.tau_z))
+    write_csv(run.out_dir / "times.csv", run, TIMES_COLUMNS, table)
     return 0
 
 
@@ -542,17 +527,18 @@ def cmd_hartman(run: RunConfig) -> int:
     saturation = 2.0 / (u.hbar_over_m * k * kap)
     packet = wp.SpectralPacket.gaussian(k, cfg["dk"], n_nodes=cfg["n_nodes"])
 
+    ds = _sweep(cfg, "d")
+    t = tms._stationary_times(SquareBarrierParams(cfg["V0"], 0.0), k, ds)
     rows = []
     flagged = False
-    for d in _sweep(cfg, "d"):
-        d = float(d)
-        rep = tms.time_report(SquareBarrierParams(cfg["V0"], d), k)
+    for d, phase, dwell, bl_T in zip(ds.tolist(), t.phase.tolist(), t.dwell.tolist(),
+                                     t.bl_T.tolist()):
         pot = PiecewisePotential.square(cfg["V0"], d)
         rec0, recd = wp.flux_records(packet, pot, [0.0, d], dt_fine=cfg["dt_fine"])
         mt = wp.mean_times(rec0, recd, floor=cfg["flux_floor"])
         flagged = flagged or mt.low_confidence
-        rows.append((d, kap * d, rep.dtau_phase_T, rep.tau_dwell, rep.tau_BL_T,
-                     mt.tau_T, saturation, int(mt.low_confidence)))
+        rows.append((d, kap * d, phase, dwell, bl_T, mt.tau_T, saturation,
+                     int(mt.low_confidence)))
 
     write_csv(run.out_dir / "hartman.csv", run,
               ["d_A", "kappa_d", "dtau_phase_T_s", "tau_dwell_s", "tau_BL_T_s",
@@ -655,19 +641,19 @@ def cmd_optical(run: RunConfig) -> int:
     # all three tables first: a failing gap sweep must leave none behind
     omega_c = math.pi * optical.C_M_S / cfg["b"]
     disp = []
-    for ratio in _sweep(cfg, "ratio"):
-        spec = optical.WaveguideSpec(b=cfg["b"], omega=float(ratio) * omega_c)
+    for ratio in _sweep(cfg, "ratio").tolist():
+        spec = optical.WaveguideSpec(b=cfg["b"], omega=ratio * omega_c)
         kappa, v_g = optical.waveguide_dispersion(spec)
-        disp.append((float(ratio), spec.omega, kappa.real, kappa.imag, v_g))
+        disp.append((ratio, spec.omega, kappa.real, kappa.imag, v_g))
 
     spec = optical.WaveguideSpec(b=cfg["b"], omega=cfg["omega_ratio"] * omega_c)
     kap = abs(optical.waveguide_dispersion(spec)[0].imag)
-    trav = []
-    for kapL in _sweep(cfg, "kapL"):
-        L = float(kapL) / kap
-        t_dir = optical.traversal_time_direct(spec, L)
-        t_map = optical.traversal_time_mapped(spec, L)
-        trav.append((float(kapL), L, t_dir, t_map, L / (optical.C_M_S * t_dir)))
+    kapL = _sweep(cfg, "kapL")
+    L = kapL / kap
+    # the guide-variable route stays scalar: it is the mapped route's oracle
+    t_dir = np.array([optical.traversal_time_direct(spec, x) for x in L.tolist()])
+    trav = np.column_stack([kapL, L, t_dir, optical.traversal_time_mapped(spec, L),
+                            L / (optical.C_M_S * t_dir)])
     trav_meta = {"kappa_1_m": kap,
                  "superluminal_kapL": optical.superluminal_threshold(cfg["omega_ratio"])}
 
@@ -677,11 +663,11 @@ def cmd_optical(run: RunConfig) -> int:
     if d is None:
         d = 15.0 / float(u.kappa_of(cfg["gap_E"], cfg["gap_V0"]))
     gaps = _sweep(cfg, "gap")
-    swept = optical.gap_sweep(d, cfg["gap_V0"], k, gaps)
+    swept = np.array(optical.gap_sweep(d, cfg["gap_V0"], k, gaps))
 
     write_csv(run.out_dir / "optical_dispersion.csv", run,
               ["omega_ratio", "omega_rad_s", "kappa_re_1_m", "kappa_im_1_m",
-               "v_group_m_s"], disp, meta={"omega_c_rad_s": omega_c})
+               "v_group_m_s"], np.array(disp), meta={"omega_c_rad_s": omega_c})
     write_csv(run.out_dir / "optical_traversal.csv", run,
               ["kapL", "L_m", "tau_direct_s", "tau_mapped_s", "speed_over_c"],
               trav, meta=trav_meta)
@@ -689,9 +675,8 @@ def cmd_optical(run: RunConfig) -> int:
               ["L_gap_A", "time_s", "margin"], swept,
               meta={"gap_d_A": d, "gap_k": k})
     if cfg["svg"]:
-        arr = np.asarray(swept, dtype=float)
         write_svg(run.out_dir / "optical_gap.svg", "double barrier gap sweep",
-                  "gap (A)", "time (s)", [("crossing time", arr[:, 0], arr[:, 1])])
+                  "gap (A)", "time (s)", [("crossing time", swept[:, 0], swept[:, 1])])
     return 0
 
 

@@ -25,7 +25,7 @@ from .scattering import (
     _phase_slopes,
     solve_transfer_matrix,
 )
-from .times import extrapolated_phase_times
+from .times import _stationary_times
 from .units import ELECTRON, UnitSystem
 
 C_M_S = 2.99792458e8  # m/s
@@ -131,15 +131,17 @@ def traversal_time_direct(spec: WaveguideSpec, L: float) -> float:
     return bracket / (C_M_S * kap)
 
 
-def traversal_time_mapped(spec: WaveguideSpec, L: float) -> float:
+def traversal_time_mapped(spec: WaveguideSpec, L):
     """Same quantity via the mapped quantum barrier and the generic machinery.
 
     Builds a unit system whose hbar/m equals c^2/omega (hbar = 1 eV s slot,
     rest energy omega, "hbarc" = c), then evaluates the standard extrapolated
-    phase time at the mapped wavenumber.
+    phase time at the mapped wavenumber. L is a length or an array of them,
+    all evaluated in one call; the result has its shape.
     """
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    L = np.asarray(L, dtype=float)
+    if not (np.isfinite(L).all() and (L >= 0).all()):
+        raise ValueError(f"L must be finite and >= 0, got {L}")
     if not spec.evanescent:
         raise ValueError("mapped traversal time covers the evanescent case")
     m = map_quantum_waveguide(spec)
@@ -147,8 +149,8 @@ def traversal_time_mapped(spec: WaveguideSpec, L: float) -> float:
                        electron_rest_eV=spec.omega, c_A_per_s=C_M_S)
     # barrier height whose eps matches the guide: eps = sqrt(2 m V0)/hbar
     V0 = m.eps ** 2 * units.hbarc_eV_A ** 2 / (2.0 * units.electron_rest_eV)
-    params = SquareBarrierParams(V0=V0, d=L, units=units)
-    return extrapolated_phase_times(params, m.k)[0]
+    params = SquareBarrierParams(V0=V0, d=0.0, units=units)   # the widths are L
+    return _stationary_times(params, m.k, L).phase.reshape(L.shape)[()]
 
 
 def superluminal_threshold(omega_ratio: float, lo: float = 1e-3, hi: float = 50.0) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -314,10 +314,28 @@ def _local_q(E: float, V: float, units: UnitSystem) -> complex:
 
 
 def _check_k(k) -> None:
-    if not math.isfinite(k):
-        raise ValueError(f"k must be finite, got {k}")
-    if k <= 0:
-        raise ValueError("k must be positive")
+    k = np.asarray(k, dtype=float)
+    if not (np.isfinite(k).all() and (k > 0).all()):
+        raise ValueError(f"k must be finite and positive, got {k}")
+
+
+def _points(k, d):
+    """The points of the closed-form bodies: k and d broadcast, flattened, checked."""
+    k, d = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(d, dtype=float))
+    _check_k(k)
+    if not (np.isfinite(d).all() and (d >= 0).all()):
+        raise ValueError(f"d must be finite and >= 0, got {d}")
+    return k.ravel(), d.ravel()
+
+
+_pow2 = partial(pow, exp=2)   # Python's float x ** 2
+
+
+def _per_element(f, *xs):
+    """f over the elements of the 1-D arrays xs, one Python call each: numpy's
+    exp, tanh, tan, atan, hypot and x ** 2 round unlike libm's and Python's
+    on some inputs (+, -, *, /, sqrt, sin and floor round alike)."""
+    return np.fromiter(map(f, *(x.tolist() for x in xs)), float, count=xs[0].size)
 
 
 def _cmul(a, b):
@@ -355,8 +373,7 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
     scalar ones, and the general products go through _cmul.
     """
     k = np.asarray(k, dtype=float)
-    if not (np.isfinite(k).all() and (k > 0).all()):
-        raise ValueError(f"k must be finite and positive, got {k}")
+    _check_k(k)
     # E and q element by element through the scalar conversions: numpy
     # squares an array by multiplication but a scalar through pow, and the
     # two differ in the last bit for about one k in 1,300
@@ -469,6 +486,53 @@ def density_and_current(psi, dpsi_dx, units: UnitSystem = ELECTRON):
     return rho, j
 
 
+def _square_amplitudes(params: SquareBarrierParams, k, d):
+    """(T, R, alpha, beta) of closed_form_square at every point of k and d,
+    broadcast and flattened (params.d is not read): each regime (the
+    barrier-top window, below and above the top) on its own elements."""
+    k, d = _points(k, d)
+    eps = params.eps
+    T, R, a_ref = np.empty(k.size), np.empty(k.size), np.empty(k.size)
+    top = abs(k - eps) < 1e-9 * eps
+    below = (k < eps) & ~top
+    above = ~(top | below)
+
+    sgn = np.ones(k.size)
+    if top.any():
+        # barrier-top limit: interior is linear, T = 1/sqrt(1 + eps^2 d^2/4)
+        kk, dd = k[top], d[top]
+        T[top] = t = 1.0 / np.sqrt(1.0 + _per_element(_pow2, eps * dd) / 4.0)
+        R[top] = (eps * dd / 2.0) * t
+        a_ref[top] = _per_element(math.atan, kk * dd / 2.0)
+    if below.any():
+        kk, dd = k[below], d[below]
+        kap = np.sqrt(eps * eps - kk * kk)
+        g = _per_element(math.exp, -kap * dd)  # underflow -> honest T = 0
+        half = 0.5 * (1.0 - g * g)  # sinh(kap d) * e^{-kap d}
+        den = _per_element(math.hypot, 2.0 * kk * kap * g, eps * eps * half)
+        T[below] = 2.0 * kk * kap * g / den
+        R[below] = (kk * kk + kap * kap) * half / den
+        a_ref[below] = _per_element(math.atan, (kk * kk - kap * kap) / (2.0 * kk * kap)
+                                    * _per_element(math.tanh, kap * dd))
+    if above.any():
+        kk, dd = k[above], d[above]
+        kt = np.sqrt(kk * kk - eps * eps)
+        s = np.sin(kt * dd)
+        den = _per_element(math.hypot, 2.0 * kk * kt, eps * eps * s)
+        T[above] = 2.0 * kk * kt / den
+        R[above] = eps * eps * np.abs(s) / den
+        a_ref[above] = _per_element(math.atan, (kk * kk + kt * kt) / (2.0 * kk * kt)
+                                    * _per_element(math.tan, kt * dd)) \
+            + math.pi * np.floor(kt * dd / math.pi + 0.5)
+        sgn[above] = np.where(s >= 0, 1.0, -1.0)   # beta jumps by pi where s changes sign
+
+    alpha = a_ref - k * d
+    beta = a_ref - sgn * math.pi / 2.0
+    free = d == 0
+    T[free], R[free], alpha[free], beta[free] = 1.0, 0.0, 0.0, 0.0
+    return T, R, alpha, beta
+
+
 def closed_form_square(params: SquareBarrierParams, k: float):
     """(T, R, alpha, beta) for the square barrier, all regimes.
 
@@ -477,41 +541,7 @@ def closed_form_square(params: SquareBarrierParams, k: float):
     below the top; above the top it jumps by pi only at exact reflection
     zeros, where the phase is undefined anyway.
     """
-    _check_k(k)
-    eps = params.eps
-    d = params.d
-    if d == 0:
-        return 1.0, 0.0, 0.0, 0.0
-
-    if abs(k - eps) < 1e-9 * eps:
-        # barrier-top limit: interior is linear, T = 1/sqrt(1 + eps^2 d^2/4)
-        T = 1.0 / math.sqrt(1.0 + (eps * d) ** 2 / 4.0)
-        R = (eps * d / 2.0) * T
-        a_ref = math.atan(k * d / 2.0)
-    elif k < eps:
-        kap = math.sqrt(eps * eps - k * k)
-        g = math.exp(-kap * d)  # underflow -> honest T = 0
-        half = 0.5 * (1.0 - g * g)  # sinh(kap d) * e^{-kap d}
-        den = math.hypot(2.0 * k * kap * g, eps * eps * half)
-        T = 2.0 * k * kap * g / den
-        R = (k * k + kap * kap) * half / den
-        a_ref = math.atan((k * k - kap * kap) / (2.0 * k * kap) * math.tanh(kap * d))
-    else:
-        kt = math.sqrt(k * k - eps * eps)
-        s = math.sin(kt * d)
-        den = math.hypot(2.0 * k * kt, eps * eps * s)
-        T = 2.0 * k * kt / den
-        R = eps * eps * abs(s) / den
-        a_ref = math.atan((k * k + kt * kt) / (2.0 * k * kt) * math.tan(kt * d)) \
-            + math.pi * math.floor(kt * d / math.pi + 0.5)
-        alpha = a_ref - k * d
-        sgn = 1.0 if s >= 0 else -1.0
-        beta = a_ref - sgn * math.pi / 2.0
-        return T, R, alpha, beta
-
-    alpha = a_ref - k * d
-    beta = a_ref - math.pi / 2.0
-    return T, R, alpha, beta
+    return tuple(x.item() for x in _square_amplitudes(params, k, params.d))
 
 
 def transmission_phase_reference(params: SquareBarrierParams, k: float) -> float:
@@ -522,6 +552,7 @@ def transmission_phase_reference(params: SquareBarrierParams, k: float) -> float
 
 def step_reflection(V0: float, k: float, units: UnitSystem = ELECTRON) -> complex:
     """Reflection amplitude off a step of height V0 at x = 0 (E < V0)."""
+    _check_k(k)
     E = float(units.E_of_k(k))
     if E >= V0:
         raise ValueError("step_reflection covers the sub-barrier case only")
@@ -536,8 +567,7 @@ def delta_closed_form(strength: float, k: float, units: UnitSystem = ELECTRON):
     dimension-restoring m/hbar^2 is fixed by the transfer-matrix limit
     (see delta_barrier_limit).
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    _check_k(k)
     omega = units.electron_rest_eV * strength / (units.hbarc_eV_A ** 2 * k)
     t = 1.0 / (1.0 + 1j * omega)
     r = -1j * omega / (1.0 + 1j * omega)

@@ -16,6 +16,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +25,14 @@ from .scattering import (
     ScatteringState,
     SquareBarrierParams,
     _check_k,
+    _per_element,
     _phase_slopes,
-    closed_form_square,
+    _points,
+    _pow2,
+    _square_amplitudes,
+    closed_form_square,  # noqa: F401  (callers also reach it as times.closed_form_square)
     solve_transfer_matrix,
     step_reflection,
-    transmission_phase_reference,
 )
 from .units import ELECTRON, UnitSystem
 
@@ -113,53 +117,24 @@ class ButtikerLandauerResult:
     band_ratio: float
 
 
+class _Times(NamedTuple):
+    """The closed-form times at every point of a broadcast (k, d), in seconds."""
+
+    eq: np.ndarray      # m d/(hbar k)
+    phase: np.ndarray   # extrapolated phase time, both channels
+    dwell: np.ndarray   # (0, d) dwell time = Larmor tau_y
+    tau_z: np.ndarray
+    tau_x: np.ndarray
+    bl_T: np.ndarray    # m d/(hbar kappa), the semiclassical time
+    bl_R: np.ndarray    # hbar k/(V0 kappa)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
 
-def _split_k(params: SquareBarrierParams, k: float):
-    """(kappa, kt) with exactly one of them valid; None marks the other."""
-    eps = params.eps
-    if k < eps:
-        return math.sqrt(eps * eps - k * k), None
-    return None, math.sqrt(k * k - eps * eps)
-
-
-def _at_top(params: SquareBarrierParams, k: float) -> bool:
+def _at_top(params: SquareBarrierParams, k):
     return abs(k - params.eps) < _TOP_REL_WINDOW * params.eps
-
-
-def _continue_through_top(f, params: SquareBarrierParams, k: float):
-    """Average of f at k = eps(1 -+ offset); used only in the k = eps window."""
-    eps = params.eps
-    lo = f(params, eps * (1.0 - _TOP_OFFSET))
-    hi = f(params, eps * (1.0 + _TOP_OFFSET))
-    if isinstance(lo, tuple):
-        return tuple(0.5 * (a + b) for a, b in zip(lo, hi))
-    return 0.5 * (lo + hi)
-
-
-def _scaled_den(k: float, kap: float, eps: float, d: float):
-    """(g2, D_sc) below the top: g2 = e^{-2 kappa d} and
-    D_sc = D e^{-2 kappa d}, D = 4 k^2 kappa^2 + eps^4 sinh^2(kappa d).
-    The scaled pair stays finite at any opacity."""
-    g2 = math.exp(-2.0 * kap * d)
-    return g2, 4.0 * k * k * kap * kap * g2 + eps ** 4 * (0.5 * (1.0 - g2)) ** 2
-
-
-def _den_above(k: float, kt: float, eps: float, d: float) -> float:
-    """D continued above the top: 4 k^2 kt^2 + eps^4 sin^2(kt d)."""
-    return 4.0 * k * k * kt * kt + eps ** 4 * math.sin(kt * d) ** 2
-
-
-def _sideband_pair(params: SquareBarrierParams, k: float):
-    """(m d/(hbar kappa), hbar k/(V0 kappa)); kappa -> kt above the top."""
-    if _at_top(params, k):
-        return _continue_through_top(_sideband_pair, params, k)
-    kap, kt = _split_k(params, k)
-    kv = kap if kap is not None else kt
-    u = params.units
-    return u.m_over_hbar * params.d / kv, u.hbar_eV_s * k / (params.V0 * kv)
 
 
 def _fd_richardson(f, x: float, h: float) -> float:
@@ -169,14 +144,85 @@ def _fd_richardson(f, x: float, h: float) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
+def _below_top(params: SquareBarrierParams, k, kap, d):
+    """(bracket, phase, dwell, tau_z) below the top, from 1-D arrays k,
+    kappa and d. Numerators and D = 4 k^2 kappa^2 + eps^4 sinh^2(kappa d) are
+    scaled by e^{-2 kappa d}, so they stay finite at any opacity."""
+    m_h, eps = params.units.m_over_hbar, params.eps
+    g2 = _per_element(math.exp, -2.0 * kap * d)
+    sh_sq = _per_element(_pow2, 0.5 * (1.0 - g2))   # sinh^2(kappa d) e^{-2 kappa d}
+    sh_two = 0.5 * (1.0 - g2 * g2)                  # sinh(2 kappa d) e^{-2 kappa d}
+    den = 4.0 * k * k * kap * kap * g2 + eps ** 4 * sh_sq
+    diff = kap * kap - k * k
+    bracket = (2.0 * kap * d * k * k * diff * g2 + eps ** 4 * sh_two) / den
+    dwell = m_h * k / kap * (2.0 * kap * d * diff * g2 + eps ** 2 * 0.5 * (1.0 - g2 * g2)) / den
+    tau_z = m_h * eps * eps / (kap * kap) * (diff * sh_sq
+                                             + (kap * d * eps * eps / 2.0) * sh_two) / den
+    return bracket, m_h / (k * kap) * bracket, dwell, tau_z
+
+
+def _above_top(params: SquareBarrierParams, k, kt, d):
+    """(phase, dwell, tau_z) above the top, kappa -> i kt, from 1-D arrays k,
+    kt and d; D continues to 4 k^2 kt^2 + eps^4 sin^2(kt d)."""
+    m_h, eps = params.units.m_over_hbar, params.eps
+    s = np.sin(kt * d)
+    s_two = np.sin(2.0 * kt * d)
+    den = 4.0 * k * k * kt * kt + eps ** 4 * _per_element(_pow2, s)
+    phase = m_h / (k * kt) * (2.0 * kt * d * k * k * (kt * kt + k * k) - eps ** 4 * s_two) / den
+    dwell = m_h * k / kt * (2.0 * kt * d * (kt * kt + k * k) - eps ** 2 * s_two) / den
+    tau_z = m_h * eps * eps / (kt * kt) * ((kt * kt + k * k) * s * s
+                                           - (kt * d * eps * eps / 2.0) * s_two) / den
+    return phase, dwell, tau_z
+
+
+def _stationary_times(params: SquareBarrierParams, k, d) -> _Times:
+    """The closed-form times at every point of k and d, broadcast and
+    flattened: the one body behind this module's closed forms.
+
+    params supplies V0, eps and the units; d replaces params.d. Each regime
+    runs on its own elements. The top window |k - eps| < 1e-9 eps takes the
+    one-sided continuation: every quantity is the mean of its own values at
+    k = eps(1 -+ 1e-7), tau_x a mean of two hypots. The operations keep the
+    order of the per-k scalar forms this body replaced, and libm's rounding
+    (scattering._per_element), so each element equals those forms bit for bit.
+    """
+    k, d = _points(k, d)
+    eps, n = params.eps, k.size
+    top = _at_top(params, k)
+    # the window's elements evaluate at eps(1 - offset) in place, and at
+    # eps(1 + offset) appended after the n points
+    kk = np.concatenate([np.where(top, eps * (1.0 - _TOP_OFFSET), k),
+                         np.full(np.count_nonzero(top), eps * (1.0 + _TOP_OFFSET))])
+    dd = np.concatenate([d, d[top]])
+    below = kk < eps
+    q = np.sqrt(np.where(below, eps * eps - kk * kk, kk * kk - eps * eps))  # kappa, or kt
+    phase, dwell, tau_z = np.empty(kk.size), np.empty(kk.size), np.empty(kk.size)
+    for sel, form in ((below, _below_top), (~below, _above_top)):
+        if sel.any():   # [-3:] drops the bracket that leads _below_top's values
+            phase[sel], dwell[sel], tau_z[sel] = form(params, kk[sel], q[sel], dd[sel])[-3:]
+    free = dd == 0
+    phase[free] = dwell[free] = tau_z[free] = 0.0
+    u = params.units
+    cols = [phase, dwell, tau_z, _per_element(math.hypot, dwell, tau_z),
+            u.m_over_hbar * dd / q, u.hbar_eV_s * kk / (params.V0 * q)]
+    for col in cols:
+        col[:n][top] = 0.5 * (col[:n][top] + col[n:])
+    return _Times(u.m_over_hbar * d / k, *(col[:n] for col in cols))
+
+
+def _at(params: SquareBarrierParams, k: float) -> _Times:
+    """_stationary_times at the one point (k, params.d), as floats."""
+    return _Times(*(x.item() for x in _stationary_times(params, k, params.d)))
+
+
 def tau_equivalent(params: SquareBarrierParams, k: float) -> float:
     """Free flight over the barrier width: m d/(hbar k)."""
-    return params.units.m_over_hbar * params.d / k
+    return _at(params, k).eq
 
 
 def tau_semiclassical(params: SquareBarrierParams, k: float) -> float:
     """m d/(hbar kappa); interior-momentum crossing above the top."""
-    return _sideband_pair(params, k)[0]
+    return _at(params, k).bl_T
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +235,11 @@ def hartman_bracket(params: SquareBarrierParams, k: float) -> float:
     [2 kappa d k^2 (kappa^2-k^2) + eps^4 sinh(2 kappa d)] / D with
     D = 4 k^2 kappa^2 + eps^4 sinh^2(kappa d); tends to 2 for opaque barriers.
     """
+    k, d = _points(k, params.d)
     eps = params.eps
-    d = params.d
-    if k >= eps:
+    if k[0] >= eps:
         raise ValueError("bracket defined below the barrier top")
-    kap = math.sqrt(eps * eps - k * k)
-    # numerator and denominator both scaled by e^{-2 kappa d}: finite at any opacity
-    g2, D_sc = _scaled_den(k, kap, eps, d)
-    sh2_sc = 0.5 * (1.0 - g2 * g2)        # sinh(2 kappa d) e^{-2 kappa d}
-    num_sc = 2.0 * kap * d * k * k * (kap * kap - k * k) * g2 + eps ** 4 * sh2_sc
-    return num_sc / D_sc
+    return _below_top(params, k, np.sqrt(eps * eps - k * k), d)[0].item()
 
 
 def extrapolated_phase_times(params: SquareBarrierParams, k: float):
@@ -207,20 +248,7 @@ def extrapolated_phase_times(params: SquareBarrierParams, k: float):
     Both channels coincide for the square barrier. Above the top the
     continued form is used; at k = eps the one-sided limit.
     """
-    _check_k(k)
-    if params.d == 0:
-        return 0.0, 0.0
-    if _at_top(params, k):
-        return _continue_through_top(extrapolated_phase_times, params, k)
-    u = params.units
-    eps = params.eps
-    d = params.d
-    kap, kt = _split_k(params, k)
-    if kap is not None:
-        tau = u.m_over_hbar / (k * kap) * hartman_bracket(params, k)
-    else:
-        num = 2.0 * kt * d * k * k * (kt * kt + k * k) - eps ** 4 * math.sin(2.0 * kt * d)
-        tau = u.m_over_hbar / (k * kt) * num / _den_above(k, kt, eps, d)
+    tau = _at(params, k).phase
     return tau, tau
 
 
@@ -250,20 +278,7 @@ def dwell_time_closed(params: SquareBarrierParams, k: float) -> float:
     (m/hbar)(k/kappa) [2 kappa d (kappa^2-k^2) + eps^2 sinh(2 kappa d)] / D.
     The prefactor carries kappa^1, fixed against the direct |psi|^2 integral.
     """
-    if params.d == 0:
-        return 0.0
-    if _at_top(params, k):
-        return _continue_through_top(dwell_time_closed, params, k)
-    u = params.units
-    eps = params.eps
-    d = params.d
-    kap, kt = _split_k(params, k)
-    if kap is not None:
-        g2, D_sc = _scaled_den(k, kap, eps, d)
-        num_sc = 2.0 * kap * d * (kap * kap - k * k) * g2 + eps ** 2 * 0.5 * (1.0 - g2 * g2)
-        return u.m_over_hbar * k / kap * num_sc / D_sc
-    num = 2.0 * kt * d * (kt * kt + k * k) - eps ** 2 * math.sin(2.0 * kt * d)
-    return u.m_over_hbar * k / kt * num / _den_above(k, kt, eps, d)
+    return _at(params, k).dwell
 
 
 @functools.cache
@@ -325,26 +340,8 @@ def larmor_times(params: SquareBarrierParams, k: float):
     tau_x = hypot(tau_y, tau_z). Above the top the continued forms are used
     (tau_z then oscillates in sign; the thick-barrier limits do not apply).
     """
-    if params.d == 0:
-        return 0.0, 0.0, 0.0
-    if _at_top(params, k):
-        return _continue_through_top(larmor_times, params, k)
-    u = params.units
-    eps = params.eps
-    d = params.d
-    tau_y = dwell_time_closed(params, k)
-    kap, kt = _split_k(params, k)
-    if kap is not None:
-        g2, D_sc = _scaled_den(k, kap, eps, d)
-        sh2_sc = (0.5 * (1.0 - g2)) ** 2            # sinh^2 e^{-2 kappa d}
-        sh_two_sc = 0.5 * (1.0 - g2 * g2)           # sinh(2 kappa d) e^{-2 kappa d}
-        num_sc = (kap * kap - k * k) * sh2_sc + (kap * d * eps * eps / 2.0) * sh_two_sc
-        tau_z = u.m_over_hbar * eps * eps / (kap * kap) * num_sc / D_sc
-    else:
-        s = math.sin(kt * d)
-        num = (kt * kt + k * k) * s * s - (kt * d * eps * eps / 2.0) * math.sin(2.0 * kt * d)
-        tau_z = u.m_over_hbar * eps * eps / (kt * kt) * num / _den_above(k, kt, eps, d)
-    return tau_y, tau_z, math.hypot(tau_y, tau_z)
+    t = _at(params, k)
+    return t.dwell, t.tau_z, t.tau_x
 
 
 def _amp_phase_k_kappa(k: float, kap: float, d: float, below: bool):
@@ -379,15 +376,18 @@ def larmor_times_kappa_derivative(params: SquareBarrierParams, k: float):
     fixed k with (k, kappa) independent. Above the top both derivatives
     flip sign (d/d kappa -> -d/d kt under kappa^2 -> -kt^2).
     """
+    _check_k(k)
     if params.d == 0:
         return 0.0, 0.0, 0.0
+    eps = params.eps
     if _at_top(params, k):
-        return _continue_through_top(larmor_times_kappa_derivative, params, k)
+        lo = larmor_times_kappa_derivative(params, eps * (1.0 - _TOP_OFFSET))
+        hi = larmor_times_kappa_derivative(params, eps * (1.0 + _TOP_OFFSET))
+        return tuple(0.5 * (a + b) for a, b in zip(lo, hi))
     u = params.units
     d = params.d
-    kap, kt = _split_k(params, k)
-    below = kap is not None
-    kv = kap if below else kt
+    below = k < eps
+    kv = math.sqrt(eps * eps - k * k) if below else math.sqrt(k * k - eps * eps)
     h = 1e-6 * kv
     sign = -1.0 if below else 1.0
 
@@ -404,8 +404,8 @@ def larmor_times_kappa_derivative(params: SquareBarrierParams, k: float):
 
 def complex_time(params: SquareBarrierParams, k: float) -> complex:
     """tau_y + i tau_z; |.| equals tau_x."""
-    tau_y, tau_z, _ = larmor_times(params, k)
-    return complex(tau_y, tau_z)
+    t = _at(params, k)
+    return complex(t.dwell, t.tau_z)
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +421,15 @@ def buttiker_landauer(params: SquareBarrierParams, k: float, omega: float = 0.0,
     omega -> 0 limit (deltaV tau_BL_T / 2 hbar)^2 taken exactly at omega = 0.
     band_ratio = tanh(omega tau_BL_T).
     """
-    u = params.units
-    eps = params.eps
-    if k >= eps * (1.0 - _TOP_REL_WINDOW):
+    if not (math.isfinite(omega) and omega >= 0):
+        raise ValueError(f"omega must be finite and >= 0, got {omega}")
+    if not (math.isfinite(deltaV) and deltaV >= 0):
+        raise ValueError(f"deltaV must be finite and >= 0, got {deltaV}")
+    tau_T, tau_R = _at(params, k)[-2:]
+    if k >= params.eps * (1.0 - _TOP_REL_WINDOW):
         raise ValueError("sideband times undefined at or above the barrier top")
+    u = params.units
     E = float(u.E_of_k(k))
-    tau_T, tau_R = _sideband_pair(params, k)
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
     hw = u.hbar_eV_s * omega
     if hw > 0.1 * min(E, params.V0 - E):
         warnings.warn("hbar*omega not small compared to E and V0-E; "
@@ -450,21 +451,6 @@ def buttiker_landauer(params: SquareBarrierParams, k: float, omega: float = 0.0,
 # dwell decomposition and special barriers
 
 
-def _phase_derivatives_closed(params: SquareBarrierParams, k: float):
-    """(alpha_full', beta') by high-order differences on the closed phases."""
-    h = 1e-6 * k
-
-    def alpha_full(kv):
-        return closed_form_square(params, kv)[2]
-
-    def a_ref(kv):
-        return transmission_phase_reference(params, kv)
-
-    ap = _fd_richardson(alpha_full, k, h)
-    bp = _fd_richardson(a_ref, k, h)   # beta = alpha_ref - pi/2 below the top
-    return ap, bp
-
-
 def self_interference_identity(params: SquareBarrierParams, k: float,
                                x1: float, x2: float | None = None) -> SelfInterferenceResult:
     """Decompose the (x1, x2) dwell time into channel times plus interference.
@@ -475,12 +461,12 @@ def self_interference_identity(params: SquareBarrierParams, k: float,
     The interference term enters with a plus sign; its k-average over a
     packet wide against 1/|x1| suppresses it.
     """
-    if x1 > 0:
-        raise ValueError("x1 must be <= 0")
+    if not (math.isfinite(x1) and x1 <= 0):
+        raise ValueError(f"x1 must be finite and <= 0, got {x1}")
     if x2 is None:
         x2 = params.d
-    if x2 < params.d:
-        raise ValueError("x2 must be >= d")
+    if not (math.isfinite(x2) and x2 >= params.d):
+        raise ValueError(f"x2 must be finite and >= d, got {x2}")
     if k >= params.eps * (1.0 - _TOP_REL_WINDOW):
         raise ValueError("decomposition implemented for the sub-barrier regime")
     u = params.units
@@ -510,6 +496,7 @@ def step_barrier_times(V0: float, k: float, units: UnitSystem = ELECTRON) -> Ste
     dtau_R = 2m/(hbar k kappa); tau_dwell = (E/V0) dtau_R;
     delta_tau_dwell = ((E-V0)/V0) dtau_R = (m/hbar k^2) sin(beta) at x1 = 0.
     """
+    _check_k(k)
     E = float(units.E_of_k(k))
     if E >= V0:
         raise ValueError("step relations are sub-barrier")
@@ -549,7 +536,7 @@ def reshaping_check(params: SquareBarrierParams, k0: float, dk: float,
     lo = max(1e-4, k0 - 6.0 * dk)
     hi = k0 + 6.0 * dk
     ks = np.linspace(lo, hi, n_grid)
-    T = np.array([closed_form_square(params, kk)[0] for kk in ks.tolist()])
+    T = _square_amplitudes(params, ks, params.d)[0]
     f = np.exp(-((ks - k0) ** 2) / (2.0 * dk * dk))
     prod = T * f
     peak_shift = float(ks[int(np.argmax(prod))] - k0)
@@ -581,12 +568,11 @@ def spectrum_summary(packet, params: SquareBarrierParams) -> PacketSpectrumSumma
     ks = np.asarray(packet.k_nodes, dtype=float)
     wq = np.asarray(packet.weights, dtype=float)
     f2 = np.asarray(packet.amplitude, dtype=float) ** 2
-    T = np.empty_like(ks)
-    ap = np.empty_like(ks)
-    bp = np.empty_like(ks)
-    for i, kk in enumerate(ks):
-        T[i] = closed_form_square(params, kk)[0]
-        ap[i], bp[i] = _phase_derivatives_closed(params, kk)
+    T = _square_amplitudes(params, ks, params.d)[0]
+    # the exact phase slopes: alpha_ref' = v dtau_phase, alpha' = alpha_ref' - d,
+    # and beta' = alpha_ref' (beta = alpha_ref - pi/2 below the top)
+    bp = u.v_of_k(ks) * _stationary_times(params, ks, params.d).phase
+    ap = bp - params.d
     R2 = np.maximum(1.0 - T ** 2, 0.0)
     w_in = wq * f2
     w_T = w_in * T ** 2
@@ -633,24 +619,20 @@ def time_report(params: SquareBarrierParams, k: float) -> TimeReport:
     the top (continued forms; sideband and semiclassical times then use the
     interior oscillatory wavenumber).
     """
-    _check_k(k)
-    dt_T, dt_R = extrapolated_phase_times(params, k)
-    # tau_y is the (0, d) dwell time and the real part of the complex time
-    tau_y, tau_z, tau_x = larmor_times(params, k)
+    t = _at(params, k)
+    # tau_y is the (0, d) dwell time and the real part of the complex time;
     # tau_BL_T is the semiclassical time m d/(hbar kappa)
-    bl_T, bl_R = _sideband_pair(params, k) if params.d > 0 else (0.0, 0.0)
-
     return TimeReport(
         k=k,
-        tau_eq=tau_equivalent(params, k),
-        dtau_phase_T=dt_T,
-        dtau_phase_R=dt_R,
-        tau_dwell=tau_y,
-        tau_larmor_y=tau_y,
-        tau_larmor_z=tau_z,
-        tau_larmor_x=tau_x,
-        tau_BL_T=bl_T,
-        tau_BL_R=bl_R,
-        tau_semiclassical=bl_T,
-        tau_complex=complex(tau_y, tau_z),
+        tau_eq=t.eq,
+        dtau_phase_T=t.phase,
+        dtau_phase_R=t.phase,
+        tau_dwell=t.dwell,
+        tau_larmor_y=t.dwell,
+        tau_larmor_z=t.tau_z,
+        tau_larmor_x=t.tau_x,
+        tau_BL_T=t.bl_T,
+        tau_BL_R=t.bl_R if params.d > 0 else 0.0,
+        tau_semiclassical=t.bl_T,
+        tau_complex=complex(t.dwell, t.tau_z),
     )

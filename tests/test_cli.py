@@ -443,3 +443,54 @@ def test_bohm_trajectory_that_stops_early_pads_its_column(tmp_path, monkeypatch,
         assert np.isnan(row[names.index("entry_t_s")])
         assert np.isnan(row[names.index("exit_t_s")])
     assert (tmp_path / "bohm_traj.svg").exists()
+
+
+# tables against the frozen package in bench/baseline
+
+
+def _sets(**values):
+    return [a for key, v in values.items() for a in ("--set", f"{key}={v}")]
+
+
+FROZEN_RUNS = [
+    ("times", _sets(V0=10, d=5, k_min=0.2, k_max=2.6, k_points=301)),
+    ("times", _sets(V0=6.3, d=3.7, E_min=0.2, E_max=11.0, E_points=301)),
+    ("times", _sets(V0=10, E=5, d_min=0.3, d_max=18.0, d_points=301)),
+    # across the top, with one node on it
+    ("times", _sets(V0=10, d=5, E_min=5, E_max=15, E_points=3)),
+    ("times", _sets(V0=10, d=5, E=10)),
+    ("reshape", _sets(V0=10, d=5, E=9.5, dk=0.05, n_grid=2001, svg="true")),
+    ("optical", _sets(svg="true", ratio_points=301, kapL_points=301, gap_points=5)),
+]
+
+
+def _without_timestamp(path: Path) -> bytes:
+    return b"".join(ln for ln in path.read_bytes().splitlines(keepends=True)
+                    if not ln.startswith(b"# timestamp: "))
+
+
+@pytest.mark.parametrize("cmd, args", FROZEN_RUNS)
+def test_cli_tables_match_frozen_package(frozen, tmp_path, cmd, args):
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert run([cmd] + args, new) == 0
+    assert frozen["cli"].main([cmd] + args + ["--out", str(old)]) == 0
+    names = sorted(p.name for p in new.iterdir())
+    assert names == sorted(p.name for p in old.iterdir())
+    for name in names:
+        assert _without_timestamp(new / name) == _without_timestamp(old / name), name
+
+
+def test_cli_hartman_stationary_columns_match_frozen_package(frozen, tmp_path):
+    # the flux column comes from the packet code, which has changed since
+    args = ["hartman"] + _sets(V0=10, E=5, d_min=1.0, d_max=9.0, d_points=3, n_nodes=65)
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert run(args, new) == 0
+    assert frozen["cli"].main(args + ["--out", str(old)]) == 0
+    tables = []
+    for out in (new, old):
+        lines = _without_timestamp(out / "hartman.csv").decode().splitlines()
+        names = next(ln for ln in lines if not ln.startswith("#")).split(",")
+        skip = names.index("tau_flux_tun_s")
+        tables.append([[c for j, c in enumerate(ln.split(",")) if j != skip]
+                       if not ln.startswith("#") else ln for ln in lines])
+    assert tables[0] == tables[1]

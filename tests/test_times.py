@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tunneltime import times as tt
-from tunneltime.scattering import PiecewisePotential, SquareBarrierParams
+from tunneltime.scattering import (
+    PiecewisePotential,
+    SquareBarrierParams,
+    closed_form_square,
+    delta_closed_form,
+    transmission_phase_reference,
+)
 from tunneltime.units import ELECTRON, HBAR_EVS, k_of_E
 from tunneltime.wavepacket import SpectralPacket
 
@@ -315,6 +321,56 @@ def test_spectrum_summary_symmetric_input():
     assert s.x0 == 0.0
 
 
+def _parent_spectrum_summary(packet, params):
+    """spectrum_summary as it was, with the phase slopes by a centered
+    difference and one Richardson step on 8 closed phases per node: the
+    oracle of the exact slopes."""
+    h_rel = 1e-6
+    ks = np.asarray(packet.k_nodes, dtype=float)
+    wq = np.asarray(packet.weights, dtype=float)
+    f2 = np.asarray(packet.amplitude, dtype=float) ** 2
+    T = np.empty_like(ks)
+    ap = np.empty_like(ks)
+    bp = np.empty_like(ks)
+    for i, kk in enumerate(ks):
+        T[i] = closed_form_square(params, kk)[0]
+        ap[i] = tt._fd_richardson(lambda kv: closed_form_square(params, kv)[2], kk, h_rel * kk)
+        bp[i] = tt._fd_richardson(lambda kv: transmission_phase_reference(params, kv),
+                                  kk, h_rel * kk)
+    R2 = np.maximum(1.0 - T ** 2, 0.0)
+    w_in = wq * f2
+    w_T = w_in * T ** 2
+    w_R = w_in * R2
+    s_in, s_T, s_R = w_in.sum(), w_T.sum(), w_R.sum()
+    return tt.PacketSpectrumSummary(
+        k0=float(packet.k0), dk=float(packet.dk),
+        mean_k_in=float((w_in * ks).sum() / s_in),
+        mean_k_T=float((w_T * ks).sum() / s_T),
+        mean_k_R=float((w_R * ks).sum() / s_R),
+        mean_alpha_prime_T=float((w_T * ap).sum() / s_T),
+        mean_beta_prime_R=float((w_R * bp).sum() / s_R),
+        x0=float(getattr(packet, "x0", 0.0)),
+    ), ap, bp
+
+
+# the reference packet, and one above the top
+@pytest.mark.parametrize("V0_, d, E", [(V0, 5.0, 5.0), (5.0, 8.0, 6.0)])
+def test_spectrum_summary_exact_slopes_match_richardson(V0_, d, E):
+    params = SquareBarrierParams(V0_, d)
+    pkt = SpectralPacket.gaussian(float(k_of_E(E)), 0.02, n_nodes=513)
+    want, ap, bp = _parent_spectrum_summary(pkt, params)
+    got = tt.spectrum_summary(pkt, params)
+    for name in ("k0", "dk", "mean_k_in", "mean_k_T", "mean_k_R", "x0"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.mean_alpha_prime_T == pytest.approx(want.mean_alpha_prime_T, rel=1e-7, abs=0)
+    assert got.mean_beta_prime_R == pytest.approx(want.mean_beta_prime_R, rel=1e-7, abs=0)
+    # node by node: alpha_ref' = v dtau_phase, alpha' = alpha_ref' - d, beta' = alpha_ref'
+    exact = ELECTRON.v_of_k(pkt.k_nodes) * np.array(
+        [tt.extrapolated_phase_times(params, k)[0] for k in pkt.k_nodes.tolist()])
+    assert np.abs(exact - bp).max() <= 1e-7 * np.abs(exact).min()
+    assert np.abs(exact - d - ap).max() <= 1e-7 * np.abs(exact).min()
+
+
 def test_centroid_zero_width_barrier():
     s = make_summary(0.02, 0.0)
     tau_T, _ = tt.centroid_times(s, SquareBarrierParams(V0, 0.0))
@@ -361,3 +417,40 @@ def test_phase_dwell_selfinterference_consistency(krel, deps):
     p = SquareBarrierParams(V0, deps / EPS)
     res = tt.self_interference_identity(p, krel * EPS, x1=-2.0)
     assert abs(res.residual) <= 1e-9 * max(abs(res.tau_dwell), 1e-16)
+
+
+# ---------------------------------------------------------------------------
+# input validation
+
+
+_P = SquareBarrierParams(V0, 5.0)
+
+# each takes a bad value in one argument; x1 gets -bad, since x1 = -1 is valid
+BAD_INPUT = {
+    "dwell_time_closed": lambda b: tt.dwell_time_closed(_P, b),
+    "larmor_times": lambda b: tt.larmor_times(_P, b),
+    "complex_time": lambda b: tt.complex_time(_P, b),
+    "tau_semiclassical": lambda b: tt.tau_semiclassical(_P, b),
+    "tau_equivalent": lambda b: tt.tau_equivalent(_P, b),
+    "hartman_bracket": lambda b: tt.hartman_bracket(_P, b),
+    "buttiker_landauer k": lambda b: tt.buttiker_landauer(_P, b),
+    "buttiker_landauer omega": lambda b: tt.buttiker_landauer(_P, K5, omega=b),
+    "buttiker_landauer deltaV": lambda b: tt.buttiker_landauer(_P, K5, omega=1e12, deltaV=b),
+    "step_barrier_times": lambda b: tt.step_barrier_times(V0, b),
+    "step_dwell_numeric": lambda b: tt.step_dwell_numeric(V0, b),
+    "delta_closed_form": lambda b: delta_closed_form(50.0, b),
+    "larmor_times_kappa_derivative": lambda b: tt.larmor_times_kappa_derivative(_P, b),
+    "self_interference_identity k": lambda b: tt.self_interference_identity(_P, b, x1=-1.0),
+    "self_interference_identity x1": lambda b: tt.self_interference_identity(_P, K5, x1=-b),
+    "self_interference_identity x2": lambda b: tt.self_interference_identity(_P, K5, x1=-1.0,
+                                                                             x2=b),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("call", sorted(BAD_INPUT))
+def test_library_rejects_bad_input(call, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a raise, not a warning on the way to nan
+        with pytest.raises(ValueError):
+            BAD_INPUT[call](bad)
