@@ -4,7 +4,7 @@ Subcommands map onto the library modules: ``times`` sweeps the stationary
 catalogue, ``evolve`` traces flux penetration and return curves, ``hartman``
 puts width sweeps next to the analytic saturation value, ``reshape`` emits
 the spectral-filter diagnostics, ``optical`` tabulates the waveguide
-equivalence, ``bohm`` integrates trajectory ensembles.
+equivalence, ``bohm`` traces guidance-trajectory ensembles.
 
 Config files are flat ``key = value`` text with ``#`` comments; ``--set``
 overrides individual keys. Exit codes: 0 success, 2 config or I/O error,
@@ -423,7 +423,6 @@ def cmd_times(run: RunConfig) -> int:
         vals = _sweep(cfg, sweeps[0])
         k, d = (vals if sweeps[0] == "k" else np.asarray(k_of_E(vals))), cfg["d"]
 
-    # d > 0 on every row: time_report's zero-width sideband times never apply
     params = SquareBarrierParams(cfg["V0"], 0.0)   # the widths are d
     T, R, alpha, beta = _square_amplitudes(params, k, d)
     t = tms._stationary_times(params, k, d)
@@ -693,7 +692,6 @@ BOHM_SCHEMA = {
     "t_start": (float, -3e-14),
     "t_end": (float, 1.5e-14),
     "n_out": (int, 401),
-    "rtol": (float, 1e-6),
     "transmitted_only": (bool, True),
     "with_flux": (bool, True),
     "svg": (bool, False),
@@ -702,7 +700,7 @@ BOHM_SCHEMA = {
 
 def cmd_bohm(run: RunConfig) -> int:
     cfg = run.values
-    _positive(cfg, "V0", "d", "E", "k0", "dk", "n_traj", "n_out", "rtol")
+    _positive(cfg, "V0", "d", "E", "k0", "dk", "n_traj", "n_out")
     if not (math.isfinite(cfg["t_start"]) and math.isfinite(cfg["t_end"])):
         raise ConfigError(f"'t_start' and 't_end' must be finite, got "
                           f"{cfg['t_start']} and {cfg['t_end']}")
@@ -721,13 +719,13 @@ def cmd_bohm(run: RunConfig) -> int:
     seeds = wp.seed_positions(packet, pot, cfg["t_start"], cfg["n_traj"],
                               (lo, hi), quantile_range=qrange)
     trajs = wp.bohm_trajectories(packet, pot, seeds, cfg["t_start"], cfg["t_end"],
-                                 rtol=cfg["rtol"], n_out=cfg["n_out"])
+                                 n_out=cfg["n_out"])
 
     rows = []
     dwells = []
     flagged = False
     for i, (seed, traj) in enumerate(zip(seeds, trajs)):
-        transmitted = bool(traj.x.size and traj.x[-1] > pot.x_right)
+        transmitted = bool(traj.x[-1] > pot.x_right)
         flagged = flagged or traj.degenerate
         dwell = traj.barrier_dwell
         if transmitted and not traj.degenerate and math.isfinite(dwell):
@@ -735,7 +733,10 @@ def cmd_bohm(run: RunConfig) -> int:
         rows.append((i, float(seed), int(transmitted), int(traj.degenerate),
                      traj.barrier_entry, traj.barrier_exit, dwell))
 
-    meta = {"P_T": P_T, "n_transmitted_used": len(dwells)}
+    disagreement = wp.bohm_route_disagreement(trajs, pot)
+    flagged = flagged or disagreement > wp.BOHM_ROUTE_TOL
+    meta = {"P_T": P_T, "n_transmitted_used": len(dwells),
+            "bohm_route_disagreement": disagreement}
     if dwells:
         meta["bohm_mean_transmission_s"] = float(np.mean(dwells))
     if cfg["with_flux"]:
@@ -748,12 +749,7 @@ def cmd_bohm(run: RunConfig) -> int:
               ["traj_id", "seed_x_A", "transmitted", "degenerate",
                "entry_t_s", "exit_t_s", "dwell_s"], rows, meta=meta)
 
-    # the full output grid; a trajectory that stopped early (flagged
-    # degenerate) reads nan after its last sample
-    bohm_traj = np.full((cfg["n_out"], 1 + len(trajs)), np.nan)
-    bohm_traj[:, 0] = np.linspace(cfg["t_start"], cfg["t_end"], cfg["n_out"])
-    for col, tr in enumerate(trajs, 1):
-        bohm_traj[:tr.x.size, col] = tr.x
+    bohm_traj = np.column_stack([trajs[0].t] + [tr.x for tr in trajs])
     write_csv(run.out_dir / "bohm_traj.csv", run,
               ["t_s"] + [f"x_{i}" for i in range(len(trajs))], bohm_traj)
     if cfg["svg"]:

@@ -222,7 +222,8 @@ class _Modes:
         """
         if region == 0 or region > len(self.segs):
             if e_p is None:
-                e_p = np.exp(self.ik * x if region == 0 else self.ik_out * (x - self.x_out))
+                e_p = self.ik * x if region == 0 else self.ik_out * (x - self.x_out)
+                np.exp(e_p, out=e_p)
             # products in place (a block's arrays are large), with the
             # operand order of the plain formula: SIMD complex products
             # round differently when the operands swap
@@ -238,8 +239,9 @@ class _Modes:
         xl, xr, nkap, A, b_right, nkap_A, kap_b, lin, psi_l, dpsi_l = self.segs[region - 1]
         dec = np.exp(nkap * (x - xl))
         grow = np.exp(nkap * (xr - x))
-        psi = A * dec + b_right * grow
         dpsi = nkap_A * dec + kap_b * grow if derivative else None
+        psi = np.multiply(A, dec, out=dec)   # in place, as above
+        psi += np.multiply(b_right, grow, out=grow)
         if lin.size:
             psi[..., lin] = psi_l + dpsi_l * (x - xl)
             if derivative:

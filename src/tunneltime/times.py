@@ -200,11 +200,11 @@ def _stationary_times(params: SquareBarrierParams, k, d) -> _Times:
     for sel, form in ((below, _below_top), (~below, _above_top)):
         if sel.any():   # [-3:] drops the bracket that leads _below_top's values
             phase[sel], dwell[sel], tau_z[sel] = form(params, kk[sel], q[sel], dd[sel])[-3:]
-    free = dd == 0
+    free = dd == 0   # no barrier: every time is 0
     phase[free] = dwell[free] = tau_z[free] = 0.0
     u = params.units
     cols = [phase, dwell, tau_z, _per_element(math.hypot, dwell, tau_z),
-            u.m_over_hbar * dd / q, u.hbar_eV_s * kk / (params.V0 * q)]
+            u.m_over_hbar * dd / q, np.where(free, 0.0, u.hbar_eV_s * kk / (params.V0 * q))]
     for col in cols:
         col[:n][top] = 0.5 * (col[:n][top] + col[n:])
     return _Times(u.m_over_hbar * d / k, *(col[:n] for col in cols))
@@ -632,7 +632,7 @@ def time_report(params: SquareBarrierParams, k: float) -> TimeReport:
         tau_larmor_z=t.tau_z,
         tau_larmor_x=t.tau_x,
         tau_BL_T=t.bl_T,
-        tau_BL_R=t.bl_R if params.d > 0 else 0.0,
+        tau_BL_R=t.bl_R,
         tau_semiclassical=t.bl_T,
         tau_complex=complex(t.dwell, t.tau_z),
     )

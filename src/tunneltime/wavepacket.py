@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -40,6 +39,7 @@ SUPPORT_THRESHOLD = 1e-8       # of max |J|; above this the flux is still flowin
 PHASE_BLOCK = 64               # rows of the exp(-i omega t) matrix held at once
 EVEN_GRID_TOL = 1e-12          # rad; max phase error the even-grid recurrence may add
 ENSEMBLE_CACHE_SIZE = 8        # packet ensembles kept for reuse, least recent dropped
+BOHM_ROUTE_TOL = 0.05          # largest relative gap between the two Bohm crossing routes
 
 
 @dataclass(frozen=True)
@@ -190,63 +190,54 @@ def evolve(packet: SpectralPacket, potential: PiecewisePotential, x, t):
     a len(x) x len(k) nor a len(t) x len(k) matrix is ever held. Raises
     ValueError for a non-finite x or t.
     """
-    ens = _ensemble(packet, potential)
-    if np.ndim(x) == 0 and np.ndim(t) == 0:
-        return _point(ens, x, t)
-    return _blocked(ens, x, t, derivative=True)
+    psi, dpsi = _tabulate(_ensemble(packet, potential), x, t, True,
+                          lambda p, _: p, lambda _, d: d, dtype=complex)
+    return psi, dpsi
 
 
-def _point(ens: _Ensemble, x, t):
-    """(Psi, dPsi/dx) at one position and time: evolve's scalar case.
-
-    Guidance integration calls this directly with an ensemble it resolved
-    once, so a right-hand side pays neither the cache lookup nor evolve's
-    dispatch, and no blocks are set up.
-    """
-    xv, tv = float(x), float(t)
-    if not (math.isfinite(xv) and math.isfinite(tv)):
-        raise ValueError("x and t must be finite")
-    pj, dj = ens.modes_at(xv)
-    phase = _phase(np.array([tv]), ens.omega)
-    return ((phase @ (ens.coef * pj)[:, None])[0, 0],
-            (phase @ (ens.coef * dj)[:, None])[0, 0])
-
-
-def _blocked(ens: _Ensemble, x, t, derivative: bool):
-    """evolve's block loop; dPsi/dx is None when derivative is False.
-
-    Callers that need only Psi (densities over long position lists) skip
-    the derivative's share of the work.
-    """
-    xs = np.asarray(x, dtype=float).ravel()
-    ts = np.asarray(t, dtype=float).ravel()
+def _blocks(ens: _Ensemble, xs: np.ndarray, ts: np.ndarray, derivative: bool):
+    """Yield (rows, cols, Psi, dPsi/dx) over blocks of at most PHASE_BLOCK
+    times and PHASE_BLOCK positions; dPsi/dx is None when derivative is
+    False. Raises ValueError for a non-finite x or t."""
     if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
         raise ValueError("x and t must be finite")
     # one phase block serves every mode block; longer time lists are
     # formed again for each block of positions
     one_phase = [(slice(None), _phase(ts, ens.omega))] if len(ts) <= PHASE_BLOCK else None
-    psi = np.empty((len(ts), len(xs)), complex)
-    dpsi = np.empty_like(psi) if derivative else None
     for cols, pm, dm in ens.mode_blocks(xs, derivative):
         np.multiply(ens.coef, pm, out=pm)
         if derivative:
             np.multiply(ens.coef, dm, out=dm)
         for rows, phase in one_phase or _phase_blocks(ts, ens.omega):
-            psi[rows, cols] = phase @ pm.T
-            if derivative:
-                dpsi[rows, cols] = phase @ dm.T
+            yield rows, cols, phase @ pm.T, phase @ dm.T if derivative else None
+        del pm, dm   # before the next block's modes are formed
+
+
+def _tabulate(ens: _Ensemble, x, t, derivative: bool, *cells, dtype=float) -> list:
+    """One table per cell(Psi, dPsi/dx), shaped as evolve shapes Psi and
+    filled block by block (dPsi/dx is None when derivative is False)."""
+    xs = np.asarray(x, dtype=float).ravel()
+    ts = np.asarray(t, dtype=float).ravel()
+    tables = [np.empty((len(ts), len(xs)), dtype) for _ in cells]
+    for rows, cols, p, d in _blocks(ens, xs, ts, derivative):
+        for table, cell in zip(tables, cells):
+            table[rows, cols] = cell(p, d)
+        del p, d
     if np.ndim(x) == 0:
-        psi = psi[:, 0]
-        dpsi = dpsi[:, 0] if derivative else None
-    if np.ndim(t) == 0:
-        return psi[0], dpsi[0] if derivative else None
-    return psi, dpsi
+        tables = [table[:, 0] for table in tables]
+    return [table[0] for table in tables] if np.ndim(t) == 0 else tables
+
+
+def _density(ens: _Ensemble, x, t) -> np.ndarray:
+    """|Psi|^2, shaped as evolve shapes Psi, with no complex table held."""
+    return _tabulate(ens, x, t, False, lambda p, _: np.abs(p) ** 2)[0]
 
 
 def current(packet: SpectralPacket, potential: PiecewisePotential, x, t):
     """Probability current J(x,t) = (hbar/m) Im(Psi* dPsi/dx)."""
-    psi, dpsi = evolve(packet, potential, x, t)
-    return packet.units.hbar_over_m * np.imag(np.conj(psi) * dpsi)
+    hbar_over_m = packet.units.hbar_over_m
+    return _tabulate(_ensemble(packet, potential), x, t, True,
+                     lambda p, d: hbar_over_m * np.imag(np.conj(p) * d))[0]
 
 
 @dataclass
@@ -436,8 +427,7 @@ def norm_on_window(packet: SpectralPacket, potential: PiecewisePotential, t: flo
                    window: tuple[float, float], dx: float = 0.1) -> float:
     """Probability content of a spatial window at time t (trapezoid rule)."""
     xs = np.arange(window[0], window[1] + dx / 2, dx)
-    psi, _ = _blocked(_ensemble(packet, potential), xs, t, derivative=False)
-    return float(np.trapezoid(np.abs(psi) ** 2, xs))
+    return float(np.trapezoid(_density(_ensemble(packet, potential), xs, t), xs))
 
 
 def centroid_trajectory(packet: SpectralPacket, potential: PiecewisePotential, t,
@@ -449,8 +439,7 @@ def centroid_trajectory(packet: SpectralPacket, potential: PiecewisePotential, t
     """
     xs = np.arange(window[0], window[1] + dx / 2, dx)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    psi, _ = _blocked(_ensemble(packet, potential), xs, ts, derivative=False)
-    rho = np.abs(psi) ** 2
+    rho = _density(_ensemble(packet, potential), xs, ts)
     mass = np.trapezoid(rho, xs, axis=1)
     xbar = np.trapezoid(rho * xs, xs, axis=1) / np.where(mass > 0, mass, np.nan)
     if np.isscalar(t) or np.asarray(t).ndim == 0:
@@ -493,7 +482,7 @@ class BohmTrajectory:
 def bohm_velocity(packet: SpectralPacket, potential: PiecewisePotential,
                   x: float, t: float, rho_floor: float = 0.0) -> float:
     """Guidance velocity J/rho in A/s; raises when rho is below the floor."""
-    psi, dpsi = _point(_ensemble(packet, potential), x, t)
+    psi, dpsi = evolve(packet, potential, x, t)
     rho = abs(psi) ** 2
     if rho <= rho_floor:
         raise ValueError("density below floor; velocity undefined near node")
@@ -508,11 +497,16 @@ def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
 
     quantile_range selects a slice of the region's own cumulative density,
     e.g. (1 - P_T, 1) picks the rightmost P_T fraction, which by the 1-D
-    no-crossing property is exactly the transmitted subensemble.
+    no-crossing property is exactly the transmitted subensemble. Raises
+    ValueError for n_seeds < 1 or a region whose upper end does not exceed
+    its lower one.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    if not region[1] > region[0]:
+        raise ValueError(f"region must run from low to high, got {region}")
     xs = np.linspace(region[0], region[1], n_grid)
-    psi, _ = _blocked(_ensemble(packet, potential), xs, t_start, derivative=False)
-    rho = np.abs(psi) ** 2
+    rho = _density(_ensemble(packet, potential), xs, t_start)
     cdf = _cumulative_trapezoid(rho, xs)
     cdf /= cdf[-1]
     lo, hi = quantile_range
@@ -522,206 +516,204 @@ def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
 
 def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
                       seeds, t_start: float, t_end: float,
-                      rho_floor_rel: float = 1e-8, rtol: float = 1e-6,
                       n_out: int = 801) -> list[BohmTrajectory]:
-    """Integrate guidance trajectories x' = J/rho from each seed.
+    """Guidance trajectories from the 1-D no-crossing property, with no ODE.
 
-    Adaptive Dormand-Prince 5(4) integration (_rk45, which reproduces scipy's
-    solve_ivp RK45 bit for bit) with step control on |dx|, sampled on n_out
-    evenly spaced times from t_start to t_end. A trajectory that meets
-    density below rho_floor_rel * rho(seed maximum), or whose step size
-    collapses, is marked degenerate, not silently continued; after a
-    collapse its t and x stop at the last step that succeeded. Barrier
-    entry/exit times are interpolated from the samples where applicable.
-    Non-finite t_start, t_end or seeds raise ValueError before any
-    integration.
+    Trajectories cannot cross in 1-D, so the probability mass m to the right
+    of each one is conserved (Leavens, Solid State Commun. 74, 923 (1990)).
+    A seed's m is the mass M(x, t_start) to the right of it; at each of n_out
+    evenly spaced times from t_start to t_end, the trajectory x_m(t) solves
+    M(x, t) = m. M is a reverse cumulative trapezoid of |Psi|^2 on a graded
+    grid (_bohm_grid), PHASE_BLOCK times at a time, summed from the packet
+    front leftward until every mass is reached (_quantiles). A trajectory
+    whose mass the window does not bracket on some row (a seed off the
+    packet's grid) is marked degenerate; every trajectory spans the full
+    output grid.
+
+    Barrier entry and exit are the first times at which the mass that has
+    crossed x_left or x_right, M(x_p, t_start) + int J(x_p, t) dt on a
+    DT_FINE grid, reaches m: a second route that integrates the flux over t
+    at fixed x, where the samples integrate the density over x at fixed t
+    (bohm_route_disagreement compares them). Raises ValueError for
+    non-finite or no seeds, non-finite times, t_end <= t_start or n_out < 1
+    before any evaluation.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     if not (math.isfinite(t_start) and math.isfinite(t_end) and np.isfinite(seeds).all()):
         raise ValueError(f"t_start, t_end and the seeds must be finite, got "
                          f"t_start={t_start}, t_end={t_end}, seeds={seeds}")
+    if seeds.size == 0:
+        raise ValueError("bohm_trajectories needs at least one seed")
+    if not t_end > t_start:
+        raise ValueError(f"t_end must exceed t_start, got t_start={t_start}, t_end={t_end}")
+    if n_out < 1:
+        raise ValueError(f"n_out must be at least 1, got {n_out}")
     ens = _ensemble(packet, potential)
-    hbar_over_m = packet.units.hbar_over_m
-    psi0, _ = evolve(packet, potential, seeds, t_start)
-    rho_floor = rho_floor_rel * float(np.max(np.abs(psi0) ** 2))
     t_eval = np.linspace(t_start, t_end, n_out)
-    x_scale = 1.0 / packet.dk  # packet spatial width, A
+    # every free component k sits near v(k) t (mirrored about x_left once
+    # reflected, advanced by at most the potential's width once transmitted),
+    # and a Gaussian packet's density is below 2e-11 of its peak 5/dk away
+    v = packet.units.v_of_k(packet.k_nodes)
+    v_lo, v_hi = float(v.min()), float(v.max())
+    reach = 5.0 / packet.dk
+    width = potential.x_right - potential.x_left
 
-    out = []
-    for x0 in seeds:
-        hit_floor = False
+    def front(t: float) -> float:
+        return max(v_lo * t, v_hi * t) + width + reach
 
-        def guidance(t, x):
-            nonlocal hit_floor
-            psi, dpsi = _point(ens, x, t)
-            rho = abs(psi) ** 2
-            if rho < rho_floor:
-                hit_floor = True
-                return 0.0
-            return hbar_over_m * float(np.imag(np.conj(psi) * dpsi)) / rho
+    back = min(v_lo * t_start, v_hi * t_start, 2.0 * potential.x_left - v_hi * t_end - width)
+    grid = _bohm_grid(packet, potential, min(back - reach, potential.x_left),
+                      max(front(t_start), front(t_end), potential.x_right))
 
-        ts, xs, ok = _rk45(guidance, t_start, t_end, float(x0), t_eval,
-                           rtol=rtol, atol=1e-4 * x_scale)
-        traj = BohmTrajectory(t=ts, x=xs, degenerate=hit_floor or not ok)
-        if potential.segments:
-            traj.barrier_entry = _first_crossing(ts, xs, potential.x_left)
-            traj.barrier_exit = _first_crossing(ts, xs, potential.x_right)
-        out.append(traj)
+    def window_end(ts: np.ndarray) -> int:
+        """Grid index just past the front over the times ts."""
+        return min(int(np.searchsorted(grid, max(front(ts[0]), front(ts[-1])))) + 1, grid.size)
+
+    # the masses right of the seeds, and of the barrier faces, at t_start
+    xs = grid[max(int(np.searchsorted(grid, seeds.min(), side="right")) - 1, 0):
+              window_end(t_eval[:1])]
+    M0 = -_cumulative_trapezoid(_density(ens, xs, t_start)[::-1], xs[::-1])[::-1]
+    mass = np.interp(seeds, xs, M0)
+    probe_mass = np.interp([potential.x_left, potential.x_right], xs, M0)
+    degenerate = (seeds < xs[0]) | (seeds > xs[-1])
+    x = np.empty((seeds.size, n_out))
+    for s in range(0, n_out, PHASE_BLOCK):
+        ts = t_eval[s:s + PHASE_BLOCK]
+        xb, missed = _quantiles(ens, grid[:window_end(ts)], ts, mass)
+        x[:, s:s + len(ts)] = xb.T
+        degenerate |= missed.any(axis=0)
+
+    entry = exit_ = np.full(seeds.size, math.nan)   # no barrier to cross
+    if potential.segments:
+        probes = [potential.x_left, potential.x_right]
+        t_fine = np.linspace(t_start, t_end, math.ceil((t_end - t_start) / DT_FINE) + 1)
+        entry, exit_ = (_flux_crossings(rec, m0, mass) for rec, m0 in zip(
+            flux_records(packet, potential, probes, t_grid=t_fine), probe_mass))
+    return [BohmTrajectory(t=t_eval, x=x[i], degenerate=bool(degenerate[i]),
+                           barrier_entry=float(entry[i]), barrier_exit=float(exit_[i]))
+            for i in range(seeds.size)]
+
+
+def _bohm_grid(packet: SpectralPacket, potential: PiecewisePotential,
+               lo: float, hi: float) -> np.ndarray:
+    """Positions from lo to hi with a node on every segment edge.
+
+    Outside the potential the spacing is 1/k_max for the packet's largest
+    k_max; inside a segment it is 1/(20 q_max), q_max the largest local
+    wavenumber |q| = sqrt(|k^2 - 2 m V/hbar^2|) over the packet's nodes: the
+    decay constant kappa under the top, the oscillation wavenumber above it.
+    """
+    u = packet.units
+    k2 = packet.k_nodes ** 2
+    h_out = 1.0 / math.sqrt(float(k2.max()))
+    edges = [lo]
+    steps = []
+    if potential.segments:
+        edges.append(potential.x_left)
+        steps.append(h_out)
+        for xl, xr, V in potential.segments:
+            q = math.sqrt(float(np.abs(k2 - 2.0 * u.electron_rest_eV * V / u.hbarc_eV_A ** 2).max()))
+            edges.append(xr)
+            steps.append(1.0 / (20.0 * q) if q > 0 else h_out)
+    edges.append(hi)
+    steps.append(h_out)
+    pieces = [np.linspace(a, b, max(math.ceil((b - a) / h), 1) + 1)[:-1]
+              for a, b, h in zip(edges, edges[1:], steps) if b > a]
+    return np.concatenate(pieces + [[hi]])
+
+
+def _quantiles(ens: _Ensemble, xs: np.ndarray, ts: np.ndarray, mass: np.ndarray):
+    """Where the mass to the right reaches each of mass, at each of the times ts.
+
+    M(x, t) is the trapezoid mass of |Psi(t)|^2 from x to xs[-1]. Returns
+    (x, missed): x[r, i] solves M(x, ts[r]) = mass[i], linear between
+    positions; missed[r, i] is True, and x[r, i] is xs[0], where all of xs
+    holds less than mass[i]. The density is formed a block of positions at
+    a time from xs[-1] leftward, and only as far as the masses need.
+    """
+    xd = xs[::-1]
+    x = np.full((len(ts), mass.size), xs[0])
+    missed = np.ones(x.shape, bool)
+    rho_end = M_end = None   # density and M at the last position summed
+    for _, cols, p, _ in _blocks(ens, xd, ts, derivative=False):
+        rho = np.abs(p) ** 2
+        if cols.start:   # carry on from the last position of the block before
+            rho = np.concatenate([rho_end, rho], axis=1)
+            M = np.repeat(M_end[:, None], rho.shape[1], axis=1)
+        else:
+            M = np.zeros_like(rho)
+        pos = xd[max(cols.start - 1, 0):cols.stop]
+        M[:, 1:] += np.cumsum((rho[:, 1:] + rho[:, :-1]) * ((pos[:-1] - pos[1:]) / 2.0), axis=1)
+        # M rises along pos: a mass is reached in this block when the last
+        # column reaches it, first at the first column that does
+        reached = M[:, :, None] >= mass
+        r, i = np.nonzero(missed & reached[:, -1])
+        j = reached[r, :, i].argmax(axis=1)
+        lo = np.maximum(j - 1, 0)   # j = 0 only for a mass of 0, reached at pos[0]
+        step = M[r, j] - M[r, lo]
+        frac = np.divide(mass[i] - M[r, lo], step, out=np.zeros_like(step), where=step > 0)
+        x[r, i] = pos[lo] + frac * (pos[j] - pos[lo])
+        missed[r, i] = False
+        if not missed.any():
+            break
+        rho_end, M_end = rho[:, -1:], M[:, -1]
+    return x, missed
+
+
+def _flux_crossings(record: FluxRecord, mass_right: float, mass: np.ndarray) -> np.ndarray:
+    """First times at which the mass to the right of record.x reaches each
+    of mass, given mass_right there at record.t[0]; nan where it never does
+    within the record. Linear between grid times; record.t[0] for masses
+    already to its right at the start."""
+    t = record.t
+    crossed = mass_right + record.N_gt - record.N_lt
+    i = np.searchsorted(np.maximum.accumulate(crossed), mass)
+    out = np.full(mass.size, math.nan)
+    out[i == 0] = t[0]
+    mid = (i > 0) & (i < t.size)
+    a, b = i[mid] - 1, i[mid]
+    out[mid] = t[a] + (mass[mid] - crossed[a]) / (crossed[b] - crossed[a]) * (t[b] - t[a])
     return out
 
 
-# scipy 1.17.1's RK45 tableau, as scipy writes it: the Dormand-Prince 5(4)
-# pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19 (1980)) with the
-# quartic dense output of Shampine, Math. Comp. 46, 135 (1986)
-_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_RK_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
-])
-_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_RK_P = np.array([
-    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
-    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
-    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
-    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-_RK_EXPONENT = -1 / 5                  # -1 / (error estimator order + 1)
-_RK_SAFETY, _RK_MIN_FACTOR, _RK_MAX_FACTOR = 0.9, 0.2, 10
-_EPS = float(np.finfo(float).eps)
+def bohm_route_disagreement(trajectories: list[BohmTrajectory],
+                            potential: PiecewisePotential) -> float:
+    """Largest gap between the two routes to the barrier crossings.
 
-
-def _rk45(fun, t0: float, t1: float, y0: float, t_eval: np.ndarray,
-          rtol: float, atol: float):
-    """Solve y' = fun(t, y) for one scalar y from t0 to t1, sampled at t_eval.
-
-    This is scipy 1.17.1's solve_ivp(fun, (t0, t1), [y0], method="RK45",
-    t_eval=t_eval, rtol=rtol, atol=atol) for one equation, doing scipy's
-    floating-point operations in scipy's order: elementwise steps on
-    scalars, and every combination of stages through np.dot on the shapes
-    scipy uses, since BLAS may sum in its own order. The two agree bit for
-    bit, which keeps the chaotic guidance trajectories where they were.
-
-    fun takes and returns floats. t_eval is ordered from t0 towards t1 and
-    lies between them. Returns (t, y, success). When the step size falls
-    below 10 ulps of t, success is False and t, y hold the samples up to
-    the last step that succeeded.
+    For each non-degenerate trajectory, the flux crossings (barrier_entry,
+    barrier_exit) against the crossings of its samples at x_left and
+    x_right, relative to the flux route's time in the barrier (to the end of
+    the window for a trajectory that has not left it). A crossing that only
+    one route finds counts as inf. 0.0 without a potential or without a
+    comparable trajectory.
     """
-    t0, t1 = float(t0), float(t1)
-    if rtol < 100 * _EPS:
-        warnings.warn(f"rtol {rtol} is below 100 eps; using {100 * _EPS}", stacklevel=3)
-        rtol = np.maximum(rtol, 100 * _EPS)
-    y = float(y0)
-    f = fun(t0, y)
-    ts, ys = [], []
-    if t1 == t0:
-        return _rk45_out(ts, ys, True)
-    # samples are looked up on an ascending grid, as scipy does
-    direction = 1.0 if t1 > t0 else -1.0
-    t_eval = np.asarray(t_eval, dtype=float)[::int(direction)]
-    i_eval = 0 if direction > 0 else len(t_eval)
-
-    # the initial step (Hairer, Norsett & Wanner, Sec. II.4), as scipy's
-    # select_initial_step takes it; a one-element RMS norm is sqrt(v * v)
-    span = abs(t1 - t0)
-    scale = atol + abs(y) * rtol
-    d0 = _rms1(y / scale)
-    d1 = _rms1(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    f1 = fun(t0 + h0 * direction, y + h0 * direction * f)
-    d2 = _rms1((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    h_abs = min(100 * h0, h1, span)
-
-    K = np.empty((7, 1))
-    t = t0
-    while True:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return _rk45_out(ts, ys, False)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t1) > 0:
-                t_new = t1
-            h = t_new - t
-            h_abs = abs(h)
-            K[0] = f
-            for s in range(1, 6):
-                dy = np.dot(K[:s].T, _RK_A[s, :s]) * h
-                K[s] = fun(t + _RK_C[s] * h, y + dy[0])
-            y_new = y + (h * np.dot(K[:-1].T, _RK_B))[0]
-            f_new = fun(t + h, y_new)
-            K[-1] = f_new
-            scale = atol + np.maximum(abs(y), abs(y_new)) * rtol
-            error_norm = _rms1((np.dot(K.T, _RK_E) * h / scale)[0])
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _RK_MAX_FACTOR
-                else:
-                    factor = min(_RK_MAX_FACTOR, _RK_SAFETY * error_norm ** _RK_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_RK_MIN_FACTOR, _RK_SAFETY * error_norm ** _RK_EXPONENT)
-            rejected = True
-        t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
-
-        # samples inside the step, from the step's quartic dense output
-        if direction > 0:
-            i_new = np.searchsorted(t_eval, t, side="right")
-            t_step = t_eval[i_eval:i_new]
-        else:
-            i_new = np.searchsorted(t_eval, t, side="left")
-            t_step = t_eval[i_new:i_eval][::-1]
-        if t_step.size > 0:
-            Q = K.T.dot(_RK_P)
-            h = t - t_old
-            p = np.cumprod(np.tile((t_step - t_old) / h, (4, 1)), axis=0)
-            ts.append(t_step)
-            ys.append((h * np.dot(Q, p))[0] + y_old)
-            i_eval = i_new
-        if direction * (t - t1) >= 0:
-            return _rk45_out(ts, ys, True)
-
-
-def _rms1(v: float) -> float:
-    """scipy's RMS norm of a one-element vector, sqrt(v . v) / 1."""
-    return math.sqrt(v * v)
-
-
-def _rk45_out(ts: list, ys: list, success: bool):
-    if not ts:
-        return np.array([]), np.array([]), success
-    return np.concatenate(ts), np.concatenate(ys), success
+    worst = 0.0
+    if not potential.segments:
+        return worst
+    for tr in trajectories:
+        if tr.degenerate:
+            continue
+        end = tr.t[-1] if math.isnan(tr.barrier_exit) else tr.barrier_exit
+        stay = end - tr.barrier_entry   # nan for a trajectory that never enters
+        for flux_t, level in ((tr.barrier_entry, potential.x_left),
+                              (tr.barrier_exit, potential.x_right)):
+            sample_t = _first_crossing(tr.t, tr.x, level)
+            if math.isnan(flux_t) != math.isnan(sample_t):
+                return math.inf
+            gap = abs(flux_t - sample_t)
+            if gap > 0:   # nan where neither route crosses
+                worst = max(worst, gap / stay if stay > 0 else math.inf)
+    return worst
 
 
 def _first_crossing(t: np.ndarray, x: np.ndarray, level: float) -> float:
-    if x.size == 0:
+    """First time the samples reach level, linear between samples."""
+    i = int(np.argmax(x >= level))
+    if x[i] < level:
         return math.nan
-    above = x >= level
-    idx = np.nonzero(above[1:] & ~above[:-1])[0]
-    if above[0]:
+    if i == 0:
         return float(t[0])
-    if len(idx) == 0:
-        return math.nan
-    i = idx[0]
-    frac = (level - x[i]) / (x[i + 1] - x[i])
-    return float(t[i] + frac * (t[i + 1] - t[i]))
+    return float(t[i - 1] + (level - x[i - 1]) / (x[i] - x[i - 1]) * (t[i] - t[i - 1]))
 
 
 def quantum_potential(packet: SpectralPacket, potential: PiecewisePotential,

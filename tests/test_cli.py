@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tunneltime import cli
+from tunneltime import wavepacket as wp
 from tunneltime.units import k_of_E
 
 V0 = 10.0
@@ -168,7 +169,7 @@ def test_float_csv_leaves_fractions_decimal_scipy_unloaded(tmp_path):
 
 
 def test_cli_bohm_run_leaves_scipy_unloaded(tmp_path):
-    # guidance integration runs on the in-package RK45
+    # the trajectories come from density quantiles and probe fluxes, no ODE solver
     args = ["bohm", "--out", str(tmp_path), "--set", "V0=10", "--set", "d=2",
             "--set", "E=5", "--set", "dk=0.05", "--set", "n_nodes=65",
             "--set", "n_traj=2", "--set", "n_out=41", "--set", "with_flux=false"]
@@ -362,9 +363,8 @@ def bohm_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("bohm")
     code = cli.main(["bohm", "--out", str(out), "--set", "V0=10", "--set", "d=2",
                      "--set", "E=5", "--set", "dk=0.05", "--set", "n_traj=2",
-                     "--set", "n_nodes=257", "--set", "n_out=81",
-                     "--set", "rtol=1e-5", "--set", "t_start=-1.2e-14",
-                     "--set", "t_end=1e-14"])
+                     "--set", "n_nodes=257", "--set", "n_out=201",
+                     "--set", "t_start=-1.2e-14", "--set", "t_end=1e-14"])
     assert code == 0
     return out
 
@@ -379,6 +379,8 @@ def test_bohm_summary_table(bohm_out):
     exit_ = data[:, names.index("exit_t_s")]
     assert np.all(exit_[sent] > entry[sent])
     assert float(meta_value(bohm_out / "bohm_summary.csv", "flux_tau_T_s")) > 0
+    gap = float(meta_value(bohm_out / "bohm_summary.csv", "bohm_route_disagreement"))
+    assert 0 < gap < wp.BOHM_ROUTE_TOL
 
 
 @pytest.mark.parametrize("setting", ["t_end=inf", "t_end=nan", "t_start=-inf", "t_start=nan"])
@@ -390,59 +392,69 @@ def test_bohm_non_finite_window_exits_2_without_csv(tmp_path, capsys, setting):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bohm_rtol_key_is_gone(tmp_path, capsys):
+    assert run(SMALL_BOHM + ["--set", "rtol=1e-5"], tmp_path) == 2
+    assert "unknown config keys for 'bohm': rtol" in capsys.readouterr().err
+
+
 def test_bohm_trajectory_table(bohm_out):
     names, data = read_table(bohm_out / "bohm_traj.csv")
     assert names == ["t_s", "x_0", "x_1"]
-    assert data.shape == (81, 3)
+    assert data.shape == (201, 3)
     # seeded left of the barrier, ends ordered in time
     assert data[0, 1] < 0 and np.all(np.diff(data[:, 0]) > 0)
 
 
 SMALL_BOHM = ["bohm", "--set", "V0=10", "--set", "d=2", "--set", "E=5", "--set", "dk=0.05",
-              "--set", "n_traj=2", "--set", "n_nodes=65", "--set", "n_out=41",
-              "--set", "rtol=1e-5", "--set", "t_start=-1.2e-14", "--set", "t_end=1e-14",
+              "--set", "n_traj=2", "--set", "n_nodes=65", "--set", "n_out=201",
+              "--set", "t_start=-1.2e-14", "--set", "t_end=1e-14",
               "--set", "with_flux=false", "--set", "svg=true", "--strict"]
 
 
-@pytest.mark.parametrize("index, keep", [(0, 17), (1, 17), (1, 0)],
-                         ids=["short-first", "short-second", "empty"])
-def test_bohm_trajectory_that_stops_early_pads_its_column(tmp_path, monkeypatch, index, keep):
-    # an integration failure leaves a trajectory shorter than the output
-    # grid; the table keeps the full grid and reads nan past its end
-    from tunneltime import wavepacket as wp
+@pytest.mark.parametrize("index, seed", [(0, -1e5), (1, -1e5), (1, 1e4)],
+                         ids=["first-off-left", "second-off-left", "second-off-right"])
+def test_bohm_degenerate_trajectory_spans_the_grid(tmp_path, monkeypatch, index, seed):
+    # a seed off the packet's grid has a mass no window brackets: its
+    # trajectory is flagged degenerate, and still spans the full output grid
+    real = wp.seed_positions
 
-    real = wp.bohm_trajectories
-    kept = {}
+    def off_grid(*args, **kwargs):
+        seeds = real(*args, **kwargs)
+        seeds[index] = seed
+        return seeds
 
-    def stopping(packet, pot, *args, **kwargs):
-        trajs = real(packet, pot, *args, **kwargs)
-        tr = trajs[index]
-        t, x = tr.t[:keep], tr.x[:keep]
-        trajs[index] = wp.BohmTrajectory(
-            t=t, x=x, degenerate=True,
-            barrier_entry=wp._first_crossing(t, x, pot.x_left),
-            barrier_exit=wp._first_crossing(t, x, pot.x_right))
-        kept["x"] = x
-        return trajs
-
-    monkeypatch.setattr(wp, "bohm_trajectories", stopping)
+    monkeypatch.setattr(wp, "seed_positions", off_grid)
     assert run(SMALL_BOHM, tmp_path) == 3     # the degenerate flag reaches --strict
     names, data = read_table(tmp_path / "bohm_traj.csv")
     assert names == ["t_s", "x_0", "x_1"]
-    assert data.shape == (41, 3)
-    assert np.array_equal(data[:, 0], np.linspace(-1.2e-14, 1e-14, 41))
-    col = data[:, 1 + index]
-    assert np.array_equal(col[:keep], kept["x"])
-    assert np.isnan(col[keep:]).all()
-    assert np.isfinite(data[:, 2 - index]).all()
+    assert data.shape == (201, 3)
+    assert np.array_equal(data[:, 0], np.linspace(-1.2e-14, 1e-14, 201))
+    assert np.isfinite(data).all()
     names, summary = read_table(tmp_path / "bohm_summary.csv")
-    row = summary[index]
-    assert row[names.index("degenerate")] == 1.0
-    if keep == 0:
-        assert row[names.index("transmitted")] == 0.0
-        assert np.isnan(row[names.index("entry_t_s")])
-        assert np.isnan(row[names.index("exit_t_s")])
+    assert summary[:, names.index("degenerate")].tolist() == [i == index for i in range(2)]
     assert (tmp_path / "bohm_traj.svg").exists()
+
+
+def test_bohm_determinism_modulo_timestamp(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(SMALL_BOHM, a) == run(SMALL_BOHM, b) == 0
+    for name in ("bohm_summary.csv", "bohm_traj.csv"):
+        ta, tb = ([l for l in (d / name).read_text().splitlines()
+                   if not l.startswith("# timestamp")] for d in (a, b))
+        assert ta == tb
+
+
+@pytest.mark.parametrize("tol, code", [(None, 0), (0.0, 3)], ids=["default", "forced"])
+def test_bohm_route_disagreement_flag_reaches_strict(tmp_path, monkeypatch, tol, code):
+    # the flux crossings and the sampled crossings differ by a small, nonzero
+    # amount (mostly the output step's); a zero tolerance turns it into a flag
+    if tol is not None:
+        monkeypatch.setattr(wp, "BOHM_ROUTE_TOL", tol)
+    assert run(SMALL_BOHM, tmp_path) == code
+    gap = float(meta_value(tmp_path / "bohm_summary.csv", "bohm_route_disagreement"))
+    assert 0 < gap < 0.05
+    names, summary = read_table(tmp_path / "bohm_summary.csv")
+    assert not summary[:, names.index("degenerate")].any()
 
 
 # tables against the frozen package in bench/baseline

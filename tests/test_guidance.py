@@ -1,12 +1,14 @@
-"""The in-package RK45 and the guidance trajectories built on it.
+"""Bohm trajectories from the 1-D no-crossing property.
 
-scipy's solve_ivp is the oracle: wavepacket._rk45 must reproduce it bit for
-bit, and bohm_trajectories must return exactly what the solve_ivp-based
-version below returned.
+The mass to the right of a trajectory is conserved, so bohm_trajectories
+needs no ODE: its samples are density quantiles and its barrier entry and
+exit come from probe fluxes. Integrations of the guidance equation
+x' = J/rho with scipy's solve_ivp are the oracles, compared to a stated
+tolerance: the solve_ivp version that bohm_trajectories once was, on the
+scenes it handled, and a tight DOP853 integration on transmitted seeds.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,94 +17,7 @@ from scipy.integrate import solve_ivp
 
 from tunneltime import wavepacket as wp
 from tunneltime.scattering import PiecewisePotential
-from tunneltime.units import k_of_E
-
-
-def scipy_rk45(fun, t0, t1, y0, t_eval, rtol, atol):
-    """(t, y, success) from solve_ivp, shaped as _rk45 returns them."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sol = solve_ivp(lambda t, y: [fun(float(t), float(y[0]))], (t0, t1), [y0],
-                        method="RK45", t_eval=t_eval, rtol=rtol, atol=atol)
-    if len(sol.t) == 0:
-        return np.array([]), np.array([]), sol.success
-    return sol.t, sol.y[0], sol.success
-
-
-def assert_same(got, want):
-    assert got[2] == want[2]
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-
-
-def run_rk45(fun, t0, t1, y0, t_eval, rtol, atol):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return wp._rk45(fun, t0, t1, y0, t_eval, rtol=rtol, atol=atol)
-
-
-# ---------------------------------------------------------------------------
-# _rk45 against solve_ivp
-
-coef = st.floats(-3.0, 3.0, allow_subnormal=False)
-
-
-@st.composite
-def grids(draw):
-    t0 = draw(st.floats(-2.0, 2.0))
-    span = draw(st.floats(0.01, 1.5)) * draw(st.sampled_from([-1.0, 1.0]))
-    t1 = t0 + span
-    lo, hi = min(t0, t1), max(t0, t1)
-    inner = draw(st.lists(st.floats(lo, hi), max_size=40))
-    ends = draw(st.sampled_from([[], [t0], [t1], [t0, t1]]))
-    t_eval = np.unique(np.array(inner + ends, dtype=float))
-    if t_eval.size == 0:
-        t_eval = np.array([t1])
-    return t0, t1, t_eval[::-1] if t1 < t0 else t_eval
-
-
-@settings(max_examples=120, deadline=None)
-@given(a=coef, b=coef, c=coef, w=coef, grid=grids(),
-       y0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
-       rtol=st.sampled_from([1e-16, 1e-15, 1e-13, 1e-8, 1e-5, 1e-3]),
-       atol=st.sampled_from([1e-12, 1e-8, 1e-6, 1e-3]))
-def test_rk45_matches_solve_ivp_bit_for_bit(a, b, c, w, grid, y0, rtol, atol):
-    t0, t1, t_eval = grid
-
-    def fun(t, y):
-        return a * math.sin(w * t + y) + b * y + c * t * math.cos(y)
-
-    assert_same(run_rk45(fun, t0, t1, y0, t_eval, rtol, atol),
-                scipy_rk45(fun, t0, t1, y0, t_eval, rtol, atol))
-
-
-def test_rk45_clamps_rtol_as_solve_ivp_does():
-    with pytest.warns(UserWarning, match="rtol"):
-        wp._rk45(lambda t, y: -y, 0.0, 1.0, 1.0, np.linspace(0.0, 1.0, 5), rtol=1e-20, atol=1e-9)
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_rk45_blow_up_stops_as_solve_ivp_does(sign):
-    # y' = sign y^2, y(0) = 1: y = 1 / (1 - sign t) is singular at t = sign
-    def fun(t, y):
-        return sign * y * y
-
-    t_eval = np.linspace(0.0, 2.0 * sign, 101)
-    got = run_rk45(fun, 0.0, 2.0 * sign, 1.0, t_eval, 1e-3, 1e-6)
-    assert not got[2]
-    assert 0 < got[0].size < t_eval.size   # the samples before the singularity
-    assert_same(got, scipy_rk45(fun, 0.0, 2.0 * sign, 1.0, t_eval, 1e-3, 1e-6))
-
-
-def test_rk45_empty_span_returns_no_samples():
-    t, y, ok = wp._rk45(lambda t, y: 1.0, 0.5, 0.5, 2.0, np.array([0.5]), rtol=1e-6, atol=1e-9)
-    assert ok and t.size == 0 and y.size == 0
-    assert_same((t, y, ok), scipy_rk45(lambda t, y: 1.0, 0.5, 0.5, 2.0, np.array([0.5]),
-                                       1e-6, 1e-9))
-
-
-# ---------------------------------------------------------------------------
-# bohm_trajectories against the solve_ivp version it replaced
+from tunneltime.units import k_of_E, v_of_k
 
 
 def _parent_bohm_trajectories(packet, potential, seeds, t_start, t_end,
@@ -170,52 +85,245 @@ def _parent_first_crossing(t, x, level):
     return float(t[i] + frac * (t[i + 1] - t[i]))
 
 
-# (V0, d, E, dk, n_nodes, seed region, t_start, t_end, rho_floor_rel)
+def _potential(name, V0, d):
+    if name == "double":
+        return PiecewisePotential.double_barrier(V0, d, 2.0)
+    return PiecewisePotential.square(V0, d)
+
+
+def _transmitted_seeds(packet, pot, t_start, n):
+    """Seeds as `tunneltime bohm` places them: the transmitted quantiles."""
+    xc = float(v_of_k(packet.k0)) * t_start
+    region = (xc - 6.0 / packet.dk, min(xc + 8.0 / packet.dk, pot.x_left))
+    P_T = wp.transmitted_norm(packet, pot)
+    return wp.seed_positions(packet, pot, t_start, n, region, quantile_range=(1.0 - P_T, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# against the solve_ivp version it replaced
+
+# (V0, d, E, dk, n_nodes, seed region, t_start, t_end, the oracle's
+# rho_floor_rel, bohm_trajectories' degenerate flags)
 SCENES = {
-    "square": (10.0, 2.0, 5.0, 0.05, 65, (-80.0, -40.0), -1.2e-14, 1e-14, 1e-8),
-    "double": (8.0, 1.5, 5.0, 0.04, 65, (-90.0, -50.0), -1.3e-14, 0.8e-14, 1e-8),
-    # seeds reach far into the left tail: the outer ones start below the floor
-    "floor": (10.0, 2.0, 5.0, 0.05, 49, (-140.0, 20.0), -1.2e-14, 0.6e-14, 1e-2),
+    "square": (10.0, 2.0, 5.0, 0.05, 65, (-80.0, -40.0), -1.2e-14, 1e-14, 1e-8, [False] * 3),
+    "double": (8.0, 1.5, 5.0, 0.04, 65, (-90.0, -50.0), -1.3e-14, 0.8e-14, 1e-8, [False] * 3),
+    # the seeds reach far into the tails: the last lies beyond the packet
+    # front at t_start, where no window holds its mass
+    "floor": (10.0, 2.0, 5.0, 0.05, 49, (-140.0, 20.0), -1.2e-14, 0.6e-14, 1e-2,
+              [False, False, True]),
 }
+
+# the oracle steps with an absolute tolerance of 1e-4 / dk (2.5e-3 A here);
+# its samples differ from the quantiles by up to 0.27 A, and its sampled
+# crossings from the flux crossings by up to 2.2% of the dwell
+X_TOL = 0.5          # A
+CROSSING_TOL = 0.05  # of the barrier dwell
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_bohm_trajectories_match_solve_ivp_version(name):
-    V0, d, E, dk, n, region, t0, t1, floor = SCENES[name]
+    V0, d, E, dk, n, region, t0, t1, floor, flags = SCENES[name]
     packet = wp.SpectralPacket.gaussian(float(k_of_E(E)), dk, n_nodes=n)
-    if name == "double":
-        pot = PiecewisePotential.double_barrier(V0, d, 2.0)
-    else:
-        pot = PiecewisePotential.square(V0, d)
+    pot = _potential(name, V0, d)
     seeds = np.linspace(*region, 3)
-    kwargs = dict(rho_floor_rel=floor, rtol=1e-5, n_out=61)
-    got = wp.bohm_trajectories(packet, pot, seeds, t0, t1, **kwargs)
-    want = _parent_bohm_trajectories(packet, pot, seeds, t0, t1, **kwargs)
-    assert len(got) == len(want) == 3
+    got = wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=401)
+    want = _parent_bohm_trajectories(packet, pot, seeds, t0, t1, rho_floor_rel=floor,
+                                     rtol=1e-5, n_out=401)
+    assert [g.degenerate for g in got] == flags
+    compared = 0
     for g, w in zip(got, want):
         assert g.t.tobytes() == w.t.tobytes()
-        assert g.x.tobytes() == w.x.tobytes()
-        assert g.degenerate == w.degenerate
+        assert np.isfinite(g.x).all()
+        if g.degenerate or w.degenerate:
+            continue   # the oracle stops moving below its density floor
+        assert np.max(np.abs(g.x - w.x)) < X_TOL
         for field in ("barrier_entry", "barrier_exit"):
-            assert np.array_equal(getattr(g, field), getattr(w, field), equal_nan=True)
+            assert abs(getattr(g, field) - getattr(w, field)) < CROSSING_TOL * g.barrier_dwell
+        compared += 1
+    assert compared >= (0 if name == "floor" else 1)
     if name == "floor":
-        assert any(g.degenerate for g in got)
+        # the masses are taken at t_start's front, whatever the first block spans
+        assert wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=2)[2].degenerate
+
+
+@pytest.mark.parametrize("name", ["square", "double"])
+def test_bohm_trajectories_match_a_tight_guidance_integration(name):
+    # on the transmitted seeds the oracle above steps over the entry face;
+    # DOP853 at atol 1e-8 A agrees with the quantiles to 0.53 A (the
+    # quantile grid's spacing) and its sampled crossings with the flux
+    # crossings to 0.4% of the dwell
+    V0, d, E, dk, n, _, t0, t1, _, _ = SCENES[name]
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(E)), dk, n_nodes=n)
+    pot = _potential(name, V0, d)
+    got = wp.bohm_trajectories(packet, pot, _transmitted_seeds(packet, pot, t0, 3), t0, t1,
+                               n_out=801)
+    for g in got:
+        assert not g.degenerate
+        sol = solve_ivp(lambda t, y: [wp.bohm_velocity(packet, pot, float(y[0]), float(t))],
+                        (t0, t1), [g.x[0]], method="DOP853", t_eval=g.t, rtol=1e-10, atol=1e-8)
+        assert np.max(np.abs(g.x - sol.y[0])) < 0.6
+        for field, level in (("barrier_entry", pot.x_left), ("barrier_exit", pot.x_right)):
+            want = _parent_first_crossing(sol.t, sol.y[0], level)
+            assert abs(getattr(g, field) - want) < 0.01 * g.barrier_dwell
 
 
 def test_bohm_trajectories_evaluate_the_guidance_off_evolve(monkeypatch):
-    # the right-hand side uses the point evaluator on an ensemble resolved
-    # once; evolve serves only the seeds' density
+    # no guidance is integrated: the density comes in blocks of PHASE_BLOCK
+    # output times (one row more for the masses at t_start), the crossings
+    # from one flux_records call at the barrier faces on a DT_FINE grid, and
+    # evolve is never called
     packet = wp.SpectralPacket.gaussian(float(k_of_E(5.0)), 0.05, n_nodes=49)
     pot = PiecewisePotential.square(10.0, 2.0)
-    calls = []
-    evolve = wp.evolve
+    calls = {"evolve": 0, "rows": [], "flux": []}
+    blocks, flux_records = wp._blocks, wp.flux_records
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return evolve(*args, **kwargs)
+    def evolve(*args, **kwargs):
+        calls["evolve"] += 1
 
-    monkeypatch.setattr(wp, "evolve", counted)
-    trajs = wp.bohm_trajectories(packet, pot, [-70.0, -60.0], -1.2e-14, -0.6e-14, n_out=11)
-    assert all(tr.t.size == 11 for tr in trajs)
-    assert len(calls) == 1
+    def counted_blocks(ens, xs, ts, derivative):
+        calls["rows"].append(len(ts))
+        return blocks(ens, xs, ts, derivative)
 
+    def counted_flux(packet, potential, xs, t_grid=None, **kwargs):
+        calls["flux"].append((list(xs), t_grid))
+        return flux_records(packet, potential, xs, t_grid=t_grid, **kwargs)
+
+    monkeypatch.setattr(wp, "evolve", evolve)
+    monkeypatch.setattr(wp, "_blocks", counted_blocks)
+    monkeypatch.setattr(wp, "flux_records", counted_flux)
+    n_out = 2 * wp.PHASE_BLOCK + 22
+    trajs = wp.bohm_trajectories(packet, pot, [-70.0, -60.0], -1.2e-14, -0.6e-14, n_out=n_out)
+    assert all(tr.t.size == tr.x.size == n_out for tr in trajs)
+    assert calls["evolve"] == 0
+    (probes, t_grid), = calls["flux"]
+    assert probes == [0.0, 2.0]
+    assert t_grid[0] == -1.2e-14 and t_grid[-1] == -0.6e-14
+    assert np.max(np.diff(t_grid)) <= wp.DT_FINE * (1.0 + 1e-9)   # up to linspace rounding
+    assert calls["rows"] == [1, wp.PHASE_BLOCK, wp.PHASE_BLOCK, 22, t_grid.size]
+
+
+# ---------------------------------------------------------------------------
+# properties of the quantile and flux routes
+
+
+def test_crossing_times_are_stable_under_a_one_ulp_change():
+    # spatial_paths' scene 12 (bench/workloads.py) as `tunneltime bohm` runs
+    # it: one ulp of k0 moves the RK45 dwells of the solve_ivp route by up to
+    # 8%; here the crossings move by about 1e-12 relative
+    V0, d, E, dk, n = 9.96808, 3.96629, 5.60721, 0.0178504, 125
+    t0, t1 = -3.19112e-14, 2.39334e-14
+    pot = PiecewisePotential.square(V0, d)
+    k0 = float(k_of_E(E))
+    packet = wp.SpectralPacket.gaussian(k0, dk, n_nodes=n)
+    moved = wp.SpectralPacket.gaussian(math.nextafter(k0, math.inf), dk, n_nodes=n)
+    seeds = _transmitted_seeds(packet, pot, t0, 4)
+    a = wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=401)
+    b = wp.bohm_trajectories(moved, pot, seeds, t0, t1, n_out=401)
+    for u, v in zip(a, b):
+        assert not (u.degenerate or v.degenerate)
+        for field in ("barrier_entry", "barrier_exit", "barrier_dwell"):
+            assert getattr(v, field) == pytest.approx(getattr(u, field), rel=1e-6, abs=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(V0=st.floats(4.0, 12.0), d=st.floats(0.5, 6.0), ratio=st.floats(0.3, 1.3),
+       dk=st.floats(0.02, 0.06), n_traj=st.integers(2, 8))
+def test_trajectories_never_cross_and_crossings_follow_the_mass(V0, d, ratio, dk, n_traj):
+    # ordered by seed, the samples never cross; entry and exit times never
+    # decrease as the mass to the right grows (first passage of a rising
+    # level), with "never" (nan) as the latest
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(ratio * V0)), dk, n_nodes=41)
+    pot = PiecewisePotential.square(V0, d)
+    sigma_t = packet.sigma_t
+    t0, t1 = -6.0 * sigma_t, 4.0 * sigma_t
+    xc = float(v_of_k(packet.k0)) * t0
+    seeds = wp.seed_positions(packet, pot, t0, n_traj, (xc - 4.0 / dk, xc + 4.0 / dk))
+    trajs = wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=97)
+    x = np.array([tr.x for tr in trajs])
+    assert np.all(np.diff(x, axis=0) >= 0)
+    for field in ("barrier_entry", "barrier_exit"):
+        times = np.array([getattr(tr, field) for tr in trajs])[::-1]   # mass rising
+        times[np.isnan(times)] = np.inf
+        assert np.all(times[1:] >= times[:-1])
+
+
+def test_seeds_in_and_past_the_barrier_cross_at_t_start():
+    # the mass right of a face at t_start counts: a seed already past a
+    # face crossed it at t_start on both routes
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(5.0)), 0.05, n_nodes=65)
+    pot = PiecewisePotential.square(10.0, 2.0)
+    t0, t1 = -1e-15, 1e-14
+    seeds = np.array([-0.5, 1.0, 3.0])
+    trajs = wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=801)
+    assert not any(tr.degenerate for tr in trajs)
+    assert trajs[0].barrier_entry > t0
+    assert trajs[1].barrier_entry == trajs[2].barrier_entry == trajs[2].barrier_exit == t0
+    assert trajs[1].barrier_exit > t0
+    assert wp.bohm_route_disagreement(trajs, pot) < wp.BOHM_ROUTE_TOL
+
+
+def test_flux_crossings_are_first_passages():
+    # the mass that has crossed rises past 0.5, falls back (backflow) and
+    # rises again: 0.5 is first reached at t = 1.5, 0.7 only at t = 5, and
+    # a mass already right of the probe at t = 0 crosses at t = 0
+    t = np.arange(7.0)
+    crossed = np.array([0.0, 0.4, 0.6, 0.3, 0.4, 0.7, 0.9])
+    rec = wp.FluxRecord(x=0.0, t=t, J=np.gradient(crossed, t), J_plus=None, J_minus=None,
+                        N_gt=crossed - 0.1, N_lt=np.zeros(7))
+    got = wp._flux_crossings(rec, 0.1, np.array([0.0, 0.05, 0.5, 0.7, 0.95]))
+    np.testing.assert_allclose(got[:4], [0.0, 0.125, 1.5, 5.0], rtol=0, atol=1e-15)
+    assert math.isnan(got[4])
+
+
+def test_quantiles_match_the_density_and_flag_missed_masses():
+    # against the reverse cumulative trapezoid of the whole window, row by
+    # row; a mass above a row's total is missed and placed at the left end
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(5.0)), 0.05, n_nodes=49)
+    pot = PiecewisePotential.square(10.0, 2.0)
+    ens = wp._ensemble(packet, pot)
+    xs = wp._bohm_grid(packet, pot, -200.0, 150.0)
+    ts = np.linspace(-1.2e-14, 6e-15, 9)
+    rho = wp._density(ens, xs, ts)
+    totals = [np.trapezoid(row, xs) for row in rho]
+    mass = np.array([0.0, 1e-6, 0.02, 0.3, 0.9 * min(totals), 1.5 * max(totals)])
+    x, missed = wp._quantiles(ens, xs, ts, mass)
+    assert missed.tolist() == [[False] * 5 + [True]] * len(ts)
+    assert np.all(x[:, -1] == xs[0])
+    for row, got in zip(rho, x):
+        M = -wp._cumulative_trapezoid(row[::-1], xs[::-1])
+        want = np.interp(mass[:-1], M, xs[::-1])
+        np.testing.assert_allclose(got[:-1], want, rtol=0, atol=1e-9)
+
+
+def test_route_disagreement_reads_both_faces():
+    pot = PiecewisePotential.square(10.0, 2.0)
+    t = np.linspace(0.0, 10.0, 11)
+    x = -5.0 + 1.0 * t              # reaches 0 at t = 5 and 2 at t = 7
+    def traj(entry, exit_, degenerate=False):
+        return wp.BohmTrajectory(t=t, x=x, degenerate=degenerate,
+                                 barrier_entry=entry, barrier_exit=exit_)
+    assert wp.bohm_route_disagreement([traj(5.0, 7.0)], pot) == 0.0
+    assert wp.bohm_route_disagreement([traj(5.0, 7.5)], pot) == pytest.approx(0.5 / 2.5)
+    assert wp.bohm_route_disagreement([traj(4.5, 7.0)], pot) == pytest.approx(0.5 / 2.5)
+    assert wp.bohm_route_disagreement([traj(5.0, math.nan)], pot) == math.inf
+    assert wp.bohm_route_disagreement([traj(5.0, 9.0, degenerate=True)], pot) == 0.0
+    assert wp.bohm_route_disagreement([traj(5.0, 9.0)], PiecewisePotential.free()) == 0.0
+
+
+def test_a_mass_missed_on_any_row_marks_its_trajectory_degenerate(monkeypatch):
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(5.0)), 0.05, n_nodes=49)
+    pot = PiecewisePotential.square(10.0, 2.0)
+    quantiles, blocks = wp._quantiles, []
+
+    def second_block_misses_seed_1(ens, xs, ts, mass):
+        x, missed = quantiles(ens, xs, ts, mass)
+        if len(blocks) == 1:
+            missed[-1, 1] = True
+        blocks.append(len(ts))
+        return x, missed
+
+    monkeypatch.setattr(wp, "_quantiles", second_block_misses_seed_1)
+    seeds = _transmitted_seeds(packet, pot, -1.2e-14, 3)
+    trajs = wp.bohm_trajectories(packet, pot, seeds, -1.2e-14, 1e-14, n_out=150)
+    assert blocks == [64, 64, 22]
+    assert [tr.degenerate for tr in trajs] == [False, True, False]

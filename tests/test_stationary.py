@@ -389,11 +389,10 @@ def _array_rows(params: SquareBarrierParams, k, d) -> list[bytes]:
     t = tms._stationary_times(params, k, d)
     k, d = np.broadcast_arrays(k, d)
     rows = []
-    for i, (kk, dd) in enumerate(zip(k.tolist(), d.tolist())):
-        bl_R = t.bl_R[i] if dd > 0 else 0.0   # time_report's zero-width rule
+    for i, kk in enumerate(k.tolist()):
         rows.append(_bytes(tuple(a[i] for a in amps) + (
             kk, t.eq[i], t.phase[i], t.phase[i], t.dwell[i], t.dwell[i], t.tau_z[i],
-            t.tau_x[i], t.bl_T[i], bl_R, t.bl_T[i], complex(t.dwell[i], t.tau_z[i]))))
+            t.tau_x[i], t.bl_T[i], t.bl_R[i], t.bl_T[i], complex(t.dwell[i], t.tau_z[i]))))
     return rows
 
 

@@ -204,6 +204,21 @@ def test_bl_times_values():
     assert res.tau_BL_R == pytest.approx(HBAR_EVS * K5 / (V0 * kap), rel=1e-14, abs=0)
 
 
+@pytest.mark.parametrize("krel", [0.1, 0.5, 0.9])
+def test_bl_times_agree_with_time_report_at_zero_width(krel):
+    # a zero-width barrier has no sideband times on either route; the body
+    # used to give buttiker_landauer hbar k/(V0 kappa) for tau_BL_R here
+    p = SquareBarrierParams(V0, 0.0)
+    k = krel * EPS
+    res = tt.buttiker_landauer(p, k)
+    rep = tt.time_report(p, k)
+    assert (res.tau_BL_T, res.tau_BL_R) == (rep.tau_BL_T, rep.tau_BL_R) == (0.0, 0.0)
+    # the rule keys on the width argument, not on params.d
+    t = tt._stationary_times(SquareBarrierParams(V0, 5.0), k, np.array([0.0, 5.0]))
+    assert t.bl_R[0] == 0.0
+    assert t.bl_R[1] == tt.buttiker_landauer(SquareBarrierParams(V0, 5.0), k).tau_BL_R > 0
+
+
 def test_bl_zero_frequency_limit():
     p = SquareBarrierParams(V0, 5.0)
     dV = 0.5

@@ -558,8 +558,7 @@ def test_short_position_lists_are_bit_identical_to_per_x_formula(packet65):
     got_p, got_d = wp.evolve(packet65, pot, xs, ts)
     assert np.array_equal(got_p, phase @ (ens.coef * ref_p).T)
     assert np.array_equal(got_d, phase @ (ens.coef * ref_d).T)
-    psi_only, no_dpsi = wp._blocked(ens, xs, ts, derivative=False)
-    assert no_dpsi is None and np.array_equal(psi_only, got_p)
+    assert np.array_equal(wp._density(ens, xs, ts), np.abs(got_p) ** 2)
     for x in xs[:8]:
         p1, d1 = ens.modes_at(float(x))
         r1, s1 = modes_at(float(x))
@@ -773,12 +772,57 @@ def test_ensemble_cache_keys_on_spectral_content():
 @pytest.mark.parametrize("where", ["t_start", "t_end", "seeds"])
 def test_bohm_trajectories_reject_non_finite_input(packet, monkeypatch, bad, where):
     calls = []
-    monkeypatch.setattr(wp, "evolve", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(wp, "_blocks", lambda *args, **kwargs: calls.append(args))
     kwargs = {"seeds": [-100.0, -90.0], "t_start": -3e-14, "t_end": 1.5e-14}
     kwargs[where] = [-100.0, bad] if where == "seeds" else bad
     with pytest.raises(ValueError, match="finite"):
         wp.bohm_trajectories(packet, BARRIER, **kwargs)
     assert calls == []   # rejected before the first density evaluation
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"seeds": []}, "at least one seed"),
+    ({"t_end": -3e-14}, "t_end must exceed t_start"),
+    ({"t_end": -4e-14}, "t_end must exceed t_start"),
+    ({"n_out": 0}, "n_out"),
+], ids=["no-seeds", "empty-window", "backward-window", "no-samples"])
+def test_bohm_trajectories_reject_empty_input(packet, monkeypatch, kwargs, match):
+    # numpy's zero-size error, and a silent backward run, before this check
+    calls = []
+    monkeypatch.setattr(wp, "_blocks", lambda *args, **kw: calls.append(args))
+    args = {"seeds": [-100.0, -90.0], "t_start": -3e-14, "t_end": 1.5e-14, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        wp.bohm_trajectories(packet, BARRIER, **args)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_seeds, region, match", [
+    (0, (-150.0, 150.0), "n_seeds"),
+    (-2, (-150.0, 150.0), "n_seeds"),
+    (3, (150.0, -150.0), "region"),
+    (3, (20.0, 20.0), "region"),
+], ids=["no-seeds", "negative", "reversed", "empty"])
+def test_seed_positions_reject_bad_input(packet, n_seeds, region, match):
+    # a reversed region used to return reversed seeds, and n_seeds = 0 []
+    with pytest.raises(ValueError, match=match):
+        wp.seed_positions(packet, FREE, 0.0, n_seeds, region)
+
+
+@pytest.mark.parametrize("nt", [1, 7, 3 * wp.PHASE_BLOCK + 5])
+def test_current_and_density_match_evolve_bit_for_bit(packet, nt):
+    # both fill their tables block by block from the blocks evolve uses
+    ts = -2e-14 + 2e-16 * np.arange(nt)
+    xs = np.linspace(-40.0, 45.0, wp.PHASE_BLOCK + 9)
+    psi, dpsi = wp.evolve(packet, BARRIER, xs, ts)
+    J = wp.current(packet, BARRIER, xs, ts)
+    assert np.array_equal(J, ELECTRON.hbar_over_m * np.imag(np.conj(psi) * dpsi))
+    ens = wp._ensemble(packet, BARRIER)
+    assert np.array_equal(wp._density(ens, xs, ts), np.abs(psi) ** 2)
+    p1, d1 = wp.evolve(packet, BARRIER, 2.0, ts)
+    assert np.array_equal(wp.current(packet, BARRIER, 2.0, ts),
+                          ELECTRON.hbar_over_m * np.imag(np.conj(p1) * d1))
+    assert np.array_equal(wp._density(ens, xs, ts[0]),
+                          np.abs(wp.evolve(packet, BARRIER, xs, ts[0])[0]) ** 2)
 
 
 def _cache_packets(n):
