@@ -426,10 +426,8 @@ def cmd_times(run: RunConfig) -> int:
     params = SquareBarrierParams(cfg["V0"], 0.0)   # the widths are d
     T, R, alpha, beta = _square_amplitudes(params, k, d)
     t = tms._stationary_times(params, k, d)
-    # E as the scalar conversion rounds it, which an array k does not
-    E = np.fromiter(map(E_of_k, np.ravel(k).tolist()), float)
     table = np.column_stack(np.broadcast_arrays(
-        k, E, T, R, alpha, beta, t.eq, t.phase, t.phase, t.dwell,
+        k, E_of_k(k), T, R, alpha, beta, t.eq, t.phase, t.phase, t.dwell,
         t.dwell, t.tau_z, t.tau_x, t.bl_T, t.bl_R, t.dwell, t.tau_z))
     write_csv(run.out_dir / "times.csv", run, TIMES_COLUMNS, table)
     return 0
@@ -470,8 +468,9 @@ def cmd_evolve(run: RunConfig) -> int:
     flagged = False
     for x, rec in zip(xs, recs):
         mt = wp.mean_times(rec0, rec, floor=cfg["flux_floor"])
+        # tau_ret also reads the far probe's backward flux
         flag = (mt.stats_f.low_confidence_plus or mt.stats_f.low_confidence_minus)
-        flagged = flagged or mt.low_confidence
+        flagged = flagged or mt.low_confidence or flag
         rows.append((float(x), mt.tau_Pen, mt.tau_Ret,
                      mt.stats_f.total_plus_flux, mt.stats_f.total_minus_flux,
                      int(flag)))
@@ -639,13 +638,11 @@ def cmd_optical(run: RunConfig) -> int:
 
     # all three tables first: a failing gap sweep must leave none behind
     omega_c = math.pi * optical.C_M_S / cfg["b"]
-    disp = []
-    for ratio in _sweep(cfg, "ratio").tolist():
-        spec = optical.WaveguideSpec(b=cfg["b"], omega=ratio * omega_c)
-        kappa, v_g = optical.waveguide_dispersion(spec)
-        disp.append((ratio, spec.omega, kappa.real, kappa.imag, v_g))
-
     spec = optical.WaveguideSpec(b=cfg["b"], omega=cfg["omega_ratio"] * omega_c)
+    ratios = _sweep(cfg, "ratio")
+    omegas = ratios * omega_c
+    kappa, v_g = optical._dispersion(spec.b, omegas)
+    disp = np.column_stack([ratios, omegas, kappa.real, kappa.imag, v_g])
     kap = abs(optical.waveguide_dispersion(spec)[0].imag)
     kapL = _sweep(cfg, "kapL")
     L = kapL / kap
@@ -666,7 +663,7 @@ def cmd_optical(run: RunConfig) -> int:
 
     write_csv(run.out_dir / "optical_dispersion.csv", run,
               ["omega_ratio", "omega_rad_s", "kappa_re_1_m", "kappa_im_1_m",
-               "v_group_m_s"], np.array(disp), meta={"omega_c_rad_s": omega_c})
+               "v_group_m_s"], disp, meta={"omega_c_rad_s": omega_c})
     write_csv(run.out_dir / "optical_traversal.csv", run,
               ["kapL", "L_m", "tau_direct_s", "tau_mapped_s", "speed_over_c"],
               trav, meta=trav_meta)

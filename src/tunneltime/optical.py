@@ -58,6 +58,18 @@ class WaveguideSpec:
         return self.omega < self.omega_c
 
 
+def _dispersion(b: float, omega: np.ndarray):
+    """(kappa, v_group) arrays of waveguide_dispersion at every drive
+    frequency of omega, in a guide of width b (checked by the caller)."""
+    if not (np.isfinite(omega).all() and (omega > 0).all()):
+        raise ValueError("omega must be finite and positive")
+    omega_c = math.pi * C_M_S / b
+    ratio = omega_c / omega
+    kappa = (omega / C_M_S) * np.sqrt(1.0 - ratio * ratio + 0j)
+    v_g = np.where(omega < omega_c, math.nan, C_M_S * C_M_S * kappa.real / omega)
+    return kappa, v_g
+
+
 def waveguide_dispersion(spec: WaveguideSpec):
     """(kappa, v_group) for the lowest TE mode.
 
@@ -66,12 +78,8 @@ def waveguide_dispersion(spec: WaveguideSpec):
     c^2 kappa / omega <= c in the propagating case and nan (no energy
     transport velocity) below cutoff.
     """
-    ratio = spec.omega_c / spec.omega
-    kappa = complex(spec.omega / C_M_S) * np.sqrt(complex(1.0 - ratio * ratio))
-    if spec.evanescent:
-        return kappa, math.nan
-    v_g = C_M_S * C_M_S * kappa.real / spec.omega
-    return kappa, v_g
+    kappa, v_g = _dispersion(spec.b, np.array([spec.omega]))
+    return complex(kappa[0]), float(v_g[0])
 
 
 @dataclass(frozen=True)

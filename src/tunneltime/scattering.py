@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -224,9 +224,7 @@ class _Modes:
             if e_p is None:
                 e_p = self.ik * x if region == 0 else self.ik_out * (x - self.x_out)
                 np.exp(e_p, out=e_p)
-            # products in place (a block's arrays are large), with the
-            # operand order of the plain formula: SIMD complex products
-            # round differently when the operands swap
+            # products in place: a block's arrays are large
             if region == 0:
                 r_m = np.conj(e_p)
                 np.multiply(self.amp_R, r_m, out=r_m)
@@ -310,9 +308,10 @@ class ScatteringState(_Solution):
         return self.psi_and_dpsi(x)[0]
 
 
-def _local_q(E: float, V: float, units: UnitSystem) -> complex:
-    """Local wavenumber sqrt(2m(E-V))/hbar, analytic +0j branch."""
-    return complex(np.sqrt((2.0 * units.electron_rest_eV * (E - V) + 0j)) / units.hbarc_eV_A)
+def _local_q(E, V: float, units: UnitSystem):
+    """Local wavenumber sqrt(2m(E-V))/hbar at every element of E, analytic
+    +0j branch."""
+    return np.sqrt(2.0 * units.electron_rest_eV * (E - V) + 0j) / units.hbarc_eV_A
 
 
 def _check_k(k) -> None:
@@ -330,37 +329,6 @@ def _points(k, d):
     return k.ravel(), d.ravel()
 
 
-_pow2 = partial(pow, exp=2)   # Python's float x ** 2
-
-
-def _per_element(f, *xs):
-    """f over the elements of the 1-D arrays xs, one Python call each: numpy's
-    exp, tanh, tan, atan, hypot and x ** 2 round unlike libm's and Python's
-    on some inputs (+, -, *, /, sqrt, sin and floor round alike)."""
-    return np.fromiter(map(f, *(x.tolist() for x in xs)), float, count=xs[0].size)
-
-
-def _cmul(a, b):
-    """a * b on arrays, rounded as CPython's complex product rounds.
-
-    numpy's SIMD complex multiply may fuse the two products of a part into
-    one rounding; with general complex operands that changes the last bit.
-    """
-    out = np.empty(np.broadcast(a, b).shape, complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _py_div_ik(z, k):
-    """z / (1j * k) on arrays, rounded as CPython's complex quotient rounds:
-    it divides each part by k, where numpy multiplies by 1/k."""
-    out = np.empty(np.broadcast(z, k).shape, complex)
-    out.real = (z.real * 0.0 + z.imag) / k
-    out.imag = (z.imag * 0.0 - z.real) / k
-    return out
-
-
 def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False) -> _Solution:
     """Stationary states at every element of k, unit incident amplitude.
 
@@ -370,17 +338,10 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
     as the identity. semi_infinite makes the last segment the final medium.
     Sweeping right to left from the transmitted side keeps the growing
     exponential dominant, so total opacity up to ~600 needs no rescaling.
-    Each element is bit for bit the scalar solve at its k: the propagation
-    coefficients are real or pure imaginary, so array products round as
-    scalar ones, and the general products go through _cmul.
     """
     k = np.asarray(k, dtype=float)
     _check_k(k)
-    # E and q element by element through the scalar conversions: numpy
-    # squares an array by multiplication but a scalar through pow, and the
-    # two differ in the last bit for about one k in 1,300
-    Es = [float(units.E_of_k(x)) for x in k.ravel()]
-    E = np.array(Es).reshape(k.shape)
+    E = units.E_of_k(k)
     shape = np.broadcast_shapes(k.shape, *(x.shape for seg in segments for x in seg[:2]
                                            if isinstance(x, np.ndarray)))
     n = len(segments)
@@ -390,7 +351,7 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
                          kappas=none, A=none, _psi_l=none, _dpsi_l=none, _b_right=none,
                          _linear=np.zeros((0,) + shape, bool))
 
-    qs = [np.array([_local_q(e, V, units) for e in Es]).reshape(k.shape) for _, _, V in segments]
+    qs = [_local_q(E, V, units) for _, _, V in segments]
     widths = [xr - xl for xl, xr, _ in segments]
     total_opacity = 0.0
     for q, w in zip(qs, widths):
@@ -405,19 +366,14 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
     ik = 1j * k
     psi_end, dpsi_end = 1.0 + 0.0j, 1j * qs[-1] if semi_infinite else ik
     A, b_right, psi_l, dpsi_l = (np.zeros((n,) + shape, complex) for _ in range(4))
-    # where every step takes the series branch (or there is none: a bare
-    # step), the per-k solver's psi and dpsi were Python complexes, whose
-    # quotient by ik rounds as _py_div_ik does
-    all_series = True
     psi, dpsi = psi_end, dpsi_end
     for j in reversed(range(n_sweep)):
         psi, dpsi = psi_l[j], dpsi_l[j] = _seg_prop(psi, dpsi, qs[j], -widths[j])
-        all_series = all_series & (abs_qw[j] < _SERIES_QW)
 
-    ratio = np.where(all_series, _py_div_ik(dpsi, k), dpsi / ik)
+    ratio = dpsi / ik
     x_left = segments[0][0]
-    a_g = _cmul(0.5 * (psi + ratio), np.exp(-1j * k * x_left))
-    amp_R = _cmul(0.5 * (psi - ratio), np.exp(1j * k * x_left)) / a_g
+    a_g = 0.5 * (psi + ratio) * np.exp(-1j * k * x_left)
+    amp_R = 0.5 * (psi - ratio) * np.exp(1j * k * x_left) / a_g
     # a semi-infinite potential's amp_T is its final-medium mode's at x_edge
     amp_T = (np.exp(0j) if semi_infinite else np.exp(-1j * k * segments[-1][1])) / a_g
 
@@ -464,7 +420,7 @@ def _phase_slopes(segments, k: float, units: UnitSystem):
     sol = _transfer_sweep(segments, ks, units)
 
     def slopes(amp, i, h):
-        return np.angle(_cmul(amp[i], np.conj(amp[i + 1]))) / (2.0 * h)
+        return np.angle(amp[i] * np.conj(amp[i + 1])) / (2.0 * h)
 
     a1, a2 = slopes(sol.amp_T, 0, h), slopes(sol.amp_T, 2, 0.5 * h)
     b1, b2 = slopes(sol.amp_R, 0, h), slopes(sol.amp_R, 2, 0.5 * h)
@@ -503,28 +459,26 @@ def _square_amplitudes(params: SquareBarrierParams, k, d):
     if top.any():
         # barrier-top limit: interior is linear, T = 1/sqrt(1 + eps^2 d^2/4)
         kk, dd = k[top], d[top]
-        T[top] = t = 1.0 / np.sqrt(1.0 + _per_element(_pow2, eps * dd) / 4.0)
+        T[top] = t = 1.0 / np.sqrt(1.0 + (eps * dd) ** 2 / 4.0)
         R[top] = (eps * dd / 2.0) * t
-        a_ref[top] = _per_element(math.atan, kk * dd / 2.0)
+        a_ref[top] = np.arctan(kk * dd / 2.0)
     if below.any():
         kk, dd = k[below], d[below]
         kap = np.sqrt(eps * eps - kk * kk)
-        g = _per_element(math.exp, -kap * dd)  # underflow -> honest T = 0
+        g = np.exp(-kap * dd)  # underflow -> honest T = 0
         half = 0.5 * (1.0 - g * g)  # sinh(kap d) * e^{-kap d}
-        den = _per_element(math.hypot, 2.0 * kk * kap * g, eps * eps * half)
+        den = np.hypot(2.0 * kk * kap * g, eps * eps * half)
         T[below] = 2.0 * kk * kap * g / den
         R[below] = (kk * kk + kap * kap) * half / den
-        a_ref[below] = _per_element(math.atan, (kk * kk - kap * kap) / (2.0 * kk * kap)
-                                    * _per_element(math.tanh, kap * dd))
+        a_ref[below] = np.arctan((kk * kk - kap * kap) / (2.0 * kk * kap) * np.tanh(kap * dd))
     if above.any():
         kk, dd = k[above], d[above]
         kt = np.sqrt(kk * kk - eps * eps)
         s = np.sin(kt * dd)
-        den = _per_element(math.hypot, 2.0 * kk * kt, eps * eps * s)
+        den = np.hypot(2.0 * kk * kt, eps * eps * s)
         T[above] = 2.0 * kk * kt / den
         R[above] = eps * eps * np.abs(s) / den
-        a_ref[above] = _per_element(math.atan, (kk * kk + kt * kt) / (2.0 * kk * kt)
-                                    * _per_element(math.tan, kt * dd)) \
+        a_ref[above] = np.arctan((kk * kk + kt * kt) / (2.0 * kk * kt) * np.tan(kt * dd)) \
             + math.pi * np.floor(kt * dd / math.pi + 0.5)
         sgn[above] = np.where(s >= 0, 1.0, -1.0)   # beta jumps by pi where s changes sign
 

@@ -25,10 +25,8 @@ from .scattering import (
     ScatteringState,
     SquareBarrierParams,
     _check_k,
-    _per_element,
     _phase_slopes,
     _points,
-    _pow2,
     _square_amplitudes,
     closed_form_square,  # noqa: F401  (callers also reach it as times.closed_form_square)
     solve_transfer_matrix,
@@ -149,9 +147,9 @@ def _below_top(params: SquareBarrierParams, k, kap, d):
     kappa and d. Numerators and D = 4 k^2 kappa^2 + eps^4 sinh^2(kappa d) are
     scaled by e^{-2 kappa d}, so they stay finite at any opacity."""
     m_h, eps = params.units.m_over_hbar, params.eps
-    g2 = _per_element(math.exp, -2.0 * kap * d)
-    sh_sq = _per_element(_pow2, 0.5 * (1.0 - g2))   # sinh^2(kappa d) e^{-2 kappa d}
-    sh_two = 0.5 * (1.0 - g2 * g2)                  # sinh(2 kappa d) e^{-2 kappa d}
+    g2 = np.exp(-2.0 * kap * d)
+    sh_sq = (0.5 * (1.0 - g2)) ** 2   # sinh^2(kappa d) e^{-2 kappa d}
+    sh_two = 0.5 * (1.0 - g2 * g2)   # sinh(2 kappa d) e^{-2 kappa d}
     den = 4.0 * k * k * kap * kap * g2 + eps ** 4 * sh_sq
     diff = kap * kap - k * k
     bracket = (2.0 * kap * d * k * k * diff * g2 + eps ** 4 * sh_two) / den
@@ -167,7 +165,7 @@ def _above_top(params: SquareBarrierParams, k, kt, d):
     m_h, eps = params.units.m_over_hbar, params.eps
     s = np.sin(kt * d)
     s_two = np.sin(2.0 * kt * d)
-    den = 4.0 * k * k * kt * kt + eps ** 4 * _per_element(_pow2, s)
+    den = 4.0 * k * k * kt * kt + eps ** 4 * s * s
     phase = m_h / (k * kt) * (2.0 * kt * d * k * k * (kt * kt + k * k) - eps ** 4 * s_two) / den
     dwell = m_h * k / kt * (2.0 * kt * d * (kt * kt + k * k) - eps ** 2 * s_two) / den
     tau_z = m_h * eps * eps / (kt * kt) * ((kt * kt + k * k) * s * s
@@ -182,9 +180,7 @@ def _stationary_times(params: SquareBarrierParams, k, d) -> _Times:
     params supplies V0, eps and the units; d replaces params.d. Each regime
     runs on its own elements. The top window |k - eps| < 1e-9 eps takes the
     one-sided continuation: every quantity is the mean of its own values at
-    k = eps(1 -+ 1e-7), tau_x a mean of two hypots. The operations keep the
-    order of the per-k scalar forms this body replaced, and libm's rounding
-    (scattering._per_element), so each element equals those forms bit for bit.
+    k = eps(1 -+ 1e-7), tau_x a mean of two hypots.
     """
     k, d = _points(k, d)
     eps, n = params.eps, k.size
@@ -203,7 +199,7 @@ def _stationary_times(params: SquareBarrierParams, k, d) -> _Times:
     free = dd == 0   # no barrier: every time is 0
     phase[free] = dwell[free] = tau_z[free] = 0.0
     u = params.units
-    cols = [phase, dwell, tau_z, _per_element(math.hypot, dwell, tau_z),
+    cols = [phase, dwell, tau_z, np.hypot(dwell, tau_z),
             u.m_over_hbar * dd / q, np.where(free, 0.0, u.hbar_eV_s * kk / (params.V0 * q))]
     for col in cols:
         col[:n][top] = 0.5 * (col[:n][top] + col[n:])

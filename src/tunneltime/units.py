@@ -47,7 +47,8 @@ class UnitSystem:
 
     def E_of_k(self, k):
         """Kinetic energy (eV) at wavenumber k (1/A)."""
-        return (self.hbarc_eV_A * np.asarray(k, dtype=float)) ** 2 / (2.0 * self.electron_rest_eV)
+        p = self.hbarc_eV_A * np.asarray(k, dtype=float)
+        return p * p / (2.0 * self.electron_rest_eV)
 
     def v_of_k(self, k):
         """Group velocity hbar*k/m in A/s."""

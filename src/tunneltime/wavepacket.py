@@ -103,9 +103,10 @@ class _Ensemble(_Modes):
         if potential.semi_infinite:
             raise ValueError("packet evolution needs a finite-range potential")
         u = packet.units
-        super().__init__(potential, _transfer_sweep(potential.segments, packet.k_nodes, u))
+        sol = _transfer_sweep(potential.segments, packet.k_nodes, u)
+        super().__init__(potential, sol)
         self.coef = packet.weights * packet.amplitude / math.sqrt(2.0 * math.pi)
-        self.omega = u.E_of_k(self.k) / u.hbar_eV_s
+        self.omega = sol.E / u.hbar_eV_s   # each node's state and frequency share one E
 
     def modes_at(self, x: float):
         """(psi_j(x), dpsi_j(x)) arrays over the k grid at one position."""
@@ -279,8 +280,9 @@ class MeanTimes:
 
     @property
     def low_confidence(self) -> bool:
-        return (self.stats_i.low_confidence_plus or self.stats_f.low_confidence_plus
-                or self.stats_f.low_confidence_minus)
+        """A flag on an input of tau_T: either probe's forward flux (a clipped
+        window raises both sides' flags)."""
+        return self.stats_i.low_confidence_plus or self.stats_f.low_confidence_plus
 
 
 def default_time_grid(packet: SpectralPacket, potential: PiecewisePotential,

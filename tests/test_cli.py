@@ -1,16 +1,29 @@
 """Command line contract: exit codes, config handling, table shapes."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import (
+    EPS_MACH,
+    PHASE_EPS,
+    SLOPE_EPS,
+    amplitude_rel,
+    assert_close,
+    interior_qd,
+    phase_scale,
+    time_rel,
+)
 
 from tunneltime import cli
 from tunneltime import wavepacket as wp
-from tunneltime.units import k_of_E
+from tunneltime.scattering import PiecewisePotential
+from tunneltime.units import ELECTRON, k_of_E
 
 V0 = 10.0
 EPS = float(k_of_E(V0))
@@ -301,6 +314,39 @@ def test_hartman_needs_tunnelling_regime(tmp_path):
     assert run(["hartman", "--set", "V0=10", "--set", "E=15"], tmp_path) == 2
 
 
+HARTMAN_STRICT = ["hartman", "--strict", "--set", "V0=10", "--set", "E=5", "--set", "n_nodes=129"]
+
+
+def test_hartman_strict_passes_unflagged_widths(tmp_path):
+    # no flux comes back through the exit face of a single barrier, so the
+    # far probe's backward flux is 0: tau_T does not read it, and it raises
+    # no flag
+    assert run(HARTMAN_STRICT + ["--set", "d_min=1", "--set", "d_max=3", "--set", "d_points=5"],
+               tmp_path) == 0
+    names, data = read_table(tmp_path / "hartman.csv")
+    assert not data[:, names.index("flag")].any()
+
+
+def test_hartman_strict_flags_transmitted_flux_below_floor(tmp_path):
+    args = ["--set", "d_min=7.2", "--set", "d_max=7.2", "--set", "d_points=1"]
+    assert run(HARTMAN_STRICT + args, tmp_path) == 3
+    names, data = read_table(tmp_path / "hartman.csv")
+    assert data[:, names.index("flag")].tolist() == [1.0]
+    # the flag is the transmitted flux's, not a clipped window's
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(5.0)), 0.02, n_nodes=129)
+    pot = PiecewisePotential.square(10.0, 7.2)
+    mt = wp.mean_times(*wp.flux_records(packet, pot, [0.0, 7.2]))
+    assert mt.stats_f.total_plus_flux < wp.FLUX_FLOOR
+    assert not mt.stats_i.low_confidence_plus
+
+
+def test_readme_bohm_example_passes_strict(tmp_path):
+    cfg = tmp_path / "barrier.cfg"
+    cfg.write_text("# 10 eV barrier, 5 A wide, 5 eV packet\nV0 = 10\nd  = 5\nE  = 5\n"
+                   "dk = 0.02\n")
+    assert run(["bohm", "--strict", "--config", str(cfg)], tmp_path / "out") == 0
+
+
 # reshape
 
 
@@ -481,28 +527,125 @@ def _without_timestamp(path: Path) -> bytes:
                     if not ln.startswith(b"# timestamp: "))
 
 
+def _split_csv(path: Path):
+    """(header lines without the timestamp, column names, float table)."""
+    lines = _without_timestamp(path).decode().splitlines()
+    head = [ln for ln in lines if ln.startswith("#")]
+    body = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    return head, body[0], np.array(body[1:], dtype=float).reshape(-1, len(body[0]))
+
+
+TIMES = {"tau_eq_s", "dtau_phase_T_s", "dtau_phase_R_s", "tau_dwell_s", "tau_larmor_y_s",
+         "tau_larmor_z_s", "tau_larmor_x_s", "tau_BL_T_s", "tau_BL_R_s", "tau_complex_re_s",
+         "tau_complex_im_s", "tau_mapped_s"}
+
+
+def _bounds(cfg: dict, meta: dict, names: list, table: np.ndarray) -> dict:
+    """The bound of each column of a frozen package's table: the closed-form
+    amplitudes and times within the bounds of conftest.py at the table's
+    (k, d), the gap sweep's times within its phase slopes', and every other
+    column within 2 ulp (measured: exact)."""
+    col = dict(zip(names, table.T))
+    qd = None
+    if "kapL" in col:                        # optical traversal: q d = kappa L
+        qd = col["kapL"]
+    elif "kappa_d" in col:                   # hartman: below the top, q d = kappa d
+        qd = col["kappa_d"]
+    elif "k" in col:                         # times, reshape
+        k = col["k"]
+        d = cfg["d"] if "d" in cfg else col["tau_eq_s"] * k * ELECTRON.hbar_over_m
+        qd = interior_qd(float(k_of_E(cfg["V0"])), k, d)
+    out = {}
+    for name in names:
+        if name in ("T", "R", "product"):
+            out[name] = {"rel": amplitude_rel(qd)}
+        elif name in ("alpha", "beta"):
+            out[name] = {"rel": PHASE_EPS * EPS_MACH, "scale": phase_scale(col["alpha"], k, d)}
+        elif name in TIMES:
+            out[name] = {"rel": time_rel(qd)}
+        elif name == "time_s":                # gap sweep: (2d + L + alpha')/v
+            k = float(meta["gap_k"])
+            out[name] = {"absolute": SLOPE_EPS * EPS_MACH / (1e-6 * k * float(ELECTRON.v_of_k(k)))}
+        elif name == "margin":                # |sin(k L + beta)|
+            out[name] = {"absolute": PHASE_EPS * EPS_MACH * 1.5 * math.pi}
+        else:
+            out[name] = {"ulp": 2.0}
+    return out
+
+
+_NUMBER = re.compile(r"(-?\d+\.\d+)")
+# the tables each chart plots: (table, y columns); x is the first column
+SVG_DATA = {"reshape.svg": ("reshape.csv", ["T", "f", "product"]),
+            "optical_gap.svg": ("optical_gap.csv", ["time_s"]),
+            "hartman.svg": ("hartman.csv", ["dtau_phase_T_s", "tau_dwell_s", "tau_BL_T_s",
+                                            "tau_flux_tun_s", "tau_saturation_s"])}
+
+
+def _allowed(want: np.ndarray, bound: dict) -> np.ndarray:
+    """The absolute drift a column's bound allows at each cell."""
+    size = np.abs(bound.get("scale", want))
+    if "ulp" in bound:
+        return bound["ulp"] * np.spacing(size)
+    return bound["rel"] * size if "rel" in bound else np.full(want.shape, bound["absolute"])
+
+
+def _assert_svg_close(new: Path, old: Path, y_px: float = 0.0):
+    """Same text; every printed number within one unit of its last digit
+    plus y_px pixels."""
+    a, b = (_NUMBER.split(p.read_text()) for p in (new, old))
+    assert a[::2] == b[::2], f"{new.name}: text differs"
+    for x, y in zip(a[1::2], b[1::2]):
+        unit = 10.0 ** -len(y.split(".")[1])
+        assert abs(float(x) - float(y)) <= 1.000001 * unit + y_px, (new.name, x, y)
+
+
+def _assert_outputs_close(new: Path, old: Path, args: list, skip=()):
+    """The files of two runs: header and meta lines equal apart from the
+    timestamp line, float cells within each column's bound. An SVG chart's
+    coordinates lie within one unit of their last printed digit, plus the
+    pixels its plotted columns' bounds span: a chart scales its y axis to
+    the data's spread, so a flat curve magnifies their last digits."""
+    cfg = {}
+    for item in args[1::2]:
+        key, _, value = item.partition("=")
+        try:
+            cfg[key] = float(value)
+        except ValueError:
+            pass
+    names = sorted(p.name for p in new.iterdir())
+    assert names == sorted(p.name for p in old.iterdir())
+    allowed = {}
+    for name in (n for n in names if n.endswith(".csv")):
+        (head_n, cols, table_n), (head_o, cols_o, table_o) = (_split_csv(d / name)
+                                                             for d in (new, old))
+        assert head_n == head_o and cols == cols_o, name
+        meta = dict(ln[len("# meta: "):].split(" = ") for ln in head_o
+                    if ln.startswith("# meta: "))
+        for j, (col, bound) in enumerate(_bounds(cfg, meta, cols, table_o).items()):
+            allowed[name, col] = (table_o[:, j], _allowed(table_o[:, j], bound))
+            if col not in skip:
+                assert_close(table_n[:, j], table_o[:, j], what=f"{name} {col}", **bound)
+    for name in (n for n in names if n.endswith(".svg")):
+        table, ys = SVG_DATA[name]
+        span = np.ptp(np.concatenate([allowed[table, y][0] for y in ys]))
+        drift = max(allowed[table, y][1].max() for y in ys)
+        # cli.write_svg's plot is 415 px high, the data's span padded by 6% each side
+        _assert_svg_close(new / name, old / name, y_px=415.0 * drift / (1.12 * span))
+
+
 @pytest.mark.parametrize("cmd, args", FROZEN_RUNS)
 def test_cli_tables_match_frozen_package(frozen, tmp_path, cmd, args):
     new, old = tmp_path / "new", tmp_path / "old"
     assert run([cmd] + args, new) == 0
     assert frozen["cli"].main([cmd] + args + ["--out", str(old)]) == 0
-    names = sorted(p.name for p in new.iterdir())
-    assert names == sorted(p.name for p in old.iterdir())
-    for name in names:
-        assert _without_timestamp(new / name) == _without_timestamp(old / name), name
+    _assert_outputs_close(new, old, args)
 
 
 def test_cli_hartman_stationary_columns_match_frozen_package(frozen, tmp_path):
-    # the flux column comes from the packet code, which has changed since
-    args = ["hartman"] + _sets(V0=10, E=5, d_min=1.0, d_max=9.0, d_points=3, n_nodes=65)
+    # the flux column and the flag come from the packet code, which has
+    # changed since
+    sets = _sets(V0=10, E=5, d_min=1.0, d_max=9.0, d_points=3, n_nodes=65)
     new, old = tmp_path / "new", tmp_path / "old"
-    assert run(args, new) == 0
-    assert frozen["cli"].main(args + ["--out", str(old)]) == 0
-    tables = []
-    for out in (new, old):
-        lines = _without_timestamp(out / "hartman.csv").decode().splitlines()
-        names = next(ln for ln in lines if not ln.startswith("#")).split(",")
-        skip = names.index("tau_flux_tun_s")
-        tables.append([[c for j, c in enumerate(ln.split(",")) if j != skip]
-                       if not ln.startswith("#") else ln for ln in lines])
-    assert tables[0] == tables[1]
+    assert run(["hartman"] + sets, new) == 0
+    assert frozen["cli"].main(["hartman"] + sets + ["--out", str(old)]) == 0
+    _assert_outputs_close(new, old, sets, skip=("tau_flux_tun_s", "flag"))

@@ -57,6 +57,40 @@ def test_branch_continuity_at_cutoff():
     assert abs(above) < 1e-4 * spec_at(1.0).omega_c / op.C_M_S
 
 
+def test_dispersion_body_rows_are_the_scalar_calls():
+    wc = math.pi * op.C_M_S / B
+    omegas = np.linspace(0.5, 1.5, 2001) * wc
+    kappa, v_g = op._dispersion(B, omegas)
+    for w, kap, v in zip(omegas.tolist(), kappa.tolist(), v_g.tolist()):
+        want_kap, want_v = op.waveguide_dispersion(op.WaveguideSpec(b=B, omega=w))
+        assert kap == want_kap and (v == want_v or math.isnan(v) and math.isnan(want_v))
+    below = omegas < wc
+    assert np.isnan(v_g[below]).all() and (v_g[~below] >= 0).all()
+    assert (kappa.real[below] == 0).all() and (kappa.imag[below] > 0).all()
+    assert (kappa.imag[~below] == 0).all()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_dispersion_body_rejects_bad_frequencies(bad):
+    with pytest.raises(ValueError, match="omega"):
+        op._dispersion(B, np.array([1e10, bad]))
+
+
+def test_cli_dispersion_table_is_one_call(monkeypatch, tmp_path):
+    from tunneltime import cli
+
+    sizes = []
+    real = op._dispersion
+
+    def counted(b, omega):
+        sizes.append(omega.size)
+        return real(b, omega)
+
+    monkeypatch.setattr(op, "_dispersion", counted)
+    assert cli.main(["optical", "--set", "ratio_points=501", "--out", str(tmp_path)]) == 0
+    assert [n for n in sizes if n > 1] == [501]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         op.WaveguideSpec(b=0.0, omega=1.0)

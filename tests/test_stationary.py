@@ -1,4 +1,4 @@
-"""Stationary path: outputs bit-identical to the earlier per-call code, each
+"""Stationary path: outputs that match the earlier per-call code, each
 quantity computed once per row, and inputs validated in the library.
 
 The ``_parent_*`` helpers are verbatim copies of the code the stationary path
@@ -13,7 +13,10 @@ of the package that the benchmark keeps in ``bench/baseline/tunneltime``
 (the ``frozen`` fixture of conftest.py), whose ``units``, ``scattering``,
 ``times`` and ``optical`` modules are the per-k scalar code before the
 shared helpers were folded out and the closed forms became array bodies.
-The tests pin the current code to both, bit for bit.
+That copy reproduced CPython's and libm's rounding; the current code lets
+numpy round, so the tests pin it to the frozen copy within the measured
+bounds of conftest.py, and to the verbatim copies of code that shares its
+rounding bit for bit.
 """
 
 import math
@@ -22,6 +25,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import (
+    EPS_MACH,
+    PHASE_EPS,
+    SLOPE_EPS,
+    SWEEP_REL,
+    amplitude_rel,
+    assert_close,
+    interior_qd,
+    phase_scale,
+    time_rel,
+)
 from hypothesis import given, settings, strategies as st
 
 from tunneltime import cli, optical
@@ -38,8 +52,8 @@ from tunneltime.times import (
     tau_equivalent,
     tau_semiclassical,
 )
-from tunneltime.units import UnitSystem, k_of_E
-from tunneltime.wavepacket import SpectralPacket
+from tunneltime.units import ELECTRON, UnitSystem, k_of_E
+from tunneltime.wavepacket import SpectralPacket, _ensemble
 
 V0 = 10.0
 EPS = float(k_of_E(V0))
@@ -200,11 +214,35 @@ def _parent_write_svg(path: Path, title: str, xlabel: str, ylabel: str, series):
 # bit identity
 
 
-def _bytes(value) -> bytes:
-    """Exact bytes of a number, a tuple of numbers or a dataclass of them."""
+def _values(value) -> np.ndarray:
+    """A number, a tuple of numbers or a dataclass of them, as a complex array."""
     if is_dataclass(value):
         value = astuple(value)
-    return np.array(value, dtype=complex).tobytes()
+    return np.array(value, dtype=complex)
+
+
+def _bytes(value) -> bytes:
+    """Exact bytes of a number, a tuple of numbers or a dataclass of them."""
+    return _values(value).tobytes()
+
+
+@pytest.mark.parametrize("kind, bound, step", [
+    ("ulp", 4.0, lambda w, b: b * np.spacing(np.abs(w))),
+    ("rel", 2.5e-15, lambda w, b: b * np.abs(w)),
+    ("absolute", 1e-9, lambda w, b: b),
+])
+def test_assert_close_fails_at_twice_the_bound(kind, bound, step):
+    want = np.array([3.0, -2.5e-15, 7e8 + 1j, 0.5j, np.nan, -np.inf])
+    finite = np.isfinite(want)
+    for part in (1.0, 1j):
+        for factor in (0.9, 2.0):
+            moved = want.copy()
+            moved[finite] += factor * part * step(want[finite], bound)
+            if factor < 1.0:
+                assert assert_close(moved, want, **{kind: bound}) <= 1.0
+            else:
+                with pytest.raises(AssertionError, match="drift"):
+                    assert_close(moved, want, **{kind: bound})
 
 
 TOP_KS = [0.3 * EPS, 0.9 * EPS, EPS * (1.0 - 5e-10), EPS, EPS * (1.0 + 5e-10),
@@ -358,9 +396,23 @@ def test_write_svg_bytes_match_parent(tmp_path, pick):
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
 
 
-CLOSED = ["closed_form_square", "extrapolated_phase_times", "dwell_time_closed",
-          "larmor_times", "tau_semiclassical", "complex_time", "phase_times_fd",
-          "larmor_times_kappa_derivative", "time_report"]
+def _assert_amplitudes_close(got, want, eps, k, d, what=""):
+    """(T, R, alpha, beta) in the last axis of got and want, at points (k, d)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    rel = amplitude_rel(interior_qd(eps, k, d))[..., None]
+    assert_close(got[..., :2], want[..., :2], rel=rel, what=f"{what} T, R")
+    scale = phase_scale(want[..., 2], k, d)[..., None]
+    assert_close(got[..., 2:], want[..., 2:], rel=PHASE_EPS * EPS_MACH, scale=scale,
+                 what=f"{what} alpha, beta")
+
+
+def _slope_bound(k: float) -> float:
+    """Absolute bound on a Richardson phase slope at k, step h = 1e-6 k."""
+    return SLOPE_EPS * EPS_MACH / (1e-6 * k)
+
+
+CLOSED = ["extrapolated_phase_times", "dwell_time_closed", "larmor_times",
+          "tau_semiclassical", "complex_time", "larmor_times_kappa_derivative", "time_report"]
 
 
 @pytest.mark.parametrize("V0_, d", [(3.0, 0.0), (3.0, 7.0), (V0, 0.4), (V0, 5.0),
@@ -369,40 +421,49 @@ def test_stationary_forms_match_frozen_copy(frozen, V0_, d):
     eps = float(k_of_E(V0_))
     new_p = SquareBarrierParams(V0_, d)
     old_p = frozen["scattering"].SquareBarrierParams(V0_, d)
+    fs, ft = frozen["scattering"], frozen["times"]
     for k in [r * eps for r in (0.05, 0.3, 0.9, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.2, 2.5)]:
+        _assert_amplitudes_close(sc.closed_form_square(new_p, k), fs.closed_form_square(old_p, k),
+                                 eps, k, d, what=f"closed_form_square at {k}")
+        rel = time_rel(interior_qd(eps, k, d))
         for name in CLOSED:
-            mod = sc if name == "closed_form_square" else tms
-            old_mod = frozen["scattering" if mod is sc else "times"]
-            assert _bytes(getattr(mod, name)(new_p, k)) == \
-                _bytes(getattr(old_mod, name)(old_p, k)), (name, k)
+            assert_close(_values(getattr(tms, name)(new_p, k)),
+                         _values(getattr(ft, name)(old_p, k)), rel=rel, what=f"{name} at {k}")
+        assert_close(tms.phase_times_fd(new_p, k), ft.phase_times_fd(old_p, k),
+                     absolute=_slope_bound(k) / float(ELECTRON.v_of_k(k)),
+                     what=f"phase_times_fd at {k}")
         if k < eps * (1.0 - 1e-9) and d > 0:
-            assert tms.hartman_bracket(new_p, k) == frozen["times"].hartman_bracket(old_p, k)
+            assert_close(tms.hartman_bracket(new_p, k), ft.hartman_bracket(old_p, k), rel=rel)
             new_bl = tms.buttiker_landauer(new_p, k, omega=1e12, deltaV=0.01 * V0_)
-            old_bl = frozen["times"].buttiker_landauer(old_p, k, omega=1e12, deltaV=0.01 * V0_)
-            assert _bytes(new_bl) == _bytes(old_bl)
+            old_bl = ft.buttiker_landauer(old_p, k, omega=1e12, deltaV=0.01 * V0_)
+            assert_close(_values(new_bl), _values(old_bl), rel=rel, what=f"sidebands at {k}")
 
 
-def _array_rows(params: SquareBarrierParams, k, d) -> list[bytes]:
+def _array_rows(params: SquareBarrierParams, k, d) -> np.ndarray:
     """Each point's closed form and time report from one call of each array
-    body, as the bytes of (T, R, alpha, beta, *astuple(time_report))."""
+    body, one row of (T, R, alpha, beta, *astuple(time_report)) per point."""
     amps = sc._square_amplitudes(params, k, d)
     t = tms._stationary_times(params, k, d)
-    k, d = np.broadcast_arrays(k, d)
-    rows = []
-    for i, kk in enumerate(k.tolist()):
-        rows.append(_bytes(tuple(a[i] for a in amps) + (
-            kk, t.eq[i], t.phase[i], t.phase[i], t.dwell[i], t.dwell[i], t.tau_z[i],
-            t.tau_x[i], t.bl_T[i], t.bl_R[i], t.bl_T[i], complex(t.dwell[i], t.tau_z[i]))))
-    return rows
+    k = np.broadcast_to(k, t.eq.shape)
+    return np.column_stack(list(amps) + [
+        k, t.eq, t.phase, t.phase, t.dwell, t.dwell, t.tau_z, t.tau_x, t.bl_T, t.bl_R, t.bl_T,
+        t.dwell + 1j * t.tau_z])
 
 
-def _frozen_rows(frozen, V0_: float, k, d) -> list[bytes]:
+def _frozen_rows(frozen, V0_: float, k, d) -> np.ndarray:
     rows = []
     for kk, dd in zip(*(x.tolist() for x in np.broadcast_arrays(k, d))):
         p = frozen["scattering"].SquareBarrierParams(V0_, dd)
-        rows.append(_bytes(frozen["scattering"].closed_form_square(p, kk)
-                           + astuple(frozen["times"].time_report(p, kk))))
-    return rows
+        rows.append(frozen["scattering"].closed_form_square(p, kk)
+                    + astuple(frozen["times"].time_report(p, kk)))
+    return np.array(rows, dtype=complex)
+
+
+def _assert_rows_close(got, want, eps, k, d):
+    k, d = np.broadcast_arrays(k, d)
+    _assert_amplitudes_close(got[:, :4].real, want[:, :4].real, eps, k, d)
+    assert_close(got[:, 4:], want[:, 4:], rel=time_rel(interior_qd(eps, k, d))[:, None],
+                 what="times")
 
 
 # k / eps below the top, in the top window (on it and 5e-10 either side)
@@ -421,10 +482,12 @@ def test_array_rows_match_frozen_scalar_forms(frozen, V0_, d, ratios, ratio, see
     rng = np.random.default_rng(seed)
     params = SquareBarrierParams(V0_, d)
     ks = np.concatenate([ratios, rng.uniform(0.02, 3.0, 100)]) * params.eps
-    assert _array_rows(params, ks, d) == _frozen_rows(frozen, V0_, ks, d)   # k sweep
+    _assert_rows_close(_array_rows(params, ks, d), _frozen_rows(frozen, V0_, ks, d),
+                       params.eps, ks, d)   # k sweep
     k = ratio * params.eps
     ds = np.concatenate([[0.0], rng.uniform(0.01, 20.0, 100)])
-    assert _array_rows(params, k, ds) == _frozen_rows(frozen, V0_, k, ds)   # d sweep
+    _assert_rows_close(_array_rows(params, k, ds), _frozen_rows(frozen, V0_, k, ds),
+                       params.eps, k, ds)   # d sweep
 
 
 def test_transfer_routes_match_frozen_copy(frozen):
@@ -437,13 +500,12 @@ def test_transfer_routes_match_frozen_copy(frozen):
         (PiecewisePotential.step(V0), fs.PiecewisePotential.step(V0)),
     ]:
         for kk in (0.3 * k, k, 1.7 * EPS):
-            new, old = sc.solve_transfer_matrix(new_pot, kk), fs.solve_transfer_matrix(old_pot, kk)
-            for field in ("amp_T", "amp_R", "kappas", "A", "_psi_l", "_dpsi_l", "_b_right"):
-                assert _bytes(getattr(new, field)) == _bytes(getattr(old, field)), field
+            _assert_state_close(sc.solve_transfer_matrix(new_pot, kk),
+                                fs.solve_transfer_matrix(old_pot, kk), what=f"k = {kk}")
     gaps = [0.0, 1.0, 4.0, 9.5]
     for d, V0_ in [(2.0, V0), (0.0, V0), (3.0, 4.0)]:
-        assert _bytes(optical.gap_sweep(d, V0_, k, gaps)) == \
-            _bytes(frozen["optical"].gap_sweep(d, V0_, k, gaps))
+        _assert_gaps_close(optical.gap_sweep(d, V0_, k, gaps),
+                           frozen["optical"].gap_sweep(d, V0_, k, gaps), k)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +701,17 @@ def _parent_gap_sweep(d, V0_, k, gaps, units=sc.ELECTRON):
             for L in gaps]
 
 
+def _assert_gaps_close(got, want, k: float):
+    """[(L_gap, time, margin)] rows: the gaps equal; a time moves by its
+    phase slope's drift over v, a margin by at most its phase's drift."""
+    got, want = np.array(got), np.array(want)
+    assert_close(got[:, 0], want[:, 0], ulp=0, what="gaps")
+    assert_close(got[:, 1], want[:, 1], absolute=_slope_bound(k) / float(ELECTRON.v_of_k(k)),
+                 what="times")
+    assert_close(got[:, 2], want[:, 2], absolute=PHASE_EPS * EPS_MACH * 1.5 * math.pi,
+                 what="margins")
+
+
 # k on both sides of the barrier top, at it (the E = V series branch) and
 # within 5e-10 of it
 SLOPE_KS = [0.05, 0.6, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.3, 2.5]
@@ -655,7 +728,8 @@ SLOPE_KS = [0.05, 0.6, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.3, 2.5]
 def test_phase_slopes_match_per_k_copy(pot, r):
     k = r * float(k_of_E(pot.segments[0][2]))
     want = _parent_phase_slopes(pot, k, sc.ELECTRON)
-    assert _bytes(sc._phase_slopes(pot.segments, k, sc.ELECTRON)) == _bytes(want)
+    assert_close(sc._phase_slopes(pot.segments, k, sc.ELECTRON), want,
+                 absolute=_slope_bound(k))
 
 
 def test_seg_prop_array_matches_scalar_calls():
@@ -677,8 +751,7 @@ def test_seg_prop_array_matches_scalar_calls():
                      min_size=1, max_size=12))
 def test_gap_sweep_matches_per_gap_copy(V0_, erel, d, gaps):
     k = float(k_of_E(erel * V0_))
-    assert _bytes(optical.gap_sweep(d, V0_, k, gaps)) == \
-        _bytes(_parent_gap_sweep(d, V0_, k, gaps))
+    _assert_gaps_close(optical.gap_sweep(d, V0_, k, gaps), _parent_gap_sweep(d, V0_, k, gaps), k)
 
 
 def test_cli_size_gap_sweep_matches_frozen_copy(frozen):
@@ -687,8 +760,8 @@ def test_cli_size_gap_sweep_matches_frozen_copy(frozen):
         k = float(k_of_E(E))
         d = 15.0 / float(sc.ELECTRON.kappa_of(E, V0_))
         gaps = np.linspace(0.0, 20.0, 2001)
-        assert _bytes(optical.gap_sweep(d, V0_, k, gaps)) == \
-            _bytes(frozen["optical"].gap_sweep(d, V0_, k, gaps))
+        _assert_gaps_close(optical.gap_sweep(d, V0_, k, gaps),
+                           frozen["optical"].gap_sweep(d, V0_, k, gaps), k)
 
 
 @pytest.mark.parametrize("gaps", [[1.0, math.nan], [math.inf], [2.0, -math.inf],
@@ -718,25 +791,29 @@ def test_gap_sweep_rejects_opacity_past_limit():
         optical.gap_sweep(d, V0, k, [0.0, 1.0])
 
 
-def test_phase_slopes_match_where_array_and_scalar_energy_differ():
-    # numpy squares an array by multiplication and a scalar through pow; find
-    # a k whose shifted values include one where that moves a local q
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(1e-4, 10.0), min_size=1, max_size=20), st.integers(0, 2 ** 32 - 1))
+def test_E_of_k_rounds_scalars_and_arrays_alike(ks, seed):
+    # one product on every path: a Python float, an np.float64, a 0-d and a
+    # 1-element array give the same bits. pow and multiplication split about
+    # one k in 1,000, so each example also draws 300 k from its seed.
+    ks = ks + np.random.default_rng(seed).uniform(1e-4, 10.0, 300).tolist()
     u = sc.ELECTRON
+    arr = u.E_of_k(np.array(ks))
+    for i, k in enumerate(ks):
+        forms = [u.E_of_k(k), u.E_of_k(np.float64(k)), u.E_of_k(np.array(k)),
+                 u.E_of_k(np.array([k]))[0], arr[i]]
+        assert len({float(e).hex() for e in forms}) == 1, (k, forms)
 
-    def split(kk):
-        E_array, E_scalar = float(u.E_of_k(np.array([kk]))[0]), float(u.E_of_k(kk))
-        return any(sc._local_q(E_array, V, u) != sc._local_q(E_scalar, V, u)
-                   for V in (V0, 0.0))
 
-    def shifted(k):
-        h = 1e-6 * k
-        return k + h, k - h, k + 0.5 * h, k - 0.5 * h
-
-    k = next(k for k in np.linspace(1.0, 1.1, 20001).tolist()
-             if any(split(kk) for kk in shifted(k)))
+def test_ensemble_states_and_frequencies_share_one_energy():
+    packet = SpectralPacket.gaussian(float(k_of_E(5.0)), 0.02, n_nodes=129)
     pot = PiecewisePotential.double_barrier(V0, 2.0, 3.0)
-    want = _parent_phase_slopes(pot, k, u)
-    assert _bytes(sc._phase_slopes(pot.segments, k, u)) == _bytes(want)
+    E = ELECTRON.E_of_k(packet.k_nodes)
+    assert sc._transfer_sweep(pot.segments, packet.k_nodes, ELECTRON).E.tobytes() == E.tobytes()
+    assert _ensemble(packet, pot).omega.tobytes() == (E / ELECTRON.hbar_eV_s).tobytes()
+    for k, e in zip(packet.k_nodes.tolist(), E.tolist()):
+        assert sc.solve_transfer_matrix(pot, k).E == e
 
 
 # ---------------------------------------------------------------------------
@@ -837,16 +914,28 @@ def _parent_solve_transfer_matrix(potential, k: float, units=sc.ELECTRON):
 STATE_FIELDS = ("E", "amp_T", "amp_R", "kappas", "A", "_psi_l", "_dpsi_l", "_b_right")
 
 
+def _assert_state_close(got, want, i=(), what=""):
+    """Every field of got (element i of a sweep, or a scalar solve) within
+    SWEEP_REL of want's per element. A growing-part coefficient is a sum of
+    terms the size of psi at its anchor x_r, so an exact zero of want (no
+    wave coming back from the right) is measured against that size."""
+    for name in STATE_FIELDS:
+        g, w = np.asarray(getattr(got, name))[(..., *i)], np.asarray(getattr(want, name))
+        scale = None
+        if name == "_b_right" and w.size:
+            psi_r = np.append(want._psi_l[1:], want.amp_T)   # psi at each segment's x_r
+            scale = np.maximum(np.abs(w), np.abs(psi_r))
+        assert_close(g, w, rel=SWEEP_REL, scale=scale, what=f"{what} {name}")
+
+
 def _assert_matches_parent(pot, ks):
     """Every element of one sweep over ks, and the scalar solve at each k,
-    equal the parent's scalar solve bit for bit."""
+    match the parent's scalar solve within SWEEP_REL."""
     sol = sc._transfer_sweep(pot.segments, np.array(ks), sc.ELECTRON, pot.semi_infinite)
     for i, k in enumerate(ks):
         want = _parent_solve_transfer_matrix(pot, k)
-        got = sc.solve_transfer_matrix(pot, k)
-        for name in STATE_FIELDS:
-            assert _bytes(getattr(got, name)) == _bytes(getattr(want, name)), (name, k)
-            assert _bytes(getattr(sol, name)[..., i]) == _bytes(getattr(want, name)), (name, k)
+        _assert_state_close(sc.solve_transfer_matrix(pot, k), want, what=f"k = {k}")
+        _assert_state_close(sol, want, (i,), what=f"element {i}, k = {k}")
     return sol
 
 

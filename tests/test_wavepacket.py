@@ -301,7 +301,10 @@ def test_mean_times_wiring(packet):
     assert mt.tau_R == pytest.approx(6.6804e-15, rel=1e-3, abs=0)   # frozen
     assert mt.var_tau_T == pytest.approx(
         wp.arrival_stats(rec0).var_t_plus + wp.arrival_stats(recd).var_t_plus, rel=1e-12, abs=0)
-    assert mt.low_confidence  # transmitted flux below the floor at this opacity
+    # the transmitted flux (4.3e-5) clears the floor, so tau_T is not flagged;
+    # no flux comes back through the exit face, and that flag is not tau_T's
+    assert not mt.low_confidence
+    assert mt.stats_f.total_minus_flux == 0.0 and mt.stats_f.low_confidence_minus
 
 
 def test_separated_packet_diagnostic_far_probes(packet):
