@@ -113,23 +113,41 @@ class _Ensemble(_Modes):
         return self.modes(bisect.bisect_right(self.edges, x), x)
 
     def mode_blocks(self, xs: np.ndarray, derivative: bool = True):
-        """Yield (row slice, psi, dpsi) for xs, PHASE_BLOCK positions at a time.
+        """Yield (row slice, psi, dpsi) for xs, at most PHASE_BLOCK positions at a time.
 
-        Blocks follow the order of xs; one block may span several regions.
-        On an evenly spaced xs longer than one block, exp(ikx) on the free
-        regions comes from the _phase_blocks recurrence (omega = -k);
-        otherwise, and inside segments, from exp directly, so a list of at
+        Blocks follow the order of xs. In a list longer than one block, each
+        run of more than PHASE_BLOCK consecutive positions in one free region
+        that is evenly spaced takes exp(ikx) from the _phase_blocks
+        recurrence (omega = -k), anchored at the run's first position, so a
+        piecewise grid such as _bohm_grid's takes it on both free pieces.
+        Everything else, and every position inside a segment, takes exp
+        directly, in blocks that may span several regions; so a list of at
         most PHASE_BLOCK points matches modes_at row for row, bit for bit.
         """
         B = PHASE_BLOCK
         n = len(xs)
         regions = np.searchsorted(self.edges, xs, side="right")
-        if n > B and _is_even(xs, self.k):
-            blocks = _phase_blocks(xs, -self.k)
-        else:
-            blocks = ((slice(s, s + B), None) for s in range(0, n, B))
-        for rows, e_p in blocks:
-            yield rows, *self.at(xs[rows], e_p, regions[rows], derivative)
+        starts = np.flatnonzero(np.diff(regions, prepend=-1))   # runs of one region
+        stops = np.append(starts[1:], n)
+        long = stops - starts > B
+        spans, done = [], 0   # (start, stop, even free run)
+        for a, b in zip(starts[long], stops[long]):
+            r = regions[a]
+            if (r == 0 or r > len(self.segs)) and _is_even(xs[a:b], self.k):
+                spans += [(done, a, False), (a, b, True)]
+                done = b
+        spans.append((done, n, False))
+        for a, b, even in spans:
+            if even:
+                blocks = _phase_blocks(xs[a:b], -self.k)
+            else:
+                blocks = ((slice(s, min(s + B, b - a)), None) for s in range(0, b - a, B))
+            for rows, e_p in blocks:
+                rows = slice(a + rows.start, a + rows.stop)
+                tiles = self.at(xs[rows], e_p, regions[rows], derivative)
+                del e_p   # hold no tile while the next block's are formed
+                yield rows, *tiles
+                del tiles
 
 
 # the most recently used ensembles, keyed on (potential, packet content)
@@ -159,7 +177,8 @@ def _is_even(ts: np.ndarray, omega: np.ndarray) -> bool:
 
 def _phase(ts: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """The direct exp(-i omega t) matrix, shape (len(ts), len(omega))."""
-    return np.exp(-1j * np.outer(ts, omega))
+    phase = -1j * np.outer(ts, omega)
+    return np.exp(phase, out=phase)
 
 
 def _phase_blocks(ts: np.ndarray, omega: np.ndarray):
@@ -526,11 +545,12 @@ def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
     A seed's m is the mass M(x, t_start) to the right of it; at each of n_out
     evenly spaced times from t_start to t_end, the trajectory x_m(t) solves
     M(x, t) = m. M is a reverse cumulative trapezoid of |Psi|^2 on a graded
-    grid (_bohm_grid), PHASE_BLOCK times at a time, summed from the packet
-    front leftward until every mass is reached (_quantiles). A trajectory
-    whose mass the window does not bracket on some row (a seed off the
-    packet's grid) is marked degenerate; every trajectory spans the full
-    output grid.
+    grid (_bohm_grid). Each block of PHASE_BLOCK output times sums it from
+    its own packet front leftward until its masses are reached; one sweep
+    over the grid serves every block, so each position's modes are formed
+    once per call (_quantile_sweep). A trajectory whose mass the window does
+    not bracket on some row (a seed off the packet's grid) is marked
+    degenerate; every trajectory spans the full output grid.
 
     Barrier entry and exit are the first times at which the mass that has
     crossed x_left or x_right, M(x_p, t_start) + int J(x_p, t) dt on a
@@ -578,12 +598,10 @@ def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
     mass = np.interp(seeds, xs, M0)
     probe_mass = np.interp([potential.x_left, potential.x_right], xs, M0)
     degenerate = (seeds < xs[0]) | (seeds > xs[-1])
-    x = np.empty((seeds.size, n_out))
-    for s in range(0, n_out, PHASE_BLOCK):
-        ts = t_eval[s:s + PHASE_BLOCK]
-        xb, missed = _quantiles(ens, grid[:window_end(ts)], ts, mass)
-        x[:, s:s + len(ts)] = xb.T
-        degenerate |= missed.any(axis=0)
+    ends = [window_end(t_eval[s:s + PHASE_BLOCK]) for s in range(0, n_out, PHASE_BLOCK)]
+    xq, missed = _quantile_sweep(ens, grid, t_eval, ends, mass)
+    x = np.ascontiguousarray(xq.T)
+    degenerate |= missed.any(axis=0)
 
     entry = exit_ = np.full(seeds.size, math.nan)   # no barrier to cross
     if potential.segments:
@@ -624,41 +642,73 @@ def _bohm_grid(packet: SpectralPacket, potential: PiecewisePotential,
     return np.concatenate(pieces + [[hi]])
 
 
-def _quantiles(ens: _Ensemble, xs: np.ndarray, ts: np.ndarray, mass: np.ndarray):
+def _quantile_sweep(ens: _Ensemble, xs: np.ndarray, ts: np.ndarray, ends: list[int],
+                    mass: np.ndarray):
     """Where the mass to the right reaches each of mass, at each of the times ts.
 
-    M(x, t) is the trapezoid mass of |Psi(t)|^2 from x to xs[-1]. Returns
-    (x, missed): x[r, i] solves M(x, ts[r]) = mass[i], linear between
-    positions; missed[r, i] is True, and x[r, i] is xs[0], where all of xs
-    holds less than mass[i]. The density is formed a block of positions at
-    a time from xs[-1] leftward, and only as far as the masses need.
+    ts is evenly spaced. Time block b, rows b PHASE_BLOCK onward, takes
+    M(x, t) as the trapezoid mass of |Psi(t)|^2 from x to xs[ends[b] - 1].
+    Returns (x, missed): x[r, i] solves M(x, ts[r]) = mass[i], linear
+    between positions; missed[r, i] is True, and x[r, i] is xs[0], where
+    all of its block's window holds less than mass[i].
+
+    One sweep walks xs leftward from xs[max(ends) - 1], PHASE_BLOCK
+    positions at a time, and forms each position's modes once, with coef
+    folded in. Each block of positions serves every time block whose window
+    has begun and whose masses are not all reached, in order: the phase
+    rows come from the even-time recurrence, and the density extends that
+    time block's running mass, carried from one block of positions to the
+    next by each row's last density and M. The sweep stops once every time
+    block has reached all of its masses.
     """
-    xd = xs[::-1]
+    B = PHASE_BLOCK
+    top = max(ends)
+    xd = xs[:top][::-1]
+    begin = [top - end for end in ends]   # column of xd where each window begins
     x = np.full((len(ts), mass.size), xs[0])
     missed = np.ones(x.shape, bool)
-    rho_end = M_end = None   # density and M at the last position summed
-    for _, cols, p, _ in _blocks(ens, xd, ts, derivative=False):
-        rho = np.abs(p) ** 2
-        if cols.start:   # carry on from the last position of the block before
-            rho = np.concatenate([rho_end, rho], axis=1)
-            M = np.repeat(M_end[:, None], rho.shape[1], axis=1)
-        else:
-            M = np.zeros_like(rho)
-        pos = xd[max(cols.start - 1, 0):cols.stop]
-        M[:, 1:] += np.cumsum((rho[:, 1:] + rho[:, :-1]) * ((pos[:-1] - pos[1:]) / 2.0), axis=1)
-        # M rises along pos: a mass is reached in this block when the last
-        # column reaches it, first at the first column that does
-        reached = M[:, :, None] >= mass
-        r, i = np.nonzero(missed & reached[:, -1])
-        j = reached[r, :, i].argmax(axis=1)
-        lo = np.maximum(j - 1, 0)   # j = 0 only for a mass of 0, reached at pos[0]
-        step = M[r, j] - M[r, lo]
-        frac = np.divide(mass[i] - M[r, lo], step, out=np.zeros_like(step), where=step > 0)
-        x[r, i] = pos[lo] + frac * (pos[j] - pos[lo])
-        missed[r, i] = False
-        if not missed.any():
+    rho_end, M_end = np.empty(len(ts)), np.empty(len(ts))   # at the last column summed
+    open_ = list(range(len(ends)))
+    # phase row s + r is offset[r] exp(-i omega t_s); the factor of t_s is
+    # multiplied into the mode tile, so no phase tile is held
+    offset = _phase(ts[:B] - ts[0], ens.omega)
+    for cols, p, _ in ens.mode_blocks(xd, derivative=False):
+        np.multiply(ens.coef, p, out=p)
+        t_p = 0.0   # p holds coef psi exp(-i omega t_p)
+        for b in [b for b in open_ if begin[b] < cols.stop]:
+            s = b * B
+            rows = slice(s, min(s + B, len(ts)))
+            np.multiply(p, np.exp(-1j * (ts[s] - t_p) * ens.omega), out=p)
+            t_p = ts[s]
+            c = max(cols.start, begin[b])
+            rho = np.abs(offset[:rows.stop - s] @ p[c - cols.start:].T) ** 2
+            if c > begin[b]:   # carry on from the last column summed
+                rho = np.concatenate([rho_end[rows, None], rho], axis=1)
+                M = np.repeat(M_end[rows, None], rho.shape[1], axis=1)
+                c -= 1
+            else:
+                M = np.zeros_like(rho)
+            pos = xd[c:cols.stop]
+            M[:, 1:] += np.cumsum((rho[:, 1:] + rho[:, :-1]) * ((pos[:-1] - pos[1:]) / 2.0),
+                                  axis=1)
+            # M rises along pos: a mass is reached in this block when the last
+            # column reaches it, first at the column after all that fall short
+            r, i = np.nonzero(missed[rows] & (M[:, -1:] >= mass))
+            if r.size:
+                j = np.sum(M[r] < mass[i, None], axis=1)
+                lo = np.maximum(j - 1, 0)   # j = 0 only for a mass of 0, reached at pos[0]
+                step = M[r, j] - M[r, lo]
+                frac = np.divide(mass[i] - M[r, lo], step, out=np.zeros_like(step),
+                                 where=step > 0)
+                x[s + r, i] = pos[lo] + frac * (pos[j] - pos[lo])
+                missed[s + r, i] = False
+            if missed[rows].any():
+                rho_end[rows], M_end[rows] = rho[:, -1], M[:, -1]
+            else:
+                open_.remove(b)
+        del p   # before the next block's modes are formed
+        if not open_:
             break
-        rho_end, M_end = rho[:, -1:], M[:, -1]
     return x, missed
 
 

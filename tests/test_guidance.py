@@ -5,10 +5,13 @@ needs no ODE: its samples are density quantiles and its barrier entry and
 exit come from probe fluxes. Integrations of the guidance equation
 x' = J/rho with scipy's solve_ivp are the oracles, compared to a stated
 tolerance: the solve_ivp version that bohm_trajectories once was, on the
-scenes it handled, and a tight DOP853 integration on transmitted seeds.
+scenes it handled, and a tight DOP853 integration on transmitted seeds. A
+copy of the loop that summed the density once per block of output times is
+the oracle of the one sweep that replaced it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,14 +171,14 @@ def test_bohm_trajectories_match_a_tight_guidance_integration(name):
 
 
 def test_bohm_trajectories_evaluate_the_guidance_off_evolve(monkeypatch):
-    # no guidance is integrated: the density comes in blocks of PHASE_BLOCK
-    # output times (one row more for the masses at t_start), the crossings
-    # from one flux_records call at the barrier faces on a DT_FINE grid, and
+    # no guidance is integrated: the density comes from one row at t_start
+    # (the masses) and one sweep over every output time, the crossings from
+    # one flux_records call at the barrier faces on a DT_FINE grid, and
     # evolve is never called
     packet = wp.SpectralPacket.gaussian(float(k_of_E(5.0)), 0.05, n_nodes=49)
     pot = PiecewisePotential.square(10.0, 2.0)
-    calls = {"evolve": 0, "rows": [], "flux": []}
-    blocks, flux_records = wp._blocks, wp.flux_records
+    calls = {"evolve": 0, "rows": [], "sweeps": [], "flux": []}
+    blocks, sweep, flux_records = wp._blocks, wp._quantile_sweep, wp.flux_records
 
     def evolve(*args, **kwargs):
         calls["evolve"] += 1
@@ -184,12 +187,17 @@ def test_bohm_trajectories_evaluate_the_guidance_off_evolve(monkeypatch):
         calls["rows"].append(len(ts))
         return blocks(ens, xs, ts, derivative)
 
+    def counted_sweep(ens, xs, ts, ends, mass):
+        calls["sweeps"].append(len(ts))
+        return sweep(ens, xs, ts, ends, mass)
+
     def counted_flux(packet, potential, xs, t_grid=None, **kwargs):
         calls["flux"].append((list(xs), t_grid))
         return flux_records(packet, potential, xs, t_grid=t_grid, **kwargs)
 
     monkeypatch.setattr(wp, "evolve", evolve)
     monkeypatch.setattr(wp, "_blocks", counted_blocks)
+    monkeypatch.setattr(wp, "_quantile_sweep", counted_sweep)
     monkeypatch.setattr(wp, "flux_records", counted_flux)
     n_out = 2 * wp.PHASE_BLOCK + 22
     trajs = wp.bohm_trajectories(packet, pot, [-70.0, -60.0], -1.2e-14, -0.6e-14, n_out=n_out)
@@ -199,7 +207,8 @@ def test_bohm_trajectories_evaluate_the_guidance_off_evolve(monkeypatch):
     assert probes == [0.0, 2.0]
     assert t_grid[0] == -1.2e-14 and t_grid[-1] == -0.6e-14
     assert np.max(np.diff(t_grid)) <= wp.DT_FINE * (1.0 + 1e-9)   # up to linspace rounding
-    assert calls["rows"] == [1, wp.PHASE_BLOCK, wp.PHASE_BLOCK, 22, t_grid.size]
+    assert calls["sweeps"] == [n_out]
+    assert calls["rows"] == [1, t_grid.size]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +295,7 @@ def test_quantiles_match_the_density_and_flag_missed_masses():
     rho = wp._density(ens, xs, ts)
     totals = [np.trapezoid(row, xs) for row in rho]
     mass = np.array([0.0, 1e-6, 0.02, 0.3, 0.9 * min(totals), 1.5 * max(totals)])
-    x, missed = wp._quantiles(ens, xs, ts, mass)
+    x, missed = wp._quantile_sweep(ens, xs, ts, [xs.size], mass)
     assert missed.tolist() == [[False] * 5 + [True]] * len(ts)
     assert np.all(x[:, -1] == xs[0])
     for row, got in zip(rho, x):
@@ -313,17 +322,202 @@ def test_route_disagreement_reads_both_faces():
 def test_a_mass_missed_on_any_row_marks_its_trajectory_degenerate(monkeypatch):
     packet = wp.SpectralPacket.gaussian(float(k_of_E(5.0)), 0.05, n_nodes=49)
     pot = PiecewisePotential.square(10.0, 2.0)
-    quantiles, blocks = wp._quantiles, []
+    sweep, sweeps = wp._quantile_sweep, []
 
-    def second_block_misses_seed_1(ens, xs, ts, mass):
-        x, missed = quantiles(ens, xs, ts, mass)
-        if len(blocks) == 1:
-            missed[-1, 1] = True
-        blocks.append(len(ts))
+    def second_block_misses_seed_1(ens, xs, ts, ends, mass):
+        x, missed = sweep(ens, xs, ts, ends, mass)
+        missed[2 * wp.PHASE_BLOCK - 1, 1] = True   # the last row of the second time block
+        sweeps.append((len(ts), len(ends)))
         return x, missed
 
-    monkeypatch.setattr(wp, "_quantiles", second_block_misses_seed_1)
+    monkeypatch.setattr(wp, "_quantile_sweep", second_block_misses_seed_1)
     seeds = _transmitted_seeds(packet, pot, -1.2e-14, 3)
     trajs = wp.bohm_trajectories(packet, pot, seeds, -1.2e-14, 1e-14, n_out=150)
-    assert blocks == [64, 64, 22]
+    assert sweeps == [(150, 3)]
     assert [tr.degenerate for tr in trajs] == [False, True, False]
+
+
+# ---------------------------------------------------------------------------
+# against the per-time-block quantile loop that the sweep replaced
+
+
+def _parent_quantiles(ens, xs, ts, mass, visited=None):
+    """Copy of the _quantiles that bohm_trajectories called once per block of
+    PHASE_BLOCK output times, verbatim but for its density blocks, which
+    copy the _blocks and mode_blocks of the time: the recurrence only on an
+    evenly spaced list, direct exp otherwise. visited, when given, collects
+    the positions whose modes it forms."""
+    B = wp.PHASE_BLOCK
+    xd = xs[::-1]
+    regions = np.searchsorted(ens.edges, xd, side="right")
+    if len(xd) > B and wp._is_even(xd, ens.k):
+        mode_blocks = wp._phase_blocks(xd, -ens.k)
+    else:
+        mode_blocks = ((slice(s, s + B), None) for s in range(0, len(xd), B))
+    phase = wp._phase(ts, ens.omega)
+    x = np.full((len(ts), mass.size), xs[0])
+    missed = np.ones(x.shape, bool)
+    rho_end = M_end = None
+    for cols, e_p in mode_blocks:
+        if visited is not None:
+            visited.extend(xd[cols].tolist())
+        pm, _ = ens.at(xd[cols], e_p, regions[cols], derivative=False)
+        np.multiply(ens.coef, pm, out=pm)
+        rho = np.abs(phase @ pm.T) ** 2
+        if cols.start:
+            rho = np.concatenate([rho_end, rho], axis=1)
+            M = np.repeat(M_end[:, None], rho.shape[1], axis=1)
+        else:
+            M = np.zeros_like(rho)
+        pos = xd[max(cols.start - 1, 0):cols.stop]
+        M[:, 1:] += np.cumsum((rho[:, 1:] + rho[:, :-1]) * ((pos[:-1] - pos[1:]) / 2.0), axis=1)
+        reached = M[:, :, None] >= mass
+        r, i = np.nonzero(missed & reached[:, -1])
+        j = reached[r, :, i].argmax(axis=1)
+        lo = np.maximum(j - 1, 0)
+        step = M[r, j] - M[r, lo]
+        frac = np.divide(mass[i] - M[r, lo], step, out=np.zeros_like(step), where=step > 0)
+        x[r, i] = pos[lo] + frac * (pos[j] - pos[lo])
+        missed[r, i] = False
+        if not missed.any():
+            break
+        rho_end, M_end = rho[:, -1:], M[:, -1]
+    return x, missed
+
+
+def _parent_quantile_trajectories(packet, potential, seeds, t_start, t_end, n_out=801,
+                                  visited=None):
+    """Copy of bohm_trajectories with its loop of _quantiles calls, one per
+    block of PHASE_BLOCK output times (the oracle of the sweep)."""
+    seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
+    ens = wp._ensemble(packet, potential)
+    t_eval = np.linspace(t_start, t_end, n_out)
+    v = packet.units.v_of_k(packet.k_nodes)
+    v_lo, v_hi = float(v.min()), float(v.max())
+    reach = 5.0 / packet.dk
+    width = potential.x_right - potential.x_left
+
+    def front(t):
+        return max(v_lo * t, v_hi * t) + width + reach
+
+    back = min(v_lo * t_start, v_hi * t_start, 2.0 * potential.x_left - v_hi * t_end - width)
+    grid = wp._bohm_grid(packet, potential, min(back - reach, potential.x_left),
+                         max(front(t_start), front(t_end), potential.x_right))
+
+    def window_end(ts):
+        return min(int(np.searchsorted(grid, max(front(ts[0]), front(ts[-1])))) + 1, grid.size)
+
+    xs = grid[max(int(np.searchsorted(grid, seeds.min(), side="right")) - 1, 0):
+              window_end(t_eval[:1])]
+    M0 = -wp._cumulative_trapezoid(wp._density(ens, xs, t_start)[::-1], xs[::-1])[::-1]
+    mass = np.interp(seeds, xs, M0)
+    probe_mass = np.interp([potential.x_left, potential.x_right], xs, M0)
+    degenerate = (seeds < xs[0]) | (seeds > xs[-1])
+    x = np.empty((seeds.size, n_out))
+    for s in range(0, n_out, wp.PHASE_BLOCK):
+        ts = t_eval[s:s + wp.PHASE_BLOCK]
+        xb, missed = _parent_quantiles(ens, grid[:window_end(ts)], ts, mass, visited)
+        x[:, s:s + len(ts)] = xb.T
+        degenerate |= missed.any(axis=0)
+
+    entry = exit_ = np.full(seeds.size, math.nan)
+    if potential.segments:
+        probes = [potential.x_left, potential.x_right]
+        t_fine = np.linspace(t_start, t_end, math.ceil((t_end - t_start) / wp.DT_FINE) + 1)
+        entry, exit_ = (wp._flux_crossings(rec, m0, mass) for rec, m0 in zip(
+            wp.flux_records(packet, potential, probes, t_grid=t_fine), probe_mass))
+    return [wp.BohmTrajectory(t=t_eval, x=x[i], degenerate=bool(degenerate[i]),
+                              barrier_entry=float(entry[i]), barrier_exit=float(exit_[i]))
+            for i in range(seeds.size)]
+
+
+def _assert_sweep_matches_parent(packet, pot, seeds, t0, t1, n_out):
+    got = wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=n_out)
+    want = _parent_quantile_trajectories(packet, pot, seeds, t0, t1, n_out=n_out)
+    for g, w in zip(got, want):
+        assert g.t.tobytes() == w.t.tobytes()
+        # only the summation order of M and the phase rounding differ
+        assert np.max(np.abs(g.x - w.x)) <= 1e-9
+        assert g.degenerate == w.degenerate
+        for field in ("barrier_entry", "barrier_exit"):
+            assert np.array_equal(getattr(g, field), getattr(w, field), equal_nan=True)
+    return got
+
+
+# (V0, d, E, dk, n_nodes, n_traj, t_start, t_end): the README's `bohm`
+# example and spatial_paths' scene 12 (bench/workloads.py)
+SWEEP_SCENES = {
+    "readme": (10.0, 5.0, 5.0, 0.02, 513, 8, -3e-14, 1.5e-14),
+    "scene12": (9.96808, 3.96629, 5.60721, 0.0178504, 125, 4, -3.19112e-14, 2.39334e-14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SCENES))
+def test_sweep_matches_per_time_block_quantiles(name):
+    V0, d, E, dk, n, n_traj, t0, t1 = SWEEP_SCENES[name]
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(E)), dk, n_nodes=n)
+    pot = PiecewisePotential.square(V0, d)
+    got = _assert_sweep_matches_parent(packet, pot, _transmitted_seeds(packet, pot, t0, n_traj),
+                                       t0, t1, 401)
+    assert not any(tr.degenerate for tr in got)
+
+
+@settings(max_examples=12, deadline=None)
+@given(V0=st.floats(4.0, 12.0), d=st.floats(0.5, 6.0), ratio=st.floats(0.3, 1.3),
+       dk=st.floats(0.02, 0.06), n_traj=st.integers(2, 8))
+def test_sweep_matches_per_time_block_quantiles_on_drawn_scenes(V0, d, ratio, dk, n_traj):
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(ratio * V0)), dk, n_nodes=41)
+    pot = PiecewisePotential.square(V0, d)
+    t0, t1 = -6.0 * packet.sigma_t, 4.0 * packet.sigma_t
+    xc = float(v_of_k(packet.k0)) * t0
+    seeds = wp.seed_positions(packet, pot, t0, n_traj, (xc - 4.0 / dk, xc + 4.0 / dk))
+    _assert_sweep_matches_parent(packet, pot, seeds, t0, t1, 2 * wp.PHASE_BLOCK + 9)
+
+
+def test_sweep_forms_each_position_modes_once(monkeypatch):
+    # the per-time-block loop formed the modes of a position once for every
+    # block of output times whose window held it; the sweep forms them once
+    V0, d, E, dk, n, n_traj, t0, t1 = SWEEP_SCENES["scene12"]
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(E)), dk, n_nodes=n)
+    pot = PiecewisePotential.square(V0, d)
+    seeds = _transmitted_seeds(packet, pot, t0, n_traj)
+    sweep, modes = wp._quantile_sweep, wp._Ensemble.modes
+    in_sweep, formed = [False], []
+
+    def counted_modes(self, region, x, e_p=None, derivative=True):
+        if in_sweep[0]:
+            formed.extend(np.ravel(x).tolist())
+        return modes(self, region, x, e_p, derivative)
+
+    def flagged_sweep(*args):
+        in_sweep[0] = True
+        try:
+            return sweep(*args)
+        finally:
+            in_sweep[0] = False
+
+    monkeypatch.setattr(wp._Ensemble, "modes", counted_modes)
+    monkeypatch.setattr(wp, "_quantile_sweep", flagged_sweep)
+    wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=401)
+    assert formed and len(set(formed)) == len(formed)
+    visited = []   # 3,840 positions against the sweep's 1,377
+    _parent_quantile_trajectories(packet, pot, seeds, t0, t1, n_out=401, visited=visited)
+    assert len(visited) > 2 * len(formed)
+
+
+def test_bohm_trajectories_hold_at_most_six_phase_tiles():
+    # the mode tile, the two recurrence offsets and the temporaries of one
+    # block, each PHASE_BLOCK x Nk complex; the per-time-block loop peaked
+    # at 5.1 tiles here, and a sweep that also held a phase tile for each
+    # pair of blocks and the previous block's tiles at 7.7
+    V0, d, E, dk, n, n_traj, t0, t1 = SWEEP_SCENES["readme"]
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(E)), dk, n_nodes=n)
+    pot = PiecewisePotential.square(V0, d)
+    seeds = _transmitted_seeds(packet, pot, t0, n_traj)   # builds the ensemble outside the trace
+    tracemalloc.start()
+    try:
+        wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * wp.PHASE_BLOCK * n * 16

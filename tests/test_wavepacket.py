@@ -485,27 +485,60 @@ def packet65():
     return wp.SpectralPacket.gaussian(K5, DK, n_nodes=65)
 
 
-@pytest.mark.parametrize("even", [True, False])
+@pytest.mark.parametrize("even", [True, False, "piecewise"])
 @pytest.mark.parametrize("shape", ["single", "double", "linear"])
-def test_mode_blocks_match_transfer_matrix_states(packet65, shape, even):
+def test_mode_blocks_match_transfer_matrix_states(packet65, shape, even, monkeypatch):
     pot = {"single": BARRIER,
            # nodes on both sides of the barrier top; none within rounding of it
            "double": PiecewisePotential.double_barrier(5.3, 2.0, 3.0),
            "linear": linear_segment_potential(packet65)}[shape]
     n = 5 * wp.PHASE_BLOCK + 23
-    if even:
+    if even == "piecewise":
+        # bohm_trajectories' grid: evenly spaced free pieces of more than one
+        # block each, finer pieces inside the segments
+        xs = wp._bohm_grid(packet65, pot, -150.0, 160.0)
+    elif even:
         xs = np.linspace(-30.0, 40.0, n)
     else:
         xs = np.sort(np.random.default_rng(11).uniform(-30.0, 40.0, n))
     ens = wp._ensemble(packet65, pot)
-    assert wp._is_even(xs, ens.k) == even   # the recurrence runs only on even grids
+    assert wp._is_even(xs, ens.k) == (even is True)   # the whole list is even only here
+    runs, phase_blocks = [], wp._phase_blocks
+
+    def recorded_phase_blocks(ts, omega):
+        runs.append((ts[0], ts[-1]))
+        return phase_blocks(ts, omega)
+
+    monkeypatch.setattr(wp, "_phase_blocks", recorded_phase_blocks)
     psi, dpsi = mode_rows(ens, xs)
     for j, k in enumerate(ens.k):
         ref_p, ref_d = solve_transfer_matrix(pot, float(k)).psi_and_dpsi(xs)
         assert rel_err(psi[:, j], ref_p) <= 1e-12
         assert rel_err(dpsi[:, j], ref_d) <= 1e-12
+    # the recurrence runs on each evenly spaced free run longer than one
+    # block, here on both sides of the potential, and nowhere else
+    free = (xs[xs < pot.x_left], xs[xs >= pot.x_right])
+    assert min(len(run) for run in free) > wp.PHASE_BLOCK
+    assert runs == ([(run[0], run[-1]) for run in free] if even else [])
     if shape == "linear":
         assert 32 in ens.segs[1][7]   # the E = V node takes the linear branch
+
+
+def test_mode_block_slices_match_their_tiles(packet65):
+    # an uneven list of 3 blocks and 17 positions across the barrier: every
+    # slice is clipped to the list and as long as its tiles, and the slices
+    # cover the list in order
+    pot = linear_segment_potential(packet65)
+    n = 3 * wp.PHASE_BLOCK + 17
+    xs = np.sort(np.random.default_rng(4).uniform(-20.0, 30.0, n))
+    ens = wp._ensemble(packet65, pot)
+    assert not wp._is_even(xs, ens.k)
+    stop = 0
+    for rows, p, d in ens.mode_blocks(xs):
+        assert rows.start == stop and rows.stop <= n
+        assert rows.stop - rows.start == len(p) == len(d)
+        stop = rows.stop
+    assert stop == n
 
 
 def per_x_modes(packet, potential):
