@@ -304,6 +304,7 @@ def write_csv(path: Path, run: RunConfig, columns, rows, meta: dict | None = Non
                               for row in rows).encode())
 
 
+SVG_MIN_REL_SPAN = 1e-5   # least y span over max |y|; a 4e-9 spread draws within 0.2 px
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
                "#ff7f0e", "#8c564b", "#17becf", "#e377c2")
 
@@ -326,8 +327,11 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str, series):
     y0, y1 = float(fy.min()), float(fy.max())
     if x1 == x0:
         x0, x1 = x0 - 1.0, x1 + 1.0
-    if y1 == y0:
-        y0, y1 = y0 - 1.0, y1 + 1.0
+    # a series flat to rounding draws flat: the y span is at least
+    # SVG_MIN_REL_SPAN of the data's magnitude (2 for a constant), centred on the data
+    y_floor = 2.0 if y1 == y0 else SVG_MIN_REL_SPAN * max(abs(y0), abs(y1))
+    if y1 - y0 < y_floor:
+        y0, y1 = 0.5 * (y0 + y1 - y_floor), 0.5 * (y0 + y1 + y_floor)
     padx, pady = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
     x0, x1 = x0 - padx, x1 + padx
     y0, y1 = y0 - pady, y1 + pady
@@ -455,7 +459,7 @@ def _packet_from(cfg) -> wp.SpectralPacket:
 
 def cmd_evolve(run: RunConfig) -> int:
     cfg = run.values
-    _positive(cfg, "V0", "d", "E", "k0", "dk", "dt_fine", "flux_floor")
+    _positive(cfg, "V0", "d", "E", "k0", "dk", "n_nodes", "dt_fine", "flux_floor")
     if cfg["x_points"] < 20:
         raise ConfigError("x_points must be >= 20")
     packet = _packet_from(cfg)
@@ -515,7 +519,7 @@ HARTMAN_SCHEMA = {
 
 def cmd_hartman(run: RunConfig) -> int:
     cfg = run.values
-    _positive(cfg, "V0", "E", "k", "dk", "d_min", "dt_fine", "flux_floor")
+    _positive(cfg, "V0", "E", "k", "dk", "n_nodes", "d_min", "dt_fine", "flux_floor")
     k = _wavenumber(cfg, "k")
     E = float(E_of_k(k))
     if E >= cfg["V0"]:
@@ -697,7 +701,7 @@ BOHM_SCHEMA = {
 
 def cmd_bohm(run: RunConfig) -> int:
     cfg = run.values
-    _positive(cfg, "V0", "d", "E", "k0", "dk", "n_traj", "n_out")
+    _positive(cfg, "V0", "d", "E", "k0", "dk", "n_nodes", "n_traj", "n_out")
     if not (math.isfinite(cfg["t_start"]) and math.isfinite(cfg["t_end"])):
         raise ConfigError(f"'t_start' and 't_end' must be finite, got "
                           f"{cfg['t_start']} and {cfg['t_end']}")

@@ -12,7 +12,6 @@ kappa -> i*kt (kt^2 = k^2 - eps^2) is carried out explicitly in each form.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .scattering import (
     ScatteringState,
     SquareBarrierParams,
     _check_k,
+    _gauss_legendre,
     _phase_slopes,
     _points,
     _square_amplitudes,
@@ -277,17 +277,6 @@ def dwell_time_closed(params: SquareBarrierParams, k: float) -> float:
     return _at(params, k).dwell
 
 
-@functools.cache
-def _dwell_rule():
-    """Gauss-Legendre nodes and weights of one dwell-time panel, built and
-    imported on first use: leggauss starts numpy's LAPACK (about 1 MB and
-    0.6 ms), and importing it ahead of wavepacket raises the CLI's import
-    peak by about 0.3 MB."""
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(_DWELL_NODES)
-
-
 def _medium_wavenumber(state: ScatteringState, x: float) -> float:
     """|q| of the medium at x: |kappa_j| inside segment j, k outside."""
     pot = state.potential
@@ -310,7 +299,7 @@ def dwell_time(potential: PiecewisePotential, k: float, x1: float, x2: float,
         raise ValueError("x1 < x2 required")
     state = solve_transfer_matrix(potential, k, units)
     v = float(units.v_of_k(k))
-    nodes, weights = _dwell_rule()
+    nodes, weights = _gauss_legendre(_DWELL_NODES)
     cuts = [x1] + [c for xl, xr, _ in potential.segments for c in (xl, xr)
                    if x1 < c < x2] + [x2]
     total = 0.0

@@ -21,13 +21,13 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .scattering import PiecewisePotential, _Modes, _transfer_sweep
+from .scattering import PiecewisePotential, _gauss_legendre, _Modes, _transfer_sweep
 from .units import ELECTRON, UnitSystem
 
 T_SPAN = (-1e-13, 1e-13)       # scan interval for locating flux support, s
@@ -76,9 +76,11 @@ class SpectralPacket:
             raise ValueError(f"k0 and dk must be finite, got k0={k0}, dk={dk}")
         if k0 <= 0 or dk <= 0:
             raise ValueError("k0 and dk must be positive")
+        if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
+            raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
         lo = max(k_floor, k0 - 5.0 * dk)
         hi = k0 + 5.0 * dk
-        xg, wg = leggauss(n_nodes)
+        xg, wg = _gauss_legendre(int(n_nodes))
         k = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * wg
         f = np.exp(-((k - k0) ** 2) / (2.0 * dk * dk))

@@ -191,6 +191,17 @@ def test_cli_bohm_run_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "bohm_traj.csv").exists()
 
 
+def test_cli_import_and_bohm_run_leave_numpy_polynomial_unloaded(tmp_path):
+    # the Gauss-Legendre rule is the package's own: no numpy.polynomial, no LAPACK
+    assert "numpy.polynomial" not in modules_after("import tunneltime.cli", ("numpy",))
+    args = ["bohm", "--out", str(tmp_path), "--set", "V0=10", "--set", "d=2",
+            "--set", "E=5", "--set", "dk=0.05", "--set", "n_nodes=65",
+            "--set", "n_traj=2", "--set", "n_out=41", "--set", "with_flux=false"]
+    code = f"import tunneltime.cli\nassert tunneltime.cli.main({args!r}) == 0"
+    loaded = modules_after(code, ("numpy",))
+    assert "'numpy'" in loaded and "numpy.polynomial" not in loaded
+
+
 def test_determinism_modulo_timestamp(tmp_path):
     args = ["times", "--set", "V0=10", "--set", "d=5",
             "--set", "k_min=0.5", "--set", "k_max=2.5", "--set", "k_points=9"]
@@ -438,6 +449,19 @@ def test_bohm_non_finite_window_exits_2_without_csv(tmp_path, capsys, setting):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cmd, sets", [
+    ("evolve", ["--set", "d=5", "--set", "E=5"]),
+    ("hartman", ["--set", "E=5"]),
+    ("bohm", ["--set", "d=5", "--set", "E=5"]),
+])
+@pytest.mark.parametrize("n_nodes", ["0", "-3"])
+def test_packet_commands_reject_nonpositive_n_nodes(tmp_path, capsys, cmd, sets, n_nodes):
+    args = [cmd, "--set", "V0=10", "--set", "dk=0.05", "--set", f"n_nodes={n_nodes}"] + sets
+    assert run(args, tmp_path) == 2
+    assert "'n_nodes' must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bohm_rtol_key_is_gone(tmp_path, capsys):
     assert run(SMALL_BOHM + ["--set", "rtol=1e-5"], tmp_path) == 2
     assert "unknown config keys for 'bohm': rtol" in capsys.readouterr().err
@@ -627,14 +651,25 @@ def _assert_outputs_close(new: Path, old: Path, args: list, skip=()):
                 assert_close(table_n[:, j], table_o[:, j], what=f"{name} {col}", **bound)
     for name in (n for n in names if n.endswith(".svg")):
         table, ys = SVG_DATA[name]
-        span = np.ptp(np.concatenate([allowed[table, y][0] for y in ys]))
+        values = np.concatenate([allowed[table, y][0] for y in ys])
+        span = max(np.ptp(values), cli.SVG_MIN_REL_SPAN * np.abs(values).max())
         drift = max(allowed[table, y][1].max() for y in ys)
         # cli.write_svg's plot is 415 px high, the data's span padded by 6% each side
         _assert_svg_close(new / name, old / name, y_px=415.0 * drift / (1.12 * span))
 
 
 @pytest.mark.parametrize("cmd, args", FROZEN_RUNS)
-def test_cli_tables_match_frozen_package(frozen, tmp_path, cmd, args):
+def test_cli_tables_match_frozen_package(frozen, tmp_path, monkeypatch, cmd, args):
+    # the frozen writer spreads the gap sweep's times, flat to 4e-9, over the
+    # whole plot, so both sides draw that chart with today's writer; every
+    # other chart keeps the frozen one (tests/test_stationary.py compares the
+    # writers on data that is not flat)
+    frozen_svg = frozen["cli"].write_svg
+
+    def write_svg(path, *rest):
+        (cli.write_svg if Path(path).name == "optical_gap.svg" else frozen_svg)(path, *rest)
+
+    monkeypatch.setattr(frozen["cli"], "write_svg", write_svg)
     new, old = tmp_path / "new", tmp_path / "old"
     assert run([cmd] + args, new) == 0
     assert frozen["cli"].main([cmd] + args + ["--out", str(old)]) == 0
@@ -649,3 +684,21 @@ def test_cli_hartman_stationary_columns_match_frozen_package(frozen, tmp_path):
     assert run(["hartman"] + sets, new) == 0
     assert frozen["cli"].main(["hartman"] + sets + ["--out", str(old)]) == 0
     _assert_outputs_close(new, old, sets, skip=("tau_flux_tun_s", "flag"))
+
+
+def _polyline_ys(path: Path) -> np.ndarray:
+    return np.array([float(xy.split(",")[1])
+                     for pts in re.findall(r'points="([^"]*)"', path.read_text())
+                     for xy in pts.split()])
+
+
+def test_write_svg_draws_a_series_flat_to_rounding_flat(tmp_path):
+    # the gap sweep's times agree to about 4e-9 relative across gaps
+    x = np.linspace(0.0, 1.0, 41)
+    y = 6.68e-15 * (1.0 + 4e-9 * np.sin(17.0 * x))
+    cli.write_svg(tmp_path / "flat.svg", "title", "x", "y", [("t", x, y)])
+    ys = _polyline_ys(tmp_path / "flat.svg")
+    assert ys.size == x.size and np.ptp(ys) <= 1.0
+    # a spread above the floor still fills the plot
+    cli.write_svg(tmp_path / "wavy.svg", "title", "x", "y", [("t", x, 1.0 + 1e-3 * np.sin(17.0 * x))])
+    assert np.ptp(_polyline_ys(tmp_path / "wavy.svg")) > 300.0

@@ -24,11 +24,12 @@ from tunneltime.units import k_of_E, v_of_k
 
 
 def _parent_bohm_trajectories(packet, potential, seeds, t_start, t_end,
-                              rho_floor_rel=1e-8, rtol=1e-6, n_out=801):
+                              rho_floor_rel=1e-8, rtol=1e-6, n_out=801, atol=None):
     """Copy of the solve_ivp-based bohm_trajectories (the oracle), verbatim
     but for the right-hand side's evolve call, which goes to a copy of
     evolve's scalar branch as it stood, so the oracle shares no point
-    evaluator with the code under test."""
+    evaluator with the code under test, and for ``atol`` (A), which
+    defaults to the 1e-4 / dk it stepped with."""
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     if not (math.isfinite(t_start) and math.isfinite(t_end) and np.isfinite(seeds).all()):
         raise ValueError(f"t_start, t_end and the seeds must be finite, got "
@@ -53,8 +54,8 @@ def _parent_bohm_trajectories(packet, potential, seeds, t_start, t_end,
                 return [0.0]
             return [ens_u.hbar_over_m * float(np.imag(np.conj(psi) * dpsi)) / rho]
 
-        sol = solve_ivp(rhs, (t_start, t_end), [float(x0)], method="RK45",
-                        t_eval=t_eval, rtol=rtol, atol=1e-4 * x_scale)
+        sol = solve_ivp(rhs, (t_start, t_end), [float(x0)], method="RK45", t_eval=t_eval,
+                        rtol=rtol, atol=1e-4 * x_scale if atol is None else atol)
         xs = sol.y[0]
         traj = wp.BohmTrajectory(t=sol.t, x=xs, degenerate=hit_floor[0] or not sol.success)
         if potential.segments:
@@ -116,11 +117,18 @@ SCENES = {
               [False, False, True]),
 }
 
-# the oracle steps with an absolute tolerance of 1e-4 / dk (2.5e-3 A here);
-# its samples differ from the quantiles by up to 0.27 A, and its sampled
-# crossings from the flux crossings by up to 2.2% of the dwell
+# at the absolute tolerance it stepped with, 1e-4 / dk (2.5e-3 A here), the
+# oracle is not converged: weights moved by 3e-13 move its middle "double"
+# trajectory by 4.6 A, and rtol 1e-6 moves it by 10.5 A. At rtol 1e-10 and
+# atol 1e-8 A it agrees with DOP853 at rtol 1e-12, atol 1e-10 A to 1e-3 A;
+# its samples then differ from the quantiles by up to 0.28 A, and its
+# sampled crossings from the flux crossings by up to 0.6% of the dwell
 X_TOL = 0.5          # A
 CROSSING_TOL = 0.05  # of the barrier dwell
+# the oracle's (rtol, atol in A); on "floor" it stops at its density floor on
+# every seed at the tolerances it stepped with (rtol 1e-5, 1e-4 / dk), and a
+# tight run through the far tail takes minutes
+ORACLE_TOL = {"square": (1e-10, 1e-8), "double": (1e-10, 1e-8), "floor": (1e-5, None)}
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
@@ -130,8 +138,9 @@ def test_bohm_trajectories_match_solve_ivp_version(name):
     pot = _potential(name, V0, d)
     seeds = np.linspace(*region, 3)
     got = wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=401)
+    rtol, atol = ORACLE_TOL[name]
     want = _parent_bohm_trajectories(packet, pot, seeds, t0, t1, rho_floor_rel=floor,
-                                     rtol=1e-5, n_out=401)
+                                     rtol=rtol, n_out=401, atol=atol)
     assert [g.degenerate for g in got] == flags
     compared = 0
     for g, w in zip(got, want):
@@ -151,10 +160,10 @@ def test_bohm_trajectories_match_solve_ivp_version(name):
 
 @pytest.mark.parametrize("name", ["square", "double"])
 def test_bohm_trajectories_match_a_tight_guidance_integration(name):
-    # on the transmitted seeds the oracle above steps over the entry face;
-    # DOP853 at atol 1e-8 A agrees with the quantiles to 0.53 A (the
-    # quantile grid's spacing) and its sampled crossings with the flux
-    # crossings to 0.4% of the dwell
+    # on the transmitted seeds the oracle above, at the atol it stepped with,
+    # steps over the entry face; DOP853 at atol 1e-8 A agrees with the
+    # quantiles to 0.53 A (the quantile grid's spacing) and its sampled
+    # crossings with the flux crossings to 0.4% of the dwell
     V0, d, E, dk, n, _, t0, t1, _, _ = SCENES[name]
     packet = wp.SpectralPacket.gaussian(float(k_of_E(E)), dk, n_nodes=n)
     pot = _potential(name, V0, d)
@@ -431,13 +440,26 @@ def _parent_quantile_trajectories(packet, potential, seeds, t_start, t_end, n_ou
             for i in range(seeds.size)]
 
 
+# a quantile moves by dM/rho(x) when its mass M moves by dM. Over 300 drawn
+# scenes, half at the corner dk = 0.02 with 8 seeds (the widest grids), the
+# two routes' summation orders put up to 34 eps/rho between them where
+# rho < 1e-4 / A, and up to 86 eps/rho, under 2e-10 A, above. So a sample may
+# move by 44 eps/rho or by 5e-10 A: below 1e-9 A wherever rho >= 1e-5 / A
+QUANTILE_DRIFT = 44 * np.finfo(float).eps
+QUANTILE_FLOOR = 5e-10   # A
+
+
 def _assert_sweep_matches_parent(packet, pot, seeds, t0, t1, n_out):
     got = wp.bohm_trajectories(packet, pot, seeds, t0, t1, n_out=n_out)
     want = _parent_quantile_trajectories(packet, pot, seeds, t0, t1, n_out=n_out)
-    for g, w in zip(got, want):
+    x = np.array([w.x for w in want])
+    rho = np.array([np.abs(wp.evolve(packet, pot, x[:, j], t)[0]) ** 2
+                    for j, t in enumerate(want[0].t)]).T
+    for g, w, r in zip(got, want, rho):
         assert g.t.tobytes() == w.t.tobytes()
         # only the summation order of M and the phase rounding differ
-        assert np.max(np.abs(g.x - w.x)) <= 1e-9
+        dx = np.abs(g.x - w.x)
+        assert ((dx * r <= QUANTILE_DRIFT) | (dx <= QUANTILE_FLOOR)).all()
         assert g.degenerate == w.degenerate
         for field in ("barrier_entry", "barrier_exit"):
             assert np.array_equal(getattr(g, field), getattr(w, field), equal_nan=True)

@@ -1,13 +1,16 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss, legvander
 
 from tunneltime.scattering import (
     PiecewisePotential,
     ScatteringState,
     SquareBarrierParams,
+    _gauss_legendre,
     closed_form_square,
     delta_barrier_limit,
     delta_closed_form,
@@ -313,3 +316,62 @@ def test_below_top_phase_relation():
     k = 0.45 * EPS
     _, _, alpha, beta = closed_form_square(params, k)
     assert beta == pytest.approx(alpha + k * 5.0 - math.pi / 2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule, against numpy's Golub-Welsch leggauss
+
+RULE_SIZES = [*range(1, 17), 24, 41, 65, *range(125, 134), *range(509, 518), 2049]
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gauss_legendre_nodes_match_leggauss(n):
+    x, w = _gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert -1.0 < x[0] and x[-1] < 1.0 and (np.diff(x) > 0).all()
+    assert (x == -x[::-1]).all() and (w == w[::-1]).all()
+    if n % 2:
+        assert x[n // 2] == 0.0
+    assert np.abs(x - leggauss(n)[0]).max() <= np.finfo(float).eps
+    assert (w > 0).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 24, 41, 65, 129, 513])
+def test_gauss_legendre_weights_are_orthogonal(n):
+    # sum w P_i P_j = 2/(2i+1) delta_ij whenever i + j <= 2n - 1
+    x, w = _gauss_legendre(n)
+    V = legvander(x, n)
+    gram = V.T @ (w[:, None] * V)
+    want = np.diag(2.0 / (2.0 * np.arange(n + 1) + 1.0))
+    i, j = np.indices(gram.shape)
+    exact = i + j <= 2 * n - 1
+    assert np.abs(gram - want)[exact].max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [65, 129, 513])
+def test_gauss_legendre_weights_match_a_40_digit_rule(n):
+    # 2(1 - x^2)/(n P_{n-1}(x))^2 at roots refined by Newton in decimal; the
+    # endpoint weights are the hardest: 3.4e-13 here at n = 513, 9e-10 for leggauss
+    x, w = _gauss_legendre(n)
+    want = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for xi in x[n // 2:]:
+            r = Decimal(float(xi))
+            for newton in range(4):
+                p0, p1 = Decimal(1), r
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * r * p1 - (k - 1) * p0) / k
+                if newton < 3:
+                    r -= p1 * (1 - r * r) / (n * (p0 - r * p1))
+            want.append(float(2 * (1 - r * r) / (n * p0) ** 2))
+    assert np.abs(w[n // 2:] / np.array(want) - 1.0).max() <= 1e-12
+
+
+def test_gauss_legendre_rule_is_cached_read_only():
+    x, w = _gauss_legendre(65)
+    assert _gauss_legendre(65)[0] is x
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0

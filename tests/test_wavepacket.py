@@ -46,6 +46,19 @@ def test_packet_validation():
         wp.SpectralPacket.gaussian(K5, 0.0)
 
 
+@pytest.mark.parametrize("n_nodes", [0, -3, 65.0, np.float64(65.0), True, "65"])
+def test_packet_rejects_bad_node_count(n_nodes):
+    with pytest.raises(ValueError, match="n_nodes must be a positive integer"):
+        wp.SpectralPacket.gaussian(K5, DK, n_nodes=n_nodes)
+
+
+def test_packets_built_alike_are_bit_identical():
+    a, b = (wp.SpectralPacket.gaussian(K5, DK, n_nodes=n) for n in (65, np.int64(65)))
+    for name in ("k_nodes", "weights", "amplitude"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a._key == b._key
+
+
 @pytest.mark.parametrize("k0, dk", [(math.nan, DK), (math.inf, DK), (K5, math.nan),
                                     (K5, math.inf), (-math.inf, DK)])
 def test_packet_rejects_non_finite(k0, dk):
