@@ -37,6 +37,7 @@ FLUX_FLOOR = 1e-6              # of incident norm; below this: low confidence
 SUPPORT_SIGMAS = 10.0          # refined window padding in packet time-widths
 SUPPORT_THRESHOLD = 1e-8       # of max |J|; above this the flux is still flowing
 PHASE_BLOCK = 64               # rows of the exp(-i omega t) matrix held at once
+FOLD_COLUMNS = 32              # columns of one product of a fold (_fold)
 EVEN_GRID_TOL = 1e-12          # rad; max phase error the even-grid recurrence may add
 ENSEMBLE_CACHE_SIZE = 8        # packet ensembles kept for reuse, least recent dropped
 BOHM_ROUTE_TOL = 0.05          # largest relative gap between the two Bohm crossing routes
@@ -114,31 +115,38 @@ class _Ensemble(_Modes):
         """(psi_j(x), dpsi_j(x)) arrays over the k grid at one position."""
         return self.modes(bisect.bisect_right(self.edges, x), x)
 
-    def mode_blocks(self, xs: np.ndarray, derivative: bool = True):
-        """Yield (row slice, psi, dpsi) for xs, at most PHASE_BLOCK positions at a time.
-
-        Blocks follow the order of xs. In a list longer than one block, each
-        run of more than PHASE_BLOCK consecutive positions in one free region
-        that is evenly spaced takes exp(ikx) from the _phase_blocks
-        recurrence (omega = -k), anchored at the run's first position, so a
-        piecewise grid such as _bohm_grid's takes it on both free pieces.
-        Everything else, and every position inside a segment, takes exp
-        directly, in blocks that may span several regions; so a list of at
-        most PHASE_BLOCK points matches modes_at row for row, bit for bit.
-        """
-        B = PHASE_BLOCK
+    def runs(self, xs: np.ndarray):
+        """(regions, spans): the region of each of xs, and (start, stop, even)
+        spans that cover xs in order. even marks each run of more than
+        PHASE_BLOCK consecutive positions in one free region that is evenly
+        spaced, so a piecewise grid such as _bohm_grid's has one on each
+        free piece; evenness is decided here, once per run."""
         n = len(xs)
         regions = np.searchsorted(self.edges, xs, side="right")
         starts = np.flatnonzero(np.diff(regions, prepend=-1))   # runs of one region
         stops = np.append(starts[1:], n)
-        long = stops - starts > B
-        spans, done = [], 0   # (start, stop, even free run)
+        long = stops - starts > PHASE_BLOCK
+        spans, done = [], 0
         for a, b in zip(starts[long], stops[long]):
             r = regions[a]
             if (r == 0 or r > len(self.segs)) and _is_even(xs[a:b], self.k):
                 spans += [(done, a, False), (a, b, True)]
                 done = b
         spans.append((done, n, False))
+        return regions, spans
+
+    def mode_blocks(self, xs: np.ndarray, derivative: bool = True, runs=None):
+        """Yield (row slice, psi, dpsi) for xs, at most PHASE_BLOCK positions at a time.
+
+        Blocks follow the order of xs over the spans of runs (by default
+        self.runs(xs)). An even span takes exp(ikx) from the _phase_blocks
+        recurrence (omega = -k), anchored at its first position. Everything
+        else, and every position inside a segment, takes exp directly, in
+        blocks that may span several regions; so a list of at most
+        PHASE_BLOCK points matches modes_at row for row, bit for bit.
+        """
+        B = PHASE_BLOCK
+        regions, spans = self.runs(xs) if runs is None else runs
         for a, b, even in spans:
             if even:
                 blocks = _phase_blocks(xs[a:b], -self.k)
@@ -184,33 +192,71 @@ def _phase(ts: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 
 def _phase_blocks(ts: np.ndarray, omega: np.ndarray):
-    """Yield (row slice, exp(-i omega t) rows) in blocks of PHASE_BLOCK rows.
+    """Yield (row slice, exp(-i omega t) rows) in blocks of PHASE_BLOCK rows
+    of an evenly spaced ts (the caller decides that with _is_even).
 
-    On an evenly spaced grid, row s + r is exp(-i omega (t_r - t_0)) *
-    exp(-i omega t_s) for block start s: both factors come straight from exp,
-    so rounding does not build up from block to block. Any other grid takes
-    the direct exp block by block.
+    Row s + r is exp(-i omega (t_r - t_0)) * exp(-i omega t_s) for block
+    start s: both factors come straight from exp, so rounding does not build
+    up from block to block.
     """
     B = PHASE_BLOCK
     n = len(ts)
-    if _is_even(ts, omega):
-        offset = _phase(ts[:B] - ts[0], omega)
-        for s in range(0, n, B):
-            m = min(B, n - s)
-            yield slice(s, s + m), offset[:m] * np.exp(-1j * ts[s] * omega)
-    else:
-        for s in range(0, n, B):
-            yield slice(s, min(n, s + B)), _phase(ts[s:s + B], omega)
+    offset = _phase(ts[:B] - ts[0], omega)
+    for s in range(0, n, B):
+        m = min(B, n - s)
+        yield slice(s, s + m), offset[:m] * np.exp(-1j * ts[s] * omega)
+
+
+def _fold(offset: np.ndarray, anchors, shorts, n_long: int):
+    """Yield (long rows, short rows, tiles) of sums folded onto one offset tile.
+
+    On a long, evenly spaced axis a term of the sum at row s + r, for block
+    start s and r < PHASE_BLOCK, factors into offset[r], shared by every
+    block, an anchor of s and a short factor. offset has shape
+    (PHASE_BLOCK, Nk); anchors(starts, out) writes the anchors of the blocks
+    that start at rows starts, a slice, into the rows of out. shorts yields
+    (short rows, *parts): each part an (n, Nk) array, or None to skip it.
+    Column (i, j) of a part is part[i] times the anchor of block j; a
+    product is offset against at most FOLD_COLUMNS columns (n when n is
+    larger), and yields one tile per part, shape (n, long rows): row i
+    holds sum_k offset[r, k] anchor_j[k] part[i, k] at row s_j + r.
+
+    A part's layout, and so its rounding, does not depend on the other
+    parts. One column buffer and one product buffer serve the call, grown
+    when a short block needs more rows than they hold; the tiles are views
+    into the product, overwritten by the next.
+    """
+    B, nk = offset.shape
+    cols = prod = None
+    for short, *parts in shorts:
+        parts = [p for p in parts if p is not None]
+        n = len(parts[0])
+        if cols is None or n > len(cols):   # grow for a longer block, old buffers freed first
+            cols = prod = None
+            cols = np.empty((max(FOLD_COLUMNS, n), nk), complex)
+            prod = np.empty((len(parts), max(FOLD_COLUMNS, n), B), complex)
+        per = max(FOLD_COLUMNS // n, 1)   # long blocks per product
+        a = np.empty((per, nk), complex)
+        for s0 in range(0, n_long, per * B):
+            stop = min(s0 + per * B, n_long)
+            k = len(range(s0, stop, B))
+            anchors(slice(s0, stop, B), a[:k])
+            c = cols[:n * k]
+            for part, t in zip(parts, prod):
+                np.multiply(part[:, None], a[:k], out=c.reshape(n, k, nk))
+                np.matmul(c, offset.T, out=t[:n * k])
+            yield slice(s0, stop), short, [t[:n * k].reshape(n, k * B)[:, :stop - s0]
+                                           for t in prod]
+        del parts, a   # before the next short block's tiles are formed
 
 
 def evolve(packet: SpectralPacket, potential: PiecewisePotential, x, t):
     """(Psi, dPsi/dx) at position(s) x and time(s) t.
 
     Scalars give scalars; an array in one argument broadcasts; arrays in both
-    return shape (len(t), len(x)). Both axes are blocked: one matmul per
-    block of at most PHASE_BLOCK times and PHASE_BLOCK positions, so neither
-    a len(x) x len(k) nor a len(t) x len(k) matrix is ever held. Raises
-    ValueError for a non-finite x or t.
+    return shape (len(t), len(x)). Both axes are blocked (_blocks), so
+    neither a len(x) x len(k) nor a len(t) x len(k) matrix is ever held.
+    Raises ValueError for a non-finite x or t.
     """
     psi, dpsi = _tabulate(_ensemble(packet, potential), x, t, True,
                           lambda p, _: p, lambda _, d: d, dtype=complex)
@@ -218,21 +264,85 @@ def evolve(packet: SpectralPacket, potential: PiecewisePotential, x, t):
 
 
 def _blocks(ens: _Ensemble, xs: np.ndarray, ts: np.ndarray, derivative: bool):
-    """Yield (rows, cols, Psi, dPsi/dx) over blocks of at most PHASE_BLOCK
-    times and PHASE_BLOCK positions; dPsi/dx is None when derivative is
-    False. Raises ValueError for a non-finite x or t."""
+    """Yield (rows, cols, Psi, dPsi/dx) tiles that cover the (len(ts),
+    len(xs)) table once; dPsi/dx is None when derivative is False. Raises
+    ValueError for a non-finite x or t.
+
+    The long axis, when evenly spaced, is folded (_fold) onto one offset
+    tile: with more than PHASE_BLOCK times, exp(-i omega (t_q - t_0)) times
+    columns coef psi(x) exp(-i omega t_s); with fewer, on each even free run
+    of positions (ens.runs), exp(ik (x_r - x_0)) times columns coef exp(-i
+    omega t) exp(ik x_s) (_position_fold). Everything else takes a direct
+    exp(-i omega t) tile per block of times and a mode tile per block of
+    positions.
+    """
     if not (np.isfinite(xs).all() and np.isfinite(ts).all()):
         raise ValueError("x and t must be finite")
-    # one phase block serves every mode block; longer time lists are
-    # formed again for each block of positions
-    one_phase = [(slice(None), _phase(ts, ens.omega))] if len(ts) <= PHASE_BLOCK else None
-    for cols, pm, dm in ens.mode_blocks(xs, derivative):
-        np.multiply(ens.coef, pm, out=pm)
-        if derivative:
-            np.multiply(ens.coef, dm, out=dm)
-        for rows, phase in one_phase or _phase_blocks(ts, ens.omega):
-            yield rows, cols, phase @ pm.T, phase @ dm.T if derivative else None
-        del pm, dm   # before the next block's modes are formed
+    if not (len(xs) and len(ts)):
+        return   # an empty table
+    B = PHASE_BLOCK
+    if len(ts) > B and _is_even(ts, ens.omega):
+        w = -1j * ens.omega
+
+        def anchors(starts, out):   # coef exp(-i omega t_s)
+            np.exp(np.multiply(ts[starts, None], w, out=out), out=out)
+            np.multiply(out, ens.coef, out=out)
+
+        offset = _phase(ts[:B] - ts[0], ens.omega)
+        for rows, cols, (p, *d) in _fold(offset, anchors, ens.mode_blocks(xs, derivative),
+                                         len(ts)):
+            yield rows, cols, p.T, d[0].T if derivative else None
+        return
+    # at most PHASE_BLOCK times: one phase tile, formed at the first block
+    # that needs it, serves every block of positions; longer time lists are
+    # formed again for each
+    short, phase = len(ts) <= B, None
+    regions, spans = ens.runs(xs)
+    for a, b, even in spans:
+        if even and short:
+            left = regions[a] == 0 and len(ens.edges) > 0   # no reflected wave in free space
+            yield from _position_fold(ens, xs[a:b], a, left, ts, derivative)
+            continue
+        for cols, pm, dm in ens.mode_blocks(xs, derivative, (regions, [(a, b, even)])):
+            np.multiply(ens.coef, pm, out=pm)
+            if derivative:
+                np.multiply(ens.coef, dm, out=dm)
+            if short and phase is None:
+                phase = _phase(ts, ens.omega)
+            for rows, tile in ([(slice(None), phase)] if short else
+                               ((slice(s, s + B), _phase(ts[s:s + B], ens.omega))
+                                for s in range(0, len(ts), B))):
+                yield rows, cols, tile @ pm.T, tile @ dm.T if derivative else None
+            del pm, dm   # before the next block's modes are formed
+
+
+def _position_fold(ens: _Ensemble, run: np.ndarray, start: int, left: bool,
+                   ts: np.ndarray, derivative: bool):
+    """_blocks' fold over an even free run of positions, xs[start:] onward,
+    at the times ts (at most PHASE_BLOCK of them).
+
+    The anchor is exp(ik x_s) and the offset exp(ik (x_r - x_0)). Right of
+    the potential psi = T exp(ikx). Left of it the reflected wave R
+    exp(-ikx) sums as the conjugate of a sum over exp(ikx), of the
+    conjugate of its short factor, in the rows under the incident wave's.
+    """
+    B = PHASE_BLOCK
+    n = len(ts)
+
+    def anchors(starts, out):
+        np.exp(np.multiply(run[starts, None], ens.ik, out=out), out=out)
+
+    phase = _phase(ts, ens.omega)
+    c = ens.coef if left else ens.coef * ens.amp_T
+    shorts = [np.concatenate([f * phase, np.conj(f * ens.amp_R * phase)]) if left else f * phase
+              for f in ([c, c * ens.ik] if derivative else [c])]
+    del phase
+    offset = _phase(run[:B] - run[0], -ens.k)
+    for cols, _, tiles in _fold(offset, anchors, [(None, *shorts)], len(run)):
+        if left:   # psi = e + R conj(e), dpsi = ik (e - R conj(e))
+            tiles = [t[:n] + sign * np.conj(t[n:]) for t, sign in zip(tiles, (1, -1))]
+        yield slice(None), slice(start + cols.start, start + cols.stop), tiles[0], \
+            tiles[1] if derivative else None
 
 
 def _tabulate(ens: _Ensemble, x, t, derivative: bool, *cells, dtype=float) -> list:
@@ -446,10 +556,23 @@ def transmitted_norm(packet: SpectralPacket, potential: PiecewisePotential) -> f
     return float(np.sum(packet.weights * packet.amplitude ** 2 * np.abs(ens.amp_T) ** 2))
 
 
+def _window_grid(window: tuple[float, float], dx: float) -> np.ndarray:
+    """Positions window[0], window[0] + dx, ... up to window[1]; raises
+    ValueError for a window that is not finite or does not run from low to
+    high, or a dx that is not finite and positive."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"window must be finite and run from low to high, got {window}")
+    if not (math.isfinite(dx) and dx > 0):
+        raise ValueError(f"dx must be finite and positive, got {dx}")
+    return np.arange(lo, hi + dx / 2, dx)
+
+
 def norm_on_window(packet: SpectralPacket, potential: PiecewisePotential, t: float,
                    window: tuple[float, float], dx: float = 0.1) -> float:
-    """Probability content of a spatial window at time t (trapezoid rule)."""
-    xs = np.arange(window[0], window[1] + dx / 2, dx)
+    """Probability content of a spatial window at time t (trapezoid rule).
+    Raises ValueError for a bad window or dx (_window_grid)."""
+    xs = _window_grid(window, dx)
     return float(np.trapezoid(_density(_ensemble(packet, potential), xs, t), xs))
 
 
@@ -458,9 +581,10 @@ def centroid_trajectory(packet: SpectralPacket, potential: PiecewisePotential, t
     """(xbar(t), mass(t)) center of mass restricted to a spatial window.
 
     mass is the window's probability content; results with small mass carry
-    little meaning and should be treated as flagged.
+    little meaning and should be treated as flagged. Raises ValueError for a
+    bad window or dx (_window_grid).
     """
-    xs = np.arange(window[0], window[1] + dx / 2, dx)
+    xs = _window_grid(window, dx)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     rho = _density(_ensemble(packet, potential), xs, ts)
     mass = np.trapezoid(rho, xs, axis=1)
@@ -521,13 +645,15 @@ def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
     quantile_range selects a slice of the region's own cumulative density,
     e.g. (1 - P_T, 1) picks the rightmost P_T fraction, which by the 1-D
     no-crossing property is exactly the transmitted subensemble. Raises
-    ValueError for n_seeds < 1 or a region whose upper end does not exceed
-    its lower one.
+    ValueError for n_seeds < 1, a region whose upper end does not exceed
+    its lower one, or an n_grid that is not an integer of at least 2.
     """
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     if not region[1] > region[0]:
         raise ValueError(f"region must run from low to high, got {region}")
+    if isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral) or n_grid < 2:
+        raise ValueError(f"n_grid must be an integer of at least 2, got {n_grid!r}")
     xs = np.linspace(region[0], region[1], n_grid)
     rho = _density(_ensemble(packet, potential), xs, t_start)
     cdf = _cumulative_trapezoid(rho, xs)

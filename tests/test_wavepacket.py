@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tunneltime import wavepacket as wp
 from tunneltime.scattering import (
@@ -215,6 +215,133 @@ def test_phase_recurrence_matches_direct_exp(packet, t0, dt, n):
     # each factor carries a few ulps of its exp argument
     tol = wp.EVEN_GRID_TOL + 8 * np.finfo(float).eps * np.max(np.abs(ts)) * omega.max()
     assert np.max(np.abs(got - np.exp(-1j * np.outer(ts, omega)))) <= tol
+
+
+def gather_blocks(ens, xs, ts, derivative):
+    """(Psi, dPsi/dx) tables filled from _blocks, each entry exactly once."""
+    psi = np.empty((len(ts), len(xs)), complex)
+    dpsi = np.empty_like(psi)
+    hits = np.zeros(psi.shape, int)
+    for rows, cols, p, d in wp._blocks(ens, xs, ts, derivative):
+        psi[rows, cols] = p
+        hits[rows, cols] += 1
+        if derivative:
+            dpsi[rows, cols] = d
+        else:
+            assert d is None
+    assert (hits == 1).all()
+    return psi, dpsi
+
+
+@settings(max_examples=80, deadline=None)
+@given(x_kind=st.sampled_from(["left", "right", "across", "uneven"]),
+       nx=st.sampled_from([1, 9, wp.PHASE_BLOCK, wp.PHASE_BLOCK + 1, 3 * wp.PHASE_BLOCK + 7]),
+       x0=st.floats(0.0, 1.0), dx=st.floats(0.05, 1.0),
+       nt=st.sampled_from([1, 6, wp.PHASE_BLOCK, wp.PHASE_BLOCK + 1, 3 * wp.PHASE_BLOCK + 5]),
+       t_even=st.booleans(), t0=st.floats(-3e-14, 1e-14), dt=st.floats(1e-17, 2e-16),
+       derivative=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(x_kind="across", nx=3 * wp.PHASE_BLOCK + 7, x0=1.0, dx=1.0, nt=wp.PHASE_BLOCK + 1,
+         t_even=True, t0=-2e-14, dt=2e-16, derivative=True, seed=0)   # short first block
+def test_blocks_match_direct_sums(packet65, x_kind, nx, x0, dx, nt, t_even, t0, dt,
+                                  derivative, seed):
+    # the folded paths (long even times; long even free runs of positions
+    # under at most PHASE_BLOCK times) and the direct ones against modes_at
+    # per position times the direct exp(-i omega t) matrix
+    rng = np.random.default_rng(seed)
+    steps = dx * np.arange(nx)
+    xs = {"left": -150.0 - 250.0 * x0 + steps,     # ends left of the barrier
+          "right": 5.0 + 250.0 * x0 + steps,
+          "across": -60.0 + 50.0 * x0 + steps,     # across it when long
+          "uneven": np.sort(rng.uniform(-200.0, 200.0, nx))}[x_kind]
+    ts = t0 + dt * np.arange(nt) if t_even else np.sort(rng.uniform(-3e-14, 3e-14, nt))
+    ens = wp._ensemble(packet65, BARRIER)
+    psi, dpsi = gather_blocks(ens, xs, ts, derivative)
+    want_p, want_d = direct_evolve(packet65, BARRIER, xs, ts)
+    # relative to the largest sum of term magnitudes, the scale of rounding;
+    # and, where the table's maximum is not mostly cancelled (the packet's
+    # tails), relative to that maximum, as in the mode-block test
+    modes = [ens.modes_at(float(x)) for x in xs]
+    for got, want, m in ((psi, want_p, 0), (dpsi, want_d, 1))[:1 + derivative]:
+        scale = max(np.sum(np.abs(ens.coef * mode[m])) for mode in modes)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        if np.max(np.abs(want)) >= 0.1 * scale:
+            assert rel_err(got, want) <= 1e-12
+
+
+def test_fold_takes_a_short_block_before_a_long_even_run(packet):
+    # 10 positions left of the barrier and 5 inside it, then 184 evenly
+    # spaced right of it: the fold's first block of positions is shorter
+    # than the later ones, whose columns its buffers must still hold
+    xs = np.arange(-10.0, 189.0)
+    ts = -2e-14 + 2e-16 * np.arange(wp.PHASE_BLOCK + 1)
+    psi, dpsi = wp.evolve(packet, BARRIER, xs, ts)
+    want_p, want_d = direct_evolve(packet, BARRIER, xs, ts)
+    assert rel_err(psi, want_p) <= 1e-12 and rel_err(dpsi, want_d) <= 1e-12
+    assert np.array_equal(wp.current(packet, BARRIER, xs, ts),
+                          ELECTRON.hbar_over_m * np.imag(np.conj(psi) * dpsi))
+    # a window that starts inside the barrier, at more than PHASE_BLOCK times
+    ws = np.arange(2.0, 200.0 + 0.05, 0.1)
+    rho = np.abs(direct_evolve(packet, BARRIER, ws, ts)[0]) ** 2
+    mass = np.trapezoid(rho, ws, axis=1)
+    xbar, got_mass = wp.centroid_trajectory(packet, BARRIER, ts, (2.0, 200.0))
+    assert rel_err(got_mass, mass) <= 1e-12
+    # the first moment: xbar alone is a ratio of rounding where mass ~ 1e-16
+    assert rel_err(xbar * got_mass, np.trapezoid(rho * ws, ws, axis=1)) <= 1e-12
+
+
+@pytest.mark.parametrize("nx, nt", [(3 * wp.PHASE_BLOCK, 0), (0, 3 * wp.PHASE_BLOCK), (0, 0)])
+def test_empty_axes_give_empty_tables(packet, nx, nt):
+    xs = np.linspace(-300.0, -100.0, nx)   # an even free run when not empty
+    ts = -2e-14 + 2e-16 * np.arange(nt)
+    psi, dpsi = wp.evolve(packet, BARRIER, xs, ts)
+    assert psi.shape == dpsi.shape == (nt, nx)
+    assert wp._density(wp._ensemble(packet, BARRIER), xs, ts).shape == (nt, nx)
+
+
+def test_even_time_grid_forms_one_phase_tile(packet, monkeypatch):
+    # the offset tile of the fold, and no tile per block of times
+    calls, phase = [], wp._phase
+
+    def counted_phase(ts, omega):
+        calls.append(len(ts))
+        return phase(ts, omega)
+
+    monkeypatch.setattr(wp, "_phase", counted_phase)
+    monkeypatch.setattr(wp, "_phase_blocks", None)
+    ts = -2e-14 + 2e-16 * np.arange(5 * wp.PHASE_BLOCK + 3)
+    wp.evolve(packet, BARRIER, [-3.0, 2.5, 9.0], ts)
+    assert calls == [wp.PHASE_BLOCK]
+
+
+def test_flux_records_hold_less_than_the_per_block_phase_tiles(packet):
+    t = np.linspace(-1e-13, 1e-13, 20001)
+    wp.flux_records(packet, BARRIER, [0.0, 5.0], t_grid=t[:200])   # ensemble built outside
+    tracemalloc.start()
+    try:
+        wp.flux_records(packet, BARRIER, [0.0, 5.0], t_grid=t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = 16 * wp.PHASE_BLOCK * len(packet.k_nodes)
+    # J is 20001 x 2; the per-time-block phase tiles peaked at J + 3.32
+    # tiles, the fold at J + 3.05
+    assert peak <= 8 * 2 * 20001 + 3.3 * tile
+
+
+@pytest.mark.parametrize("window, tiles", [((10.0, 410.0), 2.7), ((-410.0, -10.0), 3.6)],
+                         ids=["transmitted", "reflected"])
+def test_centroid_holds_less_than_the_per_block_mode_tiles(packet, window, tiles):
+    ts = [-1e-14, 0.0, 1e-14, 2e-14]
+    wp.centroid_trajectory(packet, BARRIER, ts, (window[0], window[0] + 20.0))   # built outside
+    tracemalloc.start()
+    try:
+        wp.centroid_trajectory(packet, BARRIER, ts, window)   # 4 x 4001 points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the per-block mode tiles peaked at 2.70 tiles on the transmitted side
+    # and 3.68 on the reflected one, the fold at 2.58 and 2.63
+    assert peak <= tiles * 16 * wp.PHASE_BLOCK * len(packet.k_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -845,16 +972,41 @@ def test_bohm_trajectories_reject_empty_input(packet, monkeypatch, kwargs, match
     assert calls == []
 
 
-@pytest.mark.parametrize("n_seeds, region, match", [
-    (0, (-150.0, 150.0), "n_seeds"),
-    (-2, (-150.0, 150.0), "n_seeds"),
-    (3, (150.0, -150.0), "region"),
-    (3, (20.0, 20.0), "region"),
-], ids=["no-seeds", "negative", "reversed", "empty"])
-def test_seed_positions_reject_bad_input(packet, n_seeds, region, match):
-    # a reversed region used to return reversed seeds, and n_seeds = 0 []
+@pytest.mark.parametrize("n_seeds, region, n_grid, match", [
+    (0, (-150.0, 150.0), 4001, "n_seeds"),
+    (-2, (-150.0, 150.0), 4001, "n_seeds"),
+    (3, (150.0, -150.0), 4001, "region"),
+    (3, (20.0, 20.0), 4001, "region"),
+    (3, (-150.0, 150.0), 1, "n_grid"),
+    (3, (-150.0, 150.0), 0, "n_grid"),
+    (3, (-150.0, 150.0), 40.0, "n_grid"),
+], ids=["no-seeds", "negative", "reversed", "empty", "one-point", "no-points", "float-grid"])
+def test_seed_positions_reject_bad_input(packet, n_seeds, region, n_grid, match):
+    # a reversed region used to return reversed seeds, n_seeds = 0 [],
+    # n_grid = 1 every seed at region[0] and n_grid = 0 numpy's length error
     with pytest.raises(ValueError, match=match):
-        wp.seed_positions(packet, FREE, 0.0, n_seeds, region)
+        wp.seed_positions(packet, FREE, 0.0, n_seeds, region, n_grid=n_grid)
+
+
+@pytest.mark.parametrize("fn", ["norm_on_window", "centroid_trajectory"])
+@pytest.mark.parametrize("window, dx, match", [
+    ((50.0, -50.0), 0.1, "window"),
+    ((20.0, 20.0), 0.1, "window"),
+    ((-50.0, math.nan), 0.1, "window"),
+    ((-math.inf, 50.0), 0.1, "window"),
+    ((-50.0, 50.0), -0.1, "dx"),
+    ((-50.0, 50.0), 0.0, "dx"),
+    ((-50.0, 50.0), math.nan, "dx"),
+    ((-50.0, 50.0), math.inf, "dx"),
+], ids=["reversed", "empty", "nan-end", "inf-start", "negative-dx", "zero-dx", "nan-dx", "inf-dx"])
+def test_spatial_windows_reject_bad_input(packet, monkeypatch, fn, window, dx, match):
+    # a reversed window or a negative dx gave a norm of 0.0 and a centroid of
+    # (nan, 0.0); a nan dx numpy's arange error
+    calls = []
+    monkeypatch.setattr(wp, "_blocks", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=match):
+        getattr(wp, fn)(packet, BARRIER, 0.0, window, dx=dx)
+    assert calls == []   # rejected before any evaluation
 
 
 @pytest.mark.parametrize("nt", [1, 7, 3 * wp.PHASE_BLOCK + 5])
