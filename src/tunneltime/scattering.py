@@ -33,6 +33,12 @@ _LINEAR_QW = 1e-12
 _SERIES_QW = 1e-8
 # Newton passes the Gauss-Legendre rule may take; Tricomi's guess needs 3-4
 _NEWTON_PASSES = 10
+# Taylor coefficients in s of _entire's S, C, G and H, highest power first:
+# 1/(2n+1)!, 1/(2n)!, 2^(2n+3)/(2n+3)! and (2n+2)/(2n+3)! for n < 12, past
+# rounding at |s| < 1
+_TAYLOR = np.array([[1.0 / math.factorial(2 * n + 1), 1.0 / math.factorial(2 * n),
+                     2.0 ** (2 * n + 3) / math.factorial(2 * n + 3),
+                     (2.0 * n + 2.0) / math.factorial(2 * n + 3)] for n in range(11, -1, -1)])
 
 
 @dataclass(frozen=True)
@@ -446,48 +452,61 @@ def density_and_current(psi, dpsi_dx, units: UnitSystem = ELECTRON):
     return rho, j
 
 
+def _entire(eps, k, d):
+    """(q, w, S, C, G, H) at every point of the 1-D arrays k and d.
+
+    q = |eps^2 - k^2|^(1/2) is the interior wavenumber, kappa below the top
+    and kt above it. S = sinh(z)/z, C = cosh z, G = (sinh 2z - 2z)/z^3 and
+    H = (z cosh z - sinh z)/z^3 are entire functions of the signed
+    s = z^2 = (eps^2 - k^2) d^2, so they continue to sin and cos of q d above
+    the top (z = i q d). |s| < 1 takes their Taylor series. Below the top
+    each carries the scale w = e^{-q d} (G carries w^2), which keeps them
+    finite at any opacity; w = 1 at and above the top.
+    """
+    q = np.sqrt(np.abs(eps * eps - k * k))
+    x = q * d
+    below = k < eps
+    w = np.exp(-np.where(below, x, 0.0))
+    w2 = w * w
+    # sinh x and cosh x times w below the top, sin x and cos x above it
+    sh, ch = 0.5 * (1.0 - w2), 0.5 * (1.0 + w2)
+    above = ~below
+    if above.any():
+        sh[above], ch[above] = np.sin(x[above]), np.cos(x[above])
+    sign = np.where(below, -1.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 at x = 0: series below
+        x3 = x ** 3
+        out = [sh / x, ch, 2.0 * sign * (x * w2 - sh * ch) / x3, sign * (sh - x * ch) / x3]
+    series = np.flatnonzero(x < 1.0)   # |s| < 1
+    if series.size:
+        xs, ws = x[series], w[series]
+        s, acc = np.where(below[series], xs * xs, -xs * xs), np.zeros((4, series.size))
+        for c in _TAYLOR:
+            acc *= s
+            acc += c[:, None]
+        for f, a, scale in zip(out, acc, (ws, ws, ws * ws, ws)):
+            f[series] = a * scale
+    return (q, w, *out)
+
+
 def _square_amplitudes(params: SquareBarrierParams, k, d):
     """(T, R, alpha, beta) of closed_form_square at every point of k and d,
-    broadcast and flattened (params.d is not read): each regime (the
-    barrier-top window, below and above the top) on its own elements."""
+    broadcast and flattened (params.d is not read). One body holds on both
+    sides of the top: with D = 4 k^2 + eps^4 d^2 S^2, T = 2k/sqrt(D),
+    R = eps^2 d |S|/sqrt(D) and alpha_ref = arctan((2k^2 - eps^2) d S/(2k C)),
+    unwrapped by pi above the top."""
     k, d = _points(k, d)
     eps = params.eps
-    T, R, a_ref = np.empty(k.size), np.empty(k.size), np.empty(k.size)
-    top = abs(k - eps) < 1e-9 * eps
-    below = (k < eps) & ~top
-    above = ~(top | below)
-
-    sgn = np.ones(k.size)
-    if top.any():
-        # barrier-top limit: interior is linear, T = 1/sqrt(1 + eps^2 d^2/4)
-        kk, dd = k[top], d[top]
-        T[top] = t = 1.0 / np.sqrt(1.0 + (eps * dd) ** 2 / 4.0)
-        R[top] = (eps * dd / 2.0) * t
-        a_ref[top] = np.arctan(kk * dd / 2.0)
-    if below.any():
-        kk, dd = k[below], d[below]
-        kap = np.sqrt(eps * eps - kk * kk)
-        g = np.exp(-kap * dd)  # underflow -> honest T = 0
-        half = 0.5 * (1.0 - g * g)  # sinh(kap d) * e^{-kap d}
-        den = np.hypot(2.0 * kk * kap * g, eps * eps * half)
-        T[below] = 2.0 * kk * kap * g / den
-        R[below] = (kk * kk + kap * kap) * half / den
-        a_ref[below] = np.arctan((kk * kk - kap * kap) / (2.0 * kk * kap) * np.tanh(kap * dd))
-    if above.any():
-        kk, dd = k[above], d[above]
-        kt = np.sqrt(kk * kk - eps * eps)
-        s = np.sin(kt * dd)
-        den = np.hypot(2.0 * kk * kt, eps * eps * s)
-        T[above] = 2.0 * kk * kt / den
-        R[above] = eps * eps * np.abs(s) / den
-        a_ref[above] = np.arctan((kk * kk + kt * kt) / (2.0 * kk * kt) * np.tan(kt * dd)) \
-            + math.pi * np.floor(kt * dd / math.pi + 0.5)
-        sgn[above] = np.where(s >= 0, 1.0, -1.0)   # beta jumps by pi where s changes sign
-
+    q, w, S, C, _, _ = _entire(eps, k, d)
+    den = np.hypot(2.0 * k * w, eps * eps * d * S)
+    T = 2.0 * k * w / den
+    R = eps * eps * d * np.abs(S) / den
+    with np.errstate(divide="ignore"):   # C = 0 at kt d = pi/2: arctan(inf)
+        a_ref = np.arctan((2.0 * k * k - eps * eps) * d * S / (2.0 * k * C))
+    a_ref += math.pi * np.floor(np.where(k > eps, q * d, 0.0) / math.pi + 0.5)
     alpha = a_ref - k * d
-    beta = a_ref - sgn * math.pi / 2.0
-    free = d == 0
-    T[free], R[free], alpha[free], beta[free] = 1.0, 0.0, 0.0, 0.0
+    # beta jumps by pi where S changes sign; R = 0 leaves it undefined at d = 0
+    beta = np.where(d == 0, 0.0, a_ref - np.where(S >= 0, 0.5, -0.5) * math.pi)
     return T, R, alpha, beta
 
 

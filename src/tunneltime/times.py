@@ -5,9 +5,10 @@ closed forms on one side, numerical derivatives or integrals of the
 scattering solution on the other. Tests pin the two against each other;
 nothing here collapses them into a single route.
 
-Below the barrier top all expressions use k (incident), kappa (decay) with
-eps^2 = k^2 + kappa^2. Above the top the analytic continuation
-kappa -> i*kt (kt^2 = k^2 - eps^2) is carried out explicitly in each form.
+The closed forms are written through the entire functions S, G and H of
+the signed s = (eps^2 - k^2) d^2 (scattering._entire): s = (kappa d)^2 below
+the barrier top and -(kt d)^2 above it, kt^2 = k^2 - eps^2. One body holds on
+both sides of the top and at k = eps itself, where no term cancels.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .scattering import (
     ScatteringState,
     SquareBarrierParams,
     _check_k,
+    _entire,
     _gauss_legendre,
     _phase_slopes,
     _points,
@@ -34,8 +36,6 @@ from .scattering import (
 )
 from .units import ELECTRON, UnitSystem
 
-_TOP_REL_WINDOW = 1e-9     # |k - eps| below this uses one-sided continuation
-_TOP_OFFSET = 1e-7         # continuation points k = eps(1 +- 1e-7)
 _DWELL_NODES = 24          # Gauss-Legendre nodes per dwell-time panel
 
 
@@ -123,16 +123,12 @@ class _Times(NamedTuple):
     dwell: np.ndarray   # (0, d) dwell time = Larmor tau_y
     tau_z: np.ndarray
     tau_x: np.ndarray
-    bl_T: np.ndarray    # m d/(hbar kappa), the semiclassical time
-    bl_R: np.ndarray    # hbar k/(V0 kappa)
+    bl_T: np.ndarray    # m d/(hbar |q|), the semiclassical time; inf at k = eps
+    bl_R: np.ndarray    # hbar k/(V0 |q|)
 
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _at_top(params: SquareBarrierParams, k):
-    return abs(k - params.eps) < _TOP_REL_WINDOW * params.eps
 
 
 def _fd_richardson(f, x: float, h: float) -> float:
@@ -142,68 +138,33 @@ def _fd_richardson(f, x: float, h: float) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def _below_top(params: SquareBarrierParams, k, kap, d):
-    """(bracket, phase, dwell, tau_z) below the top, from 1-D arrays k,
-    kappa and d. Numerators and D = 4 k^2 kappa^2 + eps^4 sinh^2(kappa d) are
-    scaled by e^{-2 kappa d}, so they stay finite at any opacity."""
-    m_h, eps = params.units.m_over_hbar, params.eps
-    g2 = np.exp(-2.0 * kap * d)
-    sh_sq = (0.5 * (1.0 - g2)) ** 2   # sinh^2(kappa d) e^{-2 kappa d}
-    sh_two = 0.5 * (1.0 - g2 * g2)   # sinh(2 kappa d) e^{-2 kappa d}
-    den = 4.0 * k * k * kap * kap * g2 + eps ** 4 * sh_sq
-    diff = kap * kap - k * k
-    bracket = (2.0 * kap * d * k * k * diff * g2 + eps ** 4 * sh_two) / den
-    dwell = m_h * k / kap * (2.0 * kap * d * diff * g2 + eps ** 2 * 0.5 * (1.0 - g2 * g2)) / den
-    tau_z = m_h * eps * eps / (kap * kap) * (diff * sh_sq
-                                             + (kap * d * eps * eps / 2.0) * sh_two) / den
-    return bracket, m_h / (k * kap) * bracket, dwell, tau_z
-
-
-def _above_top(params: SquareBarrierParams, k, kt, d):
-    """(phase, dwell, tau_z) above the top, kappa -> i kt, from 1-D arrays k,
-    kt and d; D continues to 4 k^2 kt^2 + eps^4 sin^2(kt d)."""
-    m_h, eps = params.units.m_over_hbar, params.eps
-    s = np.sin(kt * d)
-    s_two = np.sin(2.0 * kt * d)
-    den = 4.0 * k * k * kt * kt + eps ** 4 * s * s
-    phase = m_h / (k * kt) * (2.0 * kt * d * k * k * (kt * kt + k * k) - eps ** 4 * s_two) / den
-    dwell = m_h * k / kt * (2.0 * kt * d * (kt * kt + k * k) - eps ** 2 * s_two) / den
-    tau_z = m_h * eps * eps / (kt * kt) * ((kt * kt + k * k) * s * s
-                                           - (kt * d * eps * eps / 2.0) * s_two) / den
-    return phase, dwell, tau_z
-
-
 def _stationary_times(params: SquareBarrierParams, k, d) -> _Times:
     """The closed-form times at every point of k and d, broadcast and
     flattened: the one body behind this module's closed forms.
 
-    params supplies V0, eps and the units; d replaces params.d. Each regime
-    runs on its own elements. The top window |k - eps| < 1e-9 eps takes the
-    one-sided continuation: every quantity is the mean of its own values at
-    k = eps(1 -+ 1e-7), tau_x a mean of two hypots.
+    params supplies V0, eps and the units; d replaces params.d. With
+    D = 4 k^2 + eps^4 d^2 S^2 (S, G, H of scattering._entire), the forms
+    dwell = (m/hbar) k d (4 + eps^2 d^2 G)/D,
+    phase = (m/hbar) d (2 eps^2 + 4 k^2 + eps^4 d^2 G)/(k D) and
+    tau_z = (m/hbar) eps^2 d^2 S (2 S + eps^2 d^2 H)/D hold on both sides of
+    the top. Every term of D, dwell and phase is positive, so nothing cancels
+    as q d -> 0; numerators and D carry the scale of _entire. The sideband
+    times divide by the interior wavenumber |q|: +inf at k = eps, 0 at d = 0.
     """
     k, d = _points(k, d)
-    eps, n = params.eps, k.size
-    top = _at_top(params, k)
-    # the window's elements evaluate at eps(1 - offset) in place, and at
-    # eps(1 + offset) appended after the n points
-    kk = np.concatenate([np.where(top, eps * (1.0 - _TOP_OFFSET), k),
-                         np.full(np.count_nonzero(top), eps * (1.0 + _TOP_OFFSET))])
-    dd = np.concatenate([d, d[top]])
-    below = kk < eps
-    q = np.sqrt(np.where(below, eps * eps - kk * kk, kk * kk - eps * eps))  # kappa, or kt
-    phase, dwell, tau_z = np.empty(kk.size), np.empty(kk.size), np.empty(kk.size)
-    for sel, form in ((below, _below_top), (~below, _above_top)):
-        if sel.any():   # [-3:] drops the bracket that leads _below_top's values
-            phase[sel], dwell[sel], tau_z[sel] = form(params, kk[sel], q[sel], dd[sel])[-3:]
-    free = dd == 0   # no barrier: every time is 0
-    phase[free] = dwell[free] = tau_z[free] = 0.0
-    u = params.units
-    cols = [phase, dwell, tau_z, np.hypot(dwell, tau_z),
-            u.m_over_hbar * dd / q, np.where(free, 0.0, u.hbar_eV_s * kk / (params.V0 * q))]
-    for col in cols:
-        col[:n][top] = 0.5 * (col[:n][top] + col[n:])
-    return _Times(u.m_over_hbar * d / k, *(col[:n] for col in cols))
+    eps, u = params.eps, params.units
+    q, w, S, _, G, H = _entire(eps, k, d)
+    e2d2 = (eps * d) ** 2
+    den = 4.0 * k * k * w * w + (eps * eps * d * S) ** 2
+    dwell = u.m_over_hbar * k * d * (4.0 * w * w + e2d2 * G) / den
+    phase = u.m_over_hbar * d * ((2.0 * eps * eps + 4.0 * k * k) * w * w
+                                 + eps * eps * e2d2 * G) / (k * den)
+    tau_z = u.m_over_hbar * e2d2 * S * (2.0 * S + e2d2 * H) / den
+    free = d == 0   # no barrier: no sideband times
+    with np.errstate(divide="ignore", invalid="ignore"):   # q = 0: +inf, or 0/0 at d = 0
+        bl_T = np.where(free, 0.0, u.m_over_hbar * d / q)
+        bl_R = np.where(free, 0.0, u.hbar_eV_s * k / (params.V0 * q))
+    return _Times(u.m_over_hbar * d / k, phase, dwell, tau_z, np.hypot(dwell, tau_z), bl_T, bl_R)
 
 
 def _at(params: SquareBarrierParams, k: float) -> _Times:
@@ -230,19 +191,20 @@ def hartman_bracket(params: SquareBarrierParams, k: float) -> float:
 
     [2 kappa d k^2 (kappa^2-k^2) + eps^4 sinh(2 kappa d)] / D with
     D = 4 k^2 kappa^2 + eps^4 sinh^2(kappa d); tends to 2 for opaque barriers.
+    It is (hbar/m) k kappa times the closed phase time.
     """
-    k, d = _points(k, params.d)
+    phase = _at(params, k).phase
     eps = params.eps
-    if k[0] >= eps:
+    if k >= eps:
         raise ValueError("bracket defined below the barrier top")
-    return _below_top(params, k, np.sqrt(eps * eps - k * k), d)[0].item()
+    return k * math.sqrt(eps * eps - k * k) * phase * params.units.hbar_over_m
 
 
 def extrapolated_phase_times(params: SquareBarrierParams, k: float):
     """(dtau_T, dtau_R) from the closed phase-derivative form.
 
-    Both channels coincide for the square barrier. Above the top the
-    continued form is used; at k = eps the one-sided limit.
+    Both channels coincide for the square barrier. One form holds below,
+    at and above the top.
     """
     tau = _at(params, k).phase
     return tau, tau
@@ -365,9 +327,10 @@ def larmor_times_kappa_derivative(params: SquareBarrierParams, k: float):
     if params.d == 0:
         return 0.0, 0.0, 0.0
     eps = params.eps
-    if _at_top(params, k):
-        lo = larmor_times_kappa_derivative(params, eps * (1.0 - _TOP_OFFSET))
-        hi = larmor_times_kappa_derivative(params, eps * (1.0 + _TOP_OFFSET))
+    window, offset = 1e-9, 1e-7   # |k - eps| < window eps: mean at eps(1 -+ offset)
+    if abs(k - eps) < window * eps:
+        lo = larmor_times_kappa_derivative(params, eps * (1.0 - offset))
+        hi = larmor_times_kappa_derivative(params, eps * (1.0 + offset))
         return tuple(0.5 * (a + b) for a, b in zip(lo, hi))
     u = params.units
     d = params.d
@@ -401,7 +364,8 @@ def buttiker_landauer(params: SquareBarrierParams, k: float, omega: float = 0.0,
                       deltaV: float = 0.0) -> ButtikerLandauerResult:
     """Sideband crossing times and first-order sideband intensities.
 
-    tau_BL_T = m d/(hbar kappa), tau_BL_R = hbar k/(V0 kappa).
+    tau_BL_T = m d/(hbar kappa), tau_BL_R = hbar k/(V0 kappa); both diverge
+    as k -> eps.
     I_+- = (deltaV/(2 hbar omega))^2 (e^{+-omega tau_BL_T} - 1)^2, with the
     omega -> 0 limit (deltaV tau_BL_T / 2 hbar)^2 taken exactly at omega = 0.
     band_ratio = tanh(omega tau_BL_T).
@@ -411,7 +375,7 @@ def buttiker_landauer(params: SquareBarrierParams, k: float, omega: float = 0.0,
     if not (math.isfinite(deltaV) and deltaV >= 0):
         raise ValueError(f"deltaV must be finite and >= 0, got {deltaV}")
     tau_T, tau_R = _at(params, k)[-2:]
-    if k >= params.eps * (1.0 - _TOP_REL_WINDOW):
+    if k >= params.eps:
         raise ValueError("sideband times undefined at or above the barrier top")
     u = params.units
     E = float(u.E_of_k(k))
@@ -426,7 +390,10 @@ def buttiker_landauer(params: SquareBarrierParams, k: float, omega: float = 0.0,
         base = (deltaV * tau_T / (2.0 * u.hbar_eV_s)) ** 2
         return ButtikerLandauerResult(tau_T, tau_R, base, base, 0.0)
     pref = (deltaV / (2.0 * u.hbar_eV_s * omega)) ** 2
-    I_plus = pref * (math.expm1(omega * tau_T)) ** 2
+    try:
+        I_plus = pref * (math.expm1(omega * tau_T)) ** 2
+    except OverflowError:   # tau_BL_T grows without bound as k nears the top
+        I_plus = math.inf if pref > 0 else 0.0
     I_minus = pref * (math.expm1(-omega * tau_T)) ** 2
     return ButtikerLandauerResult(tau_T, tau_R, I_plus, I_minus,
                                   math.tanh(omega * tau_T))
@@ -452,7 +419,7 @@ def self_interference_identity(params: SquareBarrierParams, k: float,
         x2 = params.d
     if not (math.isfinite(x2) and x2 >= params.d):
         raise ValueError(f"x2 must be finite and >= d, got {x2}")
-    if k >= params.eps * (1.0 - _TOP_REL_WINDOW):
+    if k >= params.eps:
         raise ValueError("decomposition implemented for the sub-barrier regime")
     u = params.units
     v = float(u.v_of_k(k))
@@ -461,9 +428,8 @@ def self_interference_identity(params: SquareBarrierParams, k: float,
     T2 = st.T ** 2
     R = st.R
     beta = st.beta
-    # alpha_ref' = bracket/kappa exactly; below the top beta' = alpha_ref'
-    kap = math.sqrt(params.eps ** 2 - k * k)
-    a_ref_prime = hartman_bracket(params, k) / kap
+    # alpha_ref' = v dtau_phase exactly; below the top beta' = alpha_ref'
+    a_ref_prime = v * _at(params, k).phase
     tau_T = (x2 - x1 + a_ref_prime - params.d) / v
     tau_R = (-2.0 * x1 + a_ref_prime) / v
     tau_self = u.m_over_hbar * R / (k * k) * math.sin(beta - 2.0 * k * x1)
@@ -600,9 +566,9 @@ def centroid_times(summary: PacketSpectrumSummary, params: SquareBarrierParams):
 def time_report(params: SquareBarrierParams, k: float) -> TimeReport:
     """Evaluate the full catalogue at one wavenumber.
 
-    Finite everywhere, including k = eps (one-sided continuation) and above
-    the top (continued forms; sideband and semiclassical times then use the
-    interior oscillatory wavenumber).
+    One body below, at and above the top. Above it the sideband and
+    semiclassical times use the interior oscillatory wavenumber; at k = eps
+    they are +inf, and every other time is finite.
     """
     t = _at(params, k)
     # tau_y is the (0, d) dwell time and the real part of the complex time;

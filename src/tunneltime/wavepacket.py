@@ -557,7 +557,9 @@ def transmitted_norm(packet: SpectralPacket, potential: PiecewisePotential) -> f
 
 
 def _window_grid(window: tuple[float, float], dx: float) -> np.ndarray:
-    """Positions window[0], window[0] + dx, ... up to window[1]; raises
+    """Evenly spaced positions from window[0] to window[1], both ends
+    included, at most dx apart: m = (window[1] - window[0])/dx steps when m
+    is within rounding of an integer, its ceiling otherwise. Raises
     ValueError for a window that is not finite or does not run from low to
     high, or a dx that is not finite and positive."""
     lo, hi = window
@@ -565,7 +567,9 @@ def _window_grid(window: tuple[float, float], dx: float) -> np.ndarray:
         raise ValueError(f"window must be finite and run from low to high, got {window}")
     if not (math.isfinite(dx) and dx > 0):
         raise ValueError(f"dx must be finite and positive, got {dx}")
-    return np.arange(lo, hi + dx / 2, dx)
+    m = (hi - lo) / dx
+    steps = round(m) if math.isclose(m, round(m), rel_tol=1e-9) else math.ceil(m)
+    return np.linspace(lo, hi, steps + 1)
 
 
 def norm_on_window(packet: SpectralPacket, potential: PiecewisePotential, t: float,

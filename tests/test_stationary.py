@@ -16,11 +16,14 @@ shared helpers were folded out and the closed forms became array bodies.
 That copy reproduced CPython's and libm's rounding; the current code lets
 numpy round, so the tests pin it to the frozen copy within the measured
 bounds of conftest.py, and to the verbatim copies of code that shares its
-rounding bit for bit.
+rounding bit for bit. Inside the frozen copy's top window |k - eps| <
+1e-9 eps, where that copy and ``_parent_time_report`` continue through the
+top, the closed forms meet the independent routes instead
+(conftest.check_top_oracle).
 """
 
 import math
-from dataclasses import astuple, is_dataclass
+from dataclasses import astuple, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,8 @@ from conftest import (
     SWEEP_REL,
     amplitude_rel,
     assert_close,
+    at_top,
+    check_top_oracle,
     interior_qd,
     phase_scale,
     time_rel,
@@ -44,7 +49,6 @@ from tunneltime import times as tms
 from tunneltime.scattering import PiecewisePotential, SquareBarrierParams
 from tunneltime.times import (
     TimeReport,
-    _at_top,
     complex_time,
     dwell_time_closed,
     extrapolated_phase_times,
@@ -92,7 +96,7 @@ def _parent_time_report(params: SquareBarrierParams, k: float) -> TimeReport:
             kap = math.sqrt(kv * kv - eps * eps)
         return (u.m_over_hbar * p.d / kap, u.hbar_eV_s * kv / (p.V0 * kap))
 
-    if _at_top(params, k) or params.d == 0:
+    if at_top(params.eps, k) or params.d == 0:
         if params.d == 0:
             bl_T = bl_R = 0.0
         else:
@@ -255,6 +259,15 @@ def test_time_report_bit_identical(d, k):
     params = SquareBarrierParams(V0, d)
     new = tms.time_report(params, k)
     old = _parent_time_report(params, k)
+    if at_top(EPS, k) and d > 0:
+        # the copy continues the sideband times through its top window; the
+        # body gives m d/(hbar |q|) and hbar k/(V0 |q|) at k itself, +inf at
+        # q = 0
+        q = math.sqrt(abs(EPS * EPS - k * k))
+        with np.errstate(divide="ignore"):
+            want = np.divide([ELECTRON.m_over_hbar * d, ELECTRON.hbar_eV_s * k / V0], q)
+        assert_close([new.tau_BL_T, new.tau_BL_R], want, ulp=4.0, what=f"tau_BL at {k}")
+        old = replace(old, tau_BL_T=new.tau_BL_T, tau_BL_R=new.tau_BL_R)
     assert np.array_equal(np.array(astuple(new), dtype=complex),
                           np.array(astuple(old), dtype=complex))
     assert _bytes(new) == _bytes(old)
@@ -423,10 +436,17 @@ def test_stationary_forms_match_frozen_copy(frozen, V0_, d):
     old_p = frozen["scattering"].SquareBarrierParams(V0_, d)
     fs, ft = frozen["scattering"], frozen["times"]
     for k in [r * eps for r in (0.05, 0.3, 0.9, 1.0 - 5e-10, 1.0, 1.0 + 5e-10, 1.2, 2.5)]:
-        _assert_amplitudes_close(sc.closed_form_square(new_p, k), fs.closed_form_square(old_p, k),
-                                 eps, k, d, what=f"closed_form_square at {k}")
+        top = at_top(eps, k) and d > 0
+        if top:
+            check_top_oracle(V0_, k, d, _row_columns(_array_rows(new_p, k, d)[0]))
+        else:
+            _assert_amplitudes_close(sc.closed_form_square(new_p, k),
+                                     fs.closed_form_square(old_p, k), eps, k, d,
+                                     what=f"closed_form_square at {k}")
         rel = time_rel(interior_qd(eps, k, d))
-        for name in CLOSED:
+        # in the copy's top window only the decay-constant route, which keeps
+        # that window, is still compared with it
+        for name in ["larmor_times_kappa_derivative"] if top else CLOSED:
             assert_close(_values(getattr(tms, name)(new_p, k)),
                          _values(getattr(ft, name)(old_p, k)), rel=rel, what=f"{name} at {k}")
         assert_close(tms.phase_times_fd(new_p, k), ft.phase_times_fd(old_p, k),
@@ -459,11 +479,43 @@ def _frozen_rows(frozen, V0_: float, k, d) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _assert_rows_close(got, want, eps, k, d):
+# a row of _array_rows by the times table's column names; the row's k and
+# tau_semiclassical (= tau_BL_T) are left out
+_ROW_COLUMNS = {"T": 0, "R": 1, "alpha": 2, "beta": 3, "tau_eq_s": 5, "dtau_phase_T_s": 6,
+                "dtau_phase_R_s": 7, "tau_dwell_s": 8, "tau_larmor_y_s": 9,
+                "tau_larmor_z_s": 10, "tau_larmor_x_s": 11, "tau_BL_T_s": 12, "tau_BL_R_s": 13}
+
+
+def _row_columns(row) -> dict:
+    got = {name: row[i].real for name, i in _ROW_COLUMNS.items()}
+    got.update(tau_complex_re_s=row[15].real, tau_complex_im_s=row[15].imag)
+    return got
+
+
+# |tau_z| / tau_x below which tau_z's drift is measured against this share
+# of tau_x. Over 40,000 random points the drift exceeded time_rel |tau_z| at
+# 117, all near a zero of tau_z (|tau_z| < 5.1e-4 tau_x), and was at most
+# 8.6e-4 tau_x times time_rel there
+TAU_Z_FLOOR = 5e-3
+
+
+def _assert_rows_close(got, want, V0_, k, d):
+    """Rows of _array_rows against the frozen copy's, except at the points
+    of its top window with d > 0, which meet the independent routes."""
+    eps = float(k_of_E(V0_))
     k, d = np.broadcast_arrays(k, d)
+    top = at_top(eps, k) & (d > 0)
+    for i in np.flatnonzero(top):
+        check_top_oracle(V0_, k[i], d[i], _row_columns(got[i]))
+    got, want, k, d = got[~top], want[~top], k[~top], d[~top]
     _assert_amplitudes_close(got[:, :4].real, want[:, :4].real, eps, k, d)
+    # near the zeros of tau_z above the top both copies carry the same
+    # conditioning error, a small part of tau_x: there tau_z's bound is
+    # relative to TAU_Z_FLOOR tau_x instead of |tau_z|
+    scale = np.abs(want[:, 4:])
+    scale[:, 6] = np.maximum(scale[:, 6], TAU_Z_FLOOR * scale[:, 7])
     assert_close(got[:, 4:], want[:, 4:], rel=time_rel(interior_qd(eps, k, d))[:, None],
-                 what="times")
+                 scale=scale, what="times")
 
 
 # k / eps below the top, in the top window (on it and 5e-10 either side)
@@ -483,11 +535,11 @@ def test_array_rows_match_frozen_scalar_forms(frozen, V0_, d, ratios, ratio, see
     params = SquareBarrierParams(V0_, d)
     ks = np.concatenate([ratios, rng.uniform(0.02, 3.0, 100)]) * params.eps
     _assert_rows_close(_array_rows(params, ks, d), _frozen_rows(frozen, V0_, ks, d),
-                       params.eps, ks, d)   # k sweep
+                       V0_, ks, d)   # k sweep
     k = ratio * params.eps
     ds = np.concatenate([[0.0], rng.uniform(0.01, 20.0, 100)])
     _assert_rows_close(_array_rows(params, k, ds), _frozen_rows(frozen, V0_, k, ds),
-                       params.eps, k, ds)   # d sweep
+                       V0_, k, ds)   # d sweep
 
 
 def test_transfer_routes_match_frozen_copy(frozen):
@@ -525,12 +577,12 @@ def _count(monkeypatch, owner, name, tally, key=None):
 
 def test_time_report_off_top_runs_dwell_and_larmor_once(monkeypatch):
     # every time of the report comes from one call of the shared body, which
-    # runs the sub-barrier forms (dwell and Larmor among them) once
+    # forms the entire functions behind dwell and Larmor times once
     tally = {}
     _count(monkeypatch, tms, "_stationary_times", tally)
-    _count(monkeypatch, tms, "_below_top", tally)
+    _count(monkeypatch, tms, "_entire", tally)
     tms.time_report(SquareBarrierParams(V0, 5.0), 0.7 * EPS)
-    assert tally == {"_stationary_times": 1, "_below_top": 1}
+    assert tally == {"_stationary_times": 1, "_entire": 1}
 
 
 def test_eps_converts_once_per_instance(monkeypatch):

@@ -11,6 +11,7 @@ from tunneltime.scattering import (
     SquareBarrierParams,
     closed_form_square,
     delta_closed_form,
+    solve_transfer_matrix,
     transmission_phase_reference,
 )
 from tunneltime.units import ELECTRON, HBAR_EVS, k_of_E
@@ -152,6 +153,22 @@ def test_dwell_time_matches_adaptive_quad(pot, k, x1, x2):
                                                           rel=1e-9, abs=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(V0_=st.floats(0.5, 15.0), d=st.floats(0.01, 20.0), gap=st.floats(-10.0, -2.0),
+       side=st.sampled_from([-1.0, 1.0]))
+def test_closed_forms_across_the_top_match_independent_routes(V0_, d, gap, side):
+    # one body through the top: no special case for |k/eps - 1| down to 1e-10
+    p = SquareBarrierParams(V0_, d)
+    k = p.eps * (1.0 + side * 10.0 ** gap)
+    assert tt.dwell_time_closed(p, k) == pytest.approx(
+        tt.dwell_time(p.potential(), k, 0.0, d), rel=1e-10, abs=0.0)
+    assert tt.extrapolated_phase_times(p, k)[0] == pytest.approx(
+        tt.phase_times_fd(p, k)[0], rel=1e-9, abs=0.0)
+    T = closed_form_square(p, k)[0]
+    assert T * T == pytest.approx(solve_transfer_matrix(p.potential(), k).T ** 2, rel=0.0,
+                                  abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # spin-rotation times
 
@@ -245,6 +262,30 @@ def test_bl_validity_warning_on_large_modulation():
     p = SquareBarrierParams(V0, 5.0)
     with pytest.warns(UserWarning, match="deltaV"):
         tt.buttiker_landauer(p, K5, omega=0.0, deltaV=2.0)
+
+
+@pytest.mark.parametrize("d", [0.01, 5.0, 20.0])
+def test_bl_times_rise_toward_the_top_from_either_side(d):
+    p = SquareBarrierParams(V0, d)
+    gaps = 10.0 ** -np.arange(2.0, 15.0)   # |k/eps - 1|, shrinking
+    for side in (-1.0, 1.0):
+        t = tt._stationary_times(p, EPS * (1.0 + side * gaps), d)
+        assert (np.diff(t.bl_T) > 0).all() and (np.diff(t.bl_R) > 0).all()
+    on_top = tt._stationary_times(p, EPS, [0.0, d])
+    assert on_top.bl_T.tolist() == on_top.bl_R.tolist() == [0.0, math.inf]
+
+
+def test_bl_absorption_sideband_overflows_to_inf_near_the_top():
+    # omega tau_BL_T = 4.3e3 at k = eps (1 - 1e-15): I_+ overflows
+    p = SquareBarrierParams(V0, 5.0)
+    with pytest.warns(UserWarning, match="hbar\\*omega"):
+        res = tt.buttiker_landauer(p, EPS * (1.0 - 1e-15), omega=1e12, deltaV=0.01)
+    assert res.I_plus == math.inf
+    assert math.isfinite(res.I_minus) and res.band_ratio == 1.0
+    # without a modulation both sidebands are empty, however large e^{omega tau}
+    with pytest.warns(UserWarning, match="hbar\\*omega"):
+        res = tt.buttiker_landauer(p, EPS * (1.0 - 1e-15), omega=1e12, deltaV=0.0)
+    assert res.I_plus == 0.0 and res.I_minus == 0.0
 
 
 def test_bl_rejects_barrier_top():
@@ -418,10 +459,15 @@ def test_time_report_fields_finite():
 
 
 def test_time_report_finite_at_barrier_top():
-    rep = tt.time_report(SquareBarrierParams(V0, 5.0), EPS)
-    assert math.isfinite(rep.dtau_phase_T)
-    assert math.isfinite(rep.tau_dwell)
-    assert math.isfinite(rep.tau_BL_T)
+    # the sideband (and semiclassical) times m d/(hbar |q|) and
+    # hbar k/(V0 |q|) diverge on the top; every other time is finite there
+    rep = tt.time_report(SquareBarrierParams(V0, 5.0), float(EPS))
+    infinite = ("tau_BL_T", "tau_BL_R", "tau_semiclassical")
+    for name in infinite:
+        assert getattr(rep, name) == math.inf, name
+    for name, value in vars(rep).items():
+        if name not in infinite:
+            assert np.isfinite(value), name
 
 
 @settings(max_examples=30, deadline=None)

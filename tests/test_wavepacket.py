@@ -1009,6 +1009,37 @@ def test_spatial_windows_reject_bad_input(packet, monkeypatch, fn, window, dx, m
     assert calls == []   # rejected before any evaluation
 
 
+@pytest.mark.parametrize("window, dx, want", [
+    ((0.0, 1.0), 0.25, [0.0, 0.25, 0.5, 0.75, 1.0]),     # dx divides the window
+    ((0.0, 1.0), 0.1, np.linspace(0.0, 1.0, 11)),        # ... to within rounding
+    ((0.0, 1.0), 0.3, [0.0, 0.25, 0.5, 0.75, 1.0]),      # it does not: 4 steps, not 3.33
+    ((0.0, 1.0), 0.7, [0.0, 0.5, 1.0]),
+    ((0.0, 1.0), 3.0, [0.0, 1.0]),                        # dx wider than the window
+])
+def test_window_grid_spans_the_window(window, dx, want):
+    # np.arange stopped short of the end or ran past it: (0, 0.7) at dx 0.7,
+    # (0, 0.6, 1.2) at dx 0.6, and [0] at dx 3, whose norm was 0.0
+    xs = wp._window_grid(window, dx)
+    assert xs.tolist() == list(want)
+    assert xs[0] == window[0] and xs[-1] == window[1]
+    assert np.diff(xs).max() <= dx * (1.0 + 1e-9)   # at most dx, to within rounding
+
+
+def test_window_grid_keeps_a_dividing_step():
+    # the benchmark's 400 A windows at 0.1 A keep their 4001 points
+    for lo in (-453.25, -37.9, 5.0, 51.37):
+        xs = wp._window_grid((lo, lo + 400.0), 0.1)
+        assert xs.size == 4001 and xs[-1] == lo + 400.0
+
+
+def test_norm_on_a_window_narrower_than_dx_is_not_zero(packet):
+    t = -2e-14
+    narrow = wp.norm_on_window(packet, BARRIER, t, (-1.0, 0.0), dx=3.0)
+    assert narrow == pytest.approx(wp.norm_on_window(packet, BARRIER, t, (-1.0, 0.0), dx=1.0),
+                                   rel=1e-14)
+    assert narrow > 0.0
+
+
 @pytest.mark.parametrize("nt", [1, 7, 3 * wp.PHASE_BLOCK + 5])
 def test_current_and_density_match_evolve_bit_for_bit(packet, nt):
     # both fill their tables block by block from the blocks evolve uses
