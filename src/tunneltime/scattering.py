@@ -9,10 +9,11 @@ Two independent routes to the same physics:
 
 Conventions: incident wave e^{ikx} from the left with unit amplitude,
 psi_I = e^{ikx} + R e^{i beta} e^{-ikx},  psi_III = T e^{i alpha} e^{ikx}.
-Inside segment j the solution is A_j e^{-kappa_j (x-xl_j)} + b_j e^{-kappa_j (xr_j-x)},
-the decaying part anchored at the left edge and the growing part at the right
-edge, with kappa_j = sqrt(2m(V_j - E))/hbar taken real for E < V_j and -i*q_j
-(pure imaginary) for E > V_j.
+Inside segment j, with q_j^2 = 2m(E - V_j)/hbar^2 real, the solution is
+psi(x) = C psi_r + a S psi'_r with a = x - xr_j, C = cos(q_j a) and
+S = sin(q_j a)/(q_j a), stepped from the segment's right-edge values (psi_r,
+psi'_r) by the same _seg_prop that the sweep takes; kappa_j = sqrt(2m(V_j -
+E))/hbar is real for E < V_j and -i*q_j (pure imaginary) for E > V_j.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ from .units import ELECTRON, UnitSystem
 
 # total opacity guard: exp() stays in range well below this
 _MAX_TOTAL_KAPPA_D = 600.0
-# |q w| below this: an E = V segment, where psi is linear in x
-_LINEAR_QW = 1e-12
-# |q w| below this: a segment propagates through the series branch
-_SERIES_QW = 1e-8
 # Newton passes the Gauss-Legendre rule may take; Tricomi's guess needs 3-4
 _NEWTON_PASSES = 10
 # Taylor coefficients in s of _entire's S, C, G and H, highest power first:
@@ -139,53 +136,65 @@ class PiecewisePotential:
         return PiecewisePotential(segments=segs)
 
 
-def _seg_prop(psi, dpsi, q, w):
-    """Propagate (psi, psi') across width w at local wavenumber q (complex).
+def _seg_prop(psi, dpsi, q2, a):
+    """Step (psi, psi') by a along a segment with squared local wavenumber q2.
 
-    Takes scalars or broadcast arrays. Series branch keeps the q -> 0 (E = V)
-    segment exact instead of 0/0; an array that mixes the two branches is
-    propagated in two parts, each through its own branch.
+    q2 = 2m(E - V)/hbar^2 is real. Returns psi = C psi + a S psi' and
+    psi' = -q2 a S psi + C psi', where C = cos(q a) and S = sin(q a)/(q a) are
+    entire in the real q2 a^2: cosh x and sinh(x)/x of x = |q a| below V,
+    cos x and sin(x)/x above it, and S = 1 at x = 0, so E = V takes no
+    branch. Below V, cosh x and sinh x are formed from one rounded m = e^x - 1
+    (as (e + 1/e)/2 and (m + m/e)/2), so C - sinh x keeps e^-x where the sweep
+    cancels near a resonance. a S is sinh(q a)/|q| and -q2 a S is
+    |q| sinh(q a) (sin and -|q| sin above V), each one rounding from sinh;
+    at x = 0, a S is a itself. Takes scalars or broadcast arrays, element
+    by element.
     """
-    qw = q * w
-    series = abs(qw) < _SERIES_QW
-    if isinstance(series, np.ndarray):
-        if series.any() and not series.all():
-            parts = np.broadcast_arrays(psi, dpsi, q, w)
-            psi_w, dpsi_w = np.empty(series.shape, complex), np.empty(series.shape, complex)
-            for sel in (series, ~series):
-                psi_w[sel], dpsi_w[sel] = _seg_prop(*(a[sel] for a in parts))
-            return psi_w, dpsi_w
-        series = series.all()
-    if series:
-        c = 1.0 - qw * qw / 2.0
-        s_over_q = w * (1.0 - qw * qw / 6.0)
-        q_s = -q * qw * (1.0 - qw * qw / 6.0)  # -q*sin(qw)
-    else:
-        s = np.sin(qw)
-        c = np.cos(qw)
-        s_over_q = s / q
-        q_s = -q * s
-    return c * psi + s_over_q * dpsi, q_s * psi + c * dpsi
+    q2, a = np.asarray(q2, dtype=float), np.asarray(a, dtype=float)
+    q = np.sqrt(np.abs(q2))
+    x = np.abs(a) * q
+    below, zero = q2 < 0, x == 0
+    C, S, r = (np.empty(np.shape(x)) for _ in range(3))
+    np.expm1(np.where(below, x, 0.0), out=S)   # m = e^x - 1 below V
+    np.add(S, 1.0, out=C)
+    np.divide(1.0, C, out=r)                    # e^-x
+    C += r
+    C *= 0.5
+    r *= S
+    S += r
+    S *= 0.5
+    np.cos(x, out=C, where=~below)
+    np.sin(x, out=S, where=~below)
+    del x   # a block's arrays are large: free each once it is used
+    S *= np.sign(a)     # sinh(q a), or sin(q a) above V
+    aS = np.divide(S, q, out=r, where=~zero)
+    np.copyto(aS, a, where=zero)
+    psi_a = C * psi
+    psi_a += aS * dpsi
+    del aS, r
+    S *= q
+    np.negative(S, out=S, where=~below)   # -q2 a S
+    dpsi_a = C * dpsi
+    del C
+    dpsi_a += S * psi
+    return psi_a, dpsi_a
 
 
 @dataclass(kw_only=True)
 class _Solution:
     """Stationary states from _transfer_sweep: E has the shape of k, the
     amplitudes the broadcast shape S of k and the segment edges, kappas
-    (n_seg, *k.shape) and the other per-segment arrays (n_seg, *S)."""
+    (n_seg, *k.shape), and the right-edge values (n_sweep, *S) of each
+    segment the sweep crossed (all but a semi-infinite potential's final
+    medium)."""
 
     k: float
     E: float
     amp_T: complex
     amp_R: complex
     kappas: np.ndarray          # per-segment decay constants (complex 1/A)
-    A: np.ndarray               # per-segment coefficient of e^{-kappa (x-xl)}
-    # left-edge values (psi of an E = V segment is linear from them), the
-    # coefficient of the growing part e^{-kappa (xr-x)}, and the E = V mask
-    _psi_l: np.ndarray = field(default=None, repr=False)
-    _dpsi_l: np.ndarray = field(default=None, repr=False)
-    _b_right: np.ndarray = field(default=None, repr=False)
-    _linear: np.ndarray = field(default=None, repr=False)
+    _psi_r: np.ndarray = field(repr=False)    # psi at each segment's xr
+    _dpsi_r: np.ndarray = field(repr=False)   # dpsi/dx there
 
 
 class _Modes:
@@ -210,12 +219,9 @@ class _Modes:
             self.ik_out, self.x_out = self.ik, 0.0
         self.ik_amp_T = self.ik_out * self.amp_T
         self.edges = [potential.x_left] + [xr for _, xr, _ in segs] if potential.segments else []
-        self.segs = []
-        for j, (xl, xr, _) in enumerate(segs):
-            kap, A, b_right = sol.kappas[j], sol.A[j], sol._b_right[j]
-            lin = np.flatnonzero(sol._linear[j])
-            self.segs.append((xl, xr, -kap, A, b_right, -kap * A, kap * b_right,
-                              lin, sol._psi_l[j, lin], sol._dpsi_l[j, lin]))
+        q2 = -(sol.kappas * sol.kappas).real   # 2m(E - V)/hbar^2
+        self.segs = [(xr, q2[j], sol._psi_r[j], sol._dpsi_r[j])
+                     for j, (_, xr, _) in enumerate(segs)]
 
     def modes(self, region: int, x, e_p=None, derivative: bool = True):
         """(psi_j(x), dpsi_j(x)) over the k row for positions in one region.
@@ -223,10 +229,9 @@ class _Modes:
         x is a float (rows of shape (nk,)) or a column of floats (shape
         (m, nk)); e_p, when given, holds exp(ikx) there for the free regions
         of a finite potential and is overwritten. dpsi is None when
-        derivative is False. Inside a segment neither anchored factor grows,
-        so the form is stable at any opacity; segments always take exp
-        directly, since a recurrence offset of the growing factor could
-        overflow.
+        derivative is False. Inside a segment the mode is _seg_prop from the
+        segment's right edge by a = x - xr <= 0: the sweep's own direction,
+        stable at any opacity.
         """
         if region == 0 or region > len(self.segs):
             if e_p is None:
@@ -242,17 +247,9 @@ class _Modes:
             dpsi = self.ik_amp_T * e_p if derivative else None
             np.multiply(self.amp_T, e_p, out=e_p)
             return e_p, dpsi
-        xl, xr, nkap, A, b_right, nkap_A, kap_b, lin, psi_l, dpsi_l = self.segs[region - 1]
-        dec = np.exp(nkap * (x - xl))
-        grow = np.exp(nkap * (xr - x))
-        dpsi = nkap_A * dec + kap_b * grow if derivative else None
-        psi = np.multiply(A, dec, out=dec)   # in place, as above
-        psi += np.multiply(b_right, grow, out=grow)
-        if lin.size:
-            psi[..., lin] = psi_l + dpsi_l * (x - xl)
-            if derivative:
-                dpsi[..., lin] = dpsi_l
-        return psi, dpsi
+        xr, q2, psi_r, dpsi_r = self.segs[region - 1]
+        psi, dpsi = _seg_prop(psi_r, dpsi_r, q2, x - xr)
+        return psi, dpsi if derivative else None
 
     def at(self, xs: np.ndarray, e_p=None, regions=None, derivative: bool = True):
         """(psi, dpsi) of shape (len(xs), nk) at positions xs in any regions.
@@ -356,8 +353,7 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
     if not n:
         none = np.zeros((0,) + shape, complex)
         return _Solution(k=k, E=E, amp_T=np.ones(shape, complex), amp_R=np.zeros(shape, complex),
-                         kappas=none, A=none, _psi_l=none, _dpsi_l=none, _b_right=none,
-                         _linear=np.zeros((0,) + shape, bool))
+                         kappas=none, _psi_r=none, _dpsi_r=none)
 
     qs = [_local_q(E, V, units) for _, _, V in segments]
     widths = [xr - xl for xl, xr, _ in segments]
@@ -367,16 +363,17 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
     if np.any(total_opacity > _MAX_TOTAL_KAPPA_D):
         raise ValueError(f"total opacity kappa*d = {np.max(total_opacity):.1f} "
                          "exceeds supported range")
-    abs_qw = [np.abs(q * w) for q, w in zip(qs, widths)]
+    kappas = -1j * np.array(qs)  # real decay constants for E < V
+    q2 = -(kappas * kappas).real
 
     # the final medium: psi = e^{i q_f (x - x_edge)} for E > V_f, or pure decay
     n_sweep = n - 1 if semi_infinite else n
     ik = 1j * k
-    psi_end, dpsi_end = 1.0 + 0.0j, 1j * qs[-1] if semi_infinite else ik
-    A, b_right, psi_l, dpsi_l = (np.zeros((n,) + shape, complex) for _ in range(4))
-    psi, dpsi = psi_end, dpsi_end
+    psi, dpsi = 1.0 + 0.0j, 1j * qs[-1] if semi_infinite else ik
+    psi_r, dpsi_r = (np.empty((n_sweep,) + shape, complex) for _ in range(2))
     for j in reversed(range(n_sweep)):
-        psi, dpsi = psi_l[j], dpsi_l[j] = _seg_prop(psi, dpsi, qs[j], -widths[j])
+        psi_r[j], dpsi_r[j] = psi, dpsi
+        psi, dpsi = _seg_prop(psi, dpsi, q2[j], -widths[j])
 
     ratio = dpsi / ik
     x_left = segments[0][0]
@@ -384,25 +381,10 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
     amp_R = 0.5 * (psi - ratio) * np.exp(1j * k * x_left) / a_g
     # a semi-infinite potential's amp_T is its final-medium mode's at x_edge
     amp_T = (np.exp(0j) if semi_infinite else np.exp(-1j * k * segments[-1][1])) / a_g
-
-    # interior data at unit incident amplitude
-    psi_l[:n_sweep] /= a_g
-    dpsi_l[:n_sweep] /= a_g
-    right = psi_end / a_g, dpsi_end / a_g
-    kappas = -1j * np.array(qs)  # real decay constants for E < V
-    linear = np.zeros((n,) + shape, bool)
-    for j in range(n_sweep):
-        pl, dl = psi_l[j], dpsi_l[j]
-        pr, dr = (psi_l[j + 1], dpsi_l[j + 1]) if j + 1 < n_sweep else right
-        lin = linear[j] = abs_qw[j] < _LINEAR_QW
-        kap = np.where(lin, 1.0, kappas[j])   # keeps 1/0 out of the E = V elements
-        A[j] = np.where(lin, 0.5 * pl, 0.5 * (pl - dl / kap))
-        b_right[j] = np.where(lin, 0.5 * pr, 0.5 * (pr + dr / kap))  # growing part at xr
-    if semi_infinite:
-        A[-1] = psi_l[-1] = amp_T
-        dpsi_l[-1] = amp_T * 1j * qs[-1]
-    return _Solution(k=k, E=E, amp_T=amp_T, amp_R=amp_R, kappas=kappas, A=A, _psi_l=psi_l,
-                     _dpsi_l=dpsi_l, _b_right=b_right, _linear=linear)
+    psi_r /= a_g   # interior data at unit incident amplitude
+    dpsi_r /= a_g
+    return _Solution(k=k, E=E, amp_T=amp_T, amp_R=amp_R, kappas=kappas, _psi_r=psi_r,
+                     _dpsi_r=dpsi_r)
 
 
 def solve_transfer_matrix(

@@ -256,7 +256,10 @@ def dwell_time(potential: PiecewisePotential, k: float, x1: float, x2: float,
     Composite Gauss-Legendre between the segment edges, _DWELL_NODES nodes
     per panel. A panel spans at most 1.5/|q| for the medium's wavenumber q,
     so |psi|^2 turns through at most 3 rad or falls by at most e^3 across it.
+    Raises ValueError unless x1 and x2 are finite and x1 < x2.
     """
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError(f"x1 and x2 must be finite, got x1={x1}, x2={x2}")
     if x2 <= x1:
         raise ValueError("x1 < x2 required")
     state = solve_transfer_matrix(potential, k, units)

@@ -640,6 +640,12 @@ def bohm_velocity(packet: SpectralPacket, potential: PiecewisePotential,
     return float(packet.units.hbar_over_m * np.imag(np.conj(psi) * dpsi) / rho)
 
 
+def _check_count(name: str, n, least: int) -> None:
+    """Raise ValueError unless n is an integer (not a bool) of at least least."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
+
+
 def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
                    t_start: float, n_seeds: int,
                    region: tuple[float, float], quantile_range: tuple[float, float] = (0.0, 1.0),
@@ -649,15 +655,14 @@ def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
     quantile_range selects a slice of the region's own cumulative density,
     e.g. (1 - P_T, 1) picks the rightmost P_T fraction, which by the 1-D
     no-crossing property is exactly the transmitted subensemble. Raises
-    ValueError for n_seeds < 1, a region whose upper end does not exceed
-    its lower one, or an n_grid that is not an integer of at least 2.
+    ValueError for an n_seeds that is not an integer of at least 1, a region
+    whose upper end does not exceed its lower one, or an n_grid that is not
+    an integer of at least 2.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    _check_count("n_seeds", n_seeds, 1)
     if not region[1] > region[0]:
         raise ValueError(f"region must run from low to high, got {region}")
-    if isinstance(n_grid, bool) or not isinstance(n_grid, numbers.Integral) or n_grid < 2:
-        raise ValueError(f"n_grid must be an integer of at least 2, got {n_grid!r}")
+    _check_count("n_grid", n_grid, 2)
     xs = np.linspace(region[0], region[1], n_grid)
     rho = _density(_ensemble(packet, potential), xs, t_start)
     cdf = _cumulative_trapezoid(rho, xs)
@@ -689,8 +694,8 @@ def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
     DT_FINE grid, reaches m: a second route that integrates the flux over t
     at fixed x, where the samples integrate the density over x at fixed t
     (bohm_route_disagreement compares them). Raises ValueError for
-    non-finite or no seeds, non-finite times, t_end <= t_start or n_out < 1
-    before any evaluation.
+    non-finite or no seeds, non-finite times, t_end <= t_start or an n_out
+    that is not an integer of at least 1, before any evaluation.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=float))
     if not (math.isfinite(t_start) and math.isfinite(t_end) and np.isfinite(seeds).all()):
@@ -700,8 +705,7 @@ def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
         raise ValueError("bohm_trajectories needs at least one seed")
     if not t_end > t_start:
         raise ValueError(f"t_end must exceed t_start, got t_start={t_start}, t_end={t_end}")
-    if n_out < 1:
-        raise ValueError(f"n_out must be at least 1, got {n_out}")
+    _check_count("n_out", n_out, 1)
     ens = _ensemble(packet, potential)
     t_eval = np.linspace(t_start, t_end, n_out)
     # every free component k sits near v(k) t (mirrored about x_left once

@@ -17,6 +17,7 @@ from conftest import (
     assert_close,
     at_top,
     check_top_oracle,
+    gap_conds,
     interior_qd,
     phase_scale,
     time_rel,
@@ -595,7 +596,8 @@ def _assert_heads_close(head_n: list, head_o: list, what: str):
 def _bounds(cfg: dict, meta: dict, names: list, table: np.ndarray) -> dict:
     """The bound of each column of a frozen package's table: the closed-form
     amplitudes and times within the bounds of conftest.py at the table's
-    (k, d), the gap sweep's times within its phase slopes', and every other
+    (k, d), the gap sweep's times within its phase slopes' times the
+    sweep's cancellation at each gap (conftest.gap_conds), and every other
     column within 2 ulp (measured: exact)."""
     col = dict(zip(names, table.T))
     qd = None
@@ -616,7 +618,10 @@ def _bounds(cfg: dict, meta: dict, names: list, table: np.ndarray) -> dict:
             out[name] = {"rel": time_rel(qd)}
         elif name == "time_s":                # gap sweep: (2d + L + alpha')/v
             k = float(meta["gap_k"])
-            out[name] = {"absolute": SLOPE_EPS * EPS_MACH / (1e-6 * k * float(ELECTRON.v_of_k(k)))}
+            V0_ = cfg.get("gap_V0", cli.OPTICAL_SCHEMA["gap_V0"][1])
+            conds = gap_conds(float(meta["gap_d_A"]), V0_, k, col["L_gap_A"])
+            out[name] = {"absolute": SLOPE_EPS * EPS_MACH / (1e-6 * k * float(ELECTRON.v_of_k(k)))
+                         * conds}
         elif name == "margin":                # |sin(k L + beta)|
             out[name] = {"absolute": PHASE_EPS * EPS_MACH * 1.5 * math.pi}
         else:

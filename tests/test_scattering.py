@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from conftest import parent_psi_and_dpsi, parent_solve_transfer_matrix
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss, legvander
 
@@ -197,6 +198,48 @@ def test_interior_two_edge_anchoring_extreme_opacity():
     assert np.isfinite(st_.T)
     assert abs(st_.psi(d)) == pytest.approx(abs(st_.amp_T), rel=1e-10)
     assert abs(st_.psi(0.5 * d)) < abs(st_.psi(0.0))
+
+
+def _series_modes(state, j, xs):
+    """(psi, dpsi) at xs in segment j from the anchored solver's left-edge
+    values: C psi_l + b S psi'_l and -q^2 b S psi_l + C psi'_l with
+    b = x - x_l, and C = cos(q b), S = sin(q b)/(q b) summed as their Taylor
+    series in s = q^2 b^2 (|s| < 1 here, 20 terms past rounding)."""
+    xl = state.potential.segments[j][0]
+    q2 = -(state.kappas[j] ** 2).real
+    b = xs - xl
+    s = q2 * b * b
+    C, S = np.zeros_like(b), np.zeros_like(b)
+    for n in range(19, -1, -1):
+        C = C * -s + 1.0 / math.factorial(2 * n)
+        S = S * -s + 1.0 / math.factorial(2 * n + 1)
+    pl, dl = state._psi_l[j], state._dpsi_l[j]
+    return C * pl + b * S * dl, -q2 * b * S * pl + C * dl
+
+
+@pytest.mark.parametrize("pot", [PiecewisePotential.square(5.0, 2.0),
+                                 PiecewisePotential.square(10.0, 3.0),
+                                 PiecewisePotential.square(1.24, 1.05),
+                                 PiecewisePotential.double_barrier(5.0, 2.0, 3.0)])
+@pytest.mark.parametrize("delta", [0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-10, -1e-10,
+                                   1e-7, -1e-7])
+def test_interior_modes_through_the_top(pot, delta):
+    # k = eps (1 + delta) on each barrier's top. The reference is independent
+    # of the segment body: inside a segment with |q w| < 1 the Taylor series
+    # of C and S from the anchored solver's left edge, elsewhere that
+    # solver's anchored form, which near the top loses about eps/(|q| w) to
+    # A = (psi_l - psi'_l/kappa)/2 (1.5e-8 at k = eps on square(1.24, 1.05))
+    k = float(k_of_E(pot.segments[0][2])) * (1.0 + delta)
+    state = solve_transfer_matrix(pot, k)
+    parent = parent_solve_transfer_matrix(pot, k)
+    for j, (xl, xr, _) in enumerate(pot.segments):
+        xs = np.append(xl + (xr - xl) * np.linspace(0.0, 0.9, 10), np.nextafter(xr, xl))
+        near_top = abs(parent.kappas[j]) * (xr - xl) < 1.0
+        want_p, want_d = (_series_modes(parent, j, xs) if near_top
+                          else parent_psi_and_dpsi(parent, xs))
+        got_p, got_d = state.psi_and_dpsi(xs)
+        np.testing.assert_allclose(got_p, want_p, rtol=1e-13, atol=0, err_msg=f"psi {j}")
+        np.testing.assert_allclose(got_d, want_d, rtol=1e-13, atol=0, err_msg=f"dpsi {j}")
 
 
 def test_current_constancy_moderate_opacity():

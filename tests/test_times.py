@@ -153,6 +153,25 @@ def test_dwell_time_matches_adaptive_quad(pot, k, x1, x2):
                                                           rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("x1, x2", [(math.nan, 5.0), (0.0, math.nan), (0.0, math.inf),
+                                    (-math.inf, 5.0), (-math.inf, math.inf)])
+def test_dwell_time_rejects_non_finite_bounds(x1, x2):
+    # x2 = inf used to raise OverflowError and x1 = nan "cannot convert
+    # float NaN to integer"
+    with pytest.raises(ValueError, match="x1 and x2 must be finite"):
+        tt.dwell_time(PiecewisePotential.square(V0, 5.0), K5, x1, x2)
+
+
+@pytest.mark.parametrize("V0_, d", [(1.24, 1.05), (10.0, 3.0), (5.0, 2.0), (0.5, 20.0)])
+def test_dwell_quadrature_at_the_top_matches_closed_form(V0_, d):
+    # at k = eps exactly the interior is C psi + a S psi' with S = 1 at
+    # q = 0: no anchored coefficient divides by kappa (the anchored form was
+    # 1.5e-8 off at V0 = 1.24 eV, d = 1.05 A)
+    p = SquareBarrierParams(V0_, d)
+    assert tt.dwell_time(p.potential(), p.eps, 0.0, d) == pytest.approx(
+        tt.dwell_time_closed(p, p.eps), rel=1e-10, abs=0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(V0_=st.floats(0.5, 15.0), d=st.floats(0.01, 20.0), gap=st.floats(-10.0, -2.0),
        side=st.sampled_from([-1.0, 1.0]))

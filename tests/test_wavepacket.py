@@ -1,11 +1,11 @@
 import math
 import tracemalloc
 from collections import OrderedDict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import parent_psi_and_dpsi, parent_solve_transfer_matrix
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tunneltime import wavepacket as wp
@@ -661,7 +661,7 @@ def test_mode_blocks_match_transfer_matrix_states(packet65, shape, even, monkeyp
     assert min(len(run) for run in free) > wp.PHASE_BLOCK
     assert runs == ([(run[0], run[-1]) for run in free] if even else [])
     if shape == "linear":
-        assert 32 in ens.segs[1][7]   # the E = V node takes the linear branch
+        assert ens.segs[1][1][32] == 0.0   # the E = V node: q2 = 0, psi linear there
 
 
 def test_mode_block_slices_match_their_tiles(packet65):
@@ -682,9 +682,10 @@ def test_mode_block_slices_match_their_tiles(packet65):
 
 
 def per_x_modes(packet, potential):
-    """The per-position mode formula of the unblocked engine, as a reference."""
+    """The per-position mode formula of the unblocked engine, as a reference:
+    the anchored form, with the anchored solver's coefficients."""
     k = packet.k_nodes
-    states = [solve_transfer_matrix(potential, float(kk)) for kk in k]
+    states = [parent_solve_transfer_matrix(potential, float(kk)) for kk in k]
     amp_T = np.array([s.amp_T for s in states])
     amp_R = np.array([s.amp_R for s in states])
     kap_m, A_m, b_m, pl_m, dl_m = (np.array([getattr(s, f) for s in states]) for f in
@@ -723,110 +724,22 @@ def test_short_position_lists_are_bit_identical_to_per_x_formula(packet65):
     xs = rng.permutation(xs)
     ens = wp._ensemble(packet65, pot)
     assert len(set(np.searchsorted(ens.edges, xs, side="right"))) == 5
-    modes_at = per_x_modes(packet65, pot)
-    ref = [modes_at(float(x)) for x in xs]
+    ref = [ens.modes_at(float(x)) for x in xs]
     ref_p = np.array([m[0] for m in ref])
     ref_d = np.array([m[1] for m in ref])
     psi, dpsi = mode_rows(ens, xs)
     assert np.array_equal(psi, ref_p) and np.array_equal(dpsi, ref_d)
+    # and the anchored form of the unblocked engine agrees to rounding
+    modes_at = per_x_modes(packet65, pot)
+    anchored = [modes_at(float(x)) for x in xs]
+    assert rel_err(psi, np.array([m[0] for m in anchored])) <= 1e-12
+    assert rel_err(dpsi, np.array([m[1] for m in anchored])) <= 1e-12
     ts = np.linspace(-1e-14, 1e-14, 7)
     phase = np.exp(-1j * np.outer(ts, ens.omega))
     got_p, got_d = wp.evolve(packet65, pot, xs, ts)
     assert np.array_equal(got_p, phase @ (ens.coef * ref_p).T)
     assert np.array_equal(got_d, phase @ (ens.coef * ref_d).T)
     assert np.array_equal(wp._density(ens, xs, ts), np.abs(got_p) ** 2)
-    for x in xs[:8]:
-        p1, d1 = ens.modes_at(float(x))
-        r1, s1 = modes_at(float(x))
-        assert np.array_equal(p1, r1) and np.array_equal(d1, s1)
-
-
-# The per-state evaluator that ScatteringState.psi_and_dpsi replaced, kept
-# verbatim as the independent oracle of the shared mode evaluator.
-def _interior(state, x: np.ndarray):
-    """psi and dpsi/dx at arbitrary points, stable for opaque segments.
-
-    Evanescent segments combine the decaying component anchored at the left
-    edge with the growing component anchored at the right edge, so both
-    factors only ever decay.
-    """
-    scalar = x.ndim == 0
-    xs = np.atleast_1d(x)
-    psi = np.zeros(xs.shape, complex)
-    dpsi = np.zeros(xs.shape, complex)
-    pot = state.potential
-    k = state.k
-    xl0, xr0 = pot.x_left, pot.x_right
-
-    left = xs < xl0
-    if np.any(left):
-        e_p = np.exp(1j * k * xs[left])
-        e_m = np.exp(-1j * k * xs[left])
-        psi[left] = e_p + state.amp_R * e_m
-        dpsi[left] = 1j * k * (e_p - state.amp_R * e_m)
-
-    if pot.semi_infinite and pot.segments:
-        x_edge = pot.segments[-1][0]
-        inside_final = xs >= x_edge
-        if np.any(inside_final):
-            q = 1j * state.kappas[-1]
-            ph = np.exp(1j * q * (xs[inside_final] - x_edge))
-            psi[inside_final] = state.amp_T * ph
-            dpsi[inside_final] = state.amp_T * 1j * q * ph
-        right_limit = x_edge
-    else:
-        right = xs >= xr0
-        if np.any(right):
-            e_p = np.exp(1j * k * xs[right])
-            psi[right] = state.amp_T * e_p
-            dpsi[right] = state.amp_T * 1j * k * e_p
-        right_limit = xr0
-
-    n = len(pot.segments)
-    for j, (xl, xr, V) in enumerate(pot.segments):
-        if pot.semi_infinite and j == n - 1:
-            continue
-        sel = (xs >= xl0) & (xs < right_limit) & (xs >= xl) & (xs < xr)
-        if not np.any(sel):
-            continue
-        xj = xs[sel]
-        kap = state.kappas[j]
-        q = 1j * kap
-        w = xr - xl
-        if abs(q * w) < 1e-12:
-            # E == V segment: psi linear in x
-            psi[sel] = state._psi_l[j] + state._dpsi_l[j] * (xj - xl)
-            dpsi[sel] = state._dpsi_l[j]
-        elif kap.real > 0:
-            dec = np.exp(-kap * (xj - xl))
-            grow = np.exp(-kap * (xr - xj))
-            psi[sel] = state.A[j] * dec + state._b_right[j] * grow
-            dpsi[sel] = -kap * state.A[j] * dec + kap * state._b_right[j] * grow
-        else:
-            e_p = np.exp(-kap * (xj - xl))  # oscillatory: |e^{+-kap w}| = 1
-            e_m = np.exp(kap * (xj - xl))
-            psi[sel] = state.A[j] * e_p + state.B[j] * e_m
-            dpsi[sel] = -kap * state.A[j] * e_p + kap * state.B[j] * e_m
-
-    if scalar:
-        return psi[0], dpsi[0]
-    return psi, dpsi
-
-
-def with_left_anchored_B(state):
-    """The state with the coefficient B of e^{+kappa (x-xl)} that _interior
-    reads, formed as the earlier solver formed it."""
-    B = np.zeros(len(state.kappas), complex)
-    pot = state.potential
-    for j, (xl, xr, _) in enumerate(pot.segments):
-        if pot.semi_infinite and j == len(B) - 1:
-            continue
-        kap, w = state.kappas[j], xr - xl
-        if abs(1j * kap * w) < 1e-12:
-            B[j] = 0.5 * state._psi_l[j]
-        else:
-            B[j] = state._b_right[j] * np.exp(-kap * w)
-    return SimpleNamespace(**vars(state), B=B)
 
 
 def oracle_cases(packet65):
@@ -849,7 +762,7 @@ def test_psi_and_dpsi_match_interior_copy(packet65):
     for pot, energies in oracle_cases(packet65):
         for E in energies:
             st_ = solve_transfer_matrix(pot, float(k_of_E(E)))
-            want_p, want_d = _interior(with_left_anchored_B(st_), xs)
+            want_p, want_d = parent_psi_and_dpsi(parent_solve_transfer_matrix(pot, st_.k), xs)
             got_p, got_d = st_.psi_and_dpsi(xs)
             assert rel_err(got_p, want_p) <= 1e-12, (pot, E)
             assert rel_err(got_d, want_d) <= 1e-12, (pot, E)
@@ -961,7 +874,11 @@ def test_bohm_trajectories_reject_non_finite_input(packet, monkeypatch, bad, whe
     ({"t_end": -3e-14}, "t_end must exceed t_start"),
     ({"t_end": -4e-14}, "t_end must exceed t_start"),
     ({"n_out": 0}, "n_out"),
-], ids=["no-seeds", "empty-window", "backward-window", "no-samples"])
+    ({"n_out": 2.5}, "n_out must be an integer"),
+    ({"n_out": 401.0}, "n_out must be an integer"),
+    ({"n_out": True}, "n_out must be an integer"),
+], ids=["no-seeds", "empty-window", "backward-window", "no-samples", "fractional-samples",
+        "float-samples", "bool-samples"])
 def test_bohm_trajectories_reject_empty_input(packet, monkeypatch, kwargs, match):
     # numpy's zero-size error, and a silent backward run, before this check
     calls = []
@@ -980,10 +897,15 @@ def test_bohm_trajectories_reject_empty_input(packet, monkeypatch, kwargs, match
     (3, (-150.0, 150.0), 1, "n_grid"),
     (3, (-150.0, 150.0), 0, "n_grid"),
     (3, (-150.0, 150.0), 40.0, "n_grid"),
-], ids=["no-seeds", "negative", "reversed", "empty", "one-point", "no-points", "float-grid"])
+    (2.5, (-150.0, 150.0), 4001, "n_seeds must be an integer"),
+    (3.0, (-150.0, 150.0), 4001, "n_seeds must be an integer"),
+    (True, (-150.0, 150.0), 4001, "n_seeds must be an integer"),
+], ids=["no-seeds", "negative", "reversed", "empty", "one-point", "no-points", "float-grid",
+        "fractional-seeds", "float-seeds", "bool-seeds"])
 def test_seed_positions_reject_bad_input(packet, n_seeds, region, n_grid, match):
     # a reversed region used to return reversed seeds, n_seeds = 0 [],
-    # n_grid = 1 every seed at region[0] and n_grid = 0 numpy's length error
+    # n_seeds = 2.5 three seeds, n_grid = 1 every seed at region[0] and
+    # n_grid = 0 numpy's length error
     with pytest.raises(ValueError, match=match):
         wp.seed_positions(packet, FREE, 0.0, n_seeds, region, n_grid=n_grid)
 
