@@ -276,7 +276,7 @@ class _Modes:
 @dataclass
 class ScatteringState(_Solution):
     """Full stationary solution at one wavenumber, unit incident amplitude:
-    _transfer_sweep at a scalar k, on its potential."""
+    row 0 of a one-element _transfer_sweep, on its potential."""
 
     potential: PiecewisePotential
     units: UnitSystem = ELECTRON
@@ -338,8 +338,8 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
     """Stationary states at every element of k, unit incident amplitude.
 
     segments holds the contiguous (xl, xr, V) triples of the potential,
-    leftmost first, with scalar V; the edges may be arrays, broadcast
-    against k, one potential per element. A zero-width segment propagates
+    leftmost first; the edges and heights may be arrays, broadcast against
+    k, one potential per element. A zero-width segment propagates
     as the identity. semi_infinite makes the last segment the final medium.
     Sweeping right to left from the transmitted side keeps the growing
     exponential dominant, so total opacity up to ~600 needs no rescaling.
@@ -347,7 +347,7 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
     k = np.asarray(k, dtype=float)
     _check_k(k)
     E = units.E_of_k(k)
-    shape = np.broadcast_shapes(k.shape, *(x.shape for seg in segments for x in seg[:2]
+    shape = np.broadcast_shapes(k.shape, *(x.shape for seg in segments for x in seg
                                            if isinstance(x, np.ndarray)))
     n = len(segments)
     if not n:
@@ -390,31 +390,46 @@ def _transfer_sweep(segments, k, units: UnitSystem, semi_infinite: bool = False)
 def solve_transfer_matrix(
     potential: PiecewisePotential, k: float, units: UnitSystem = ELECTRON
 ) -> ScatteringState:
-    """Solve the stationary problem at one k: _transfer_sweep at a scalar k."""
-    sol = _transfer_sweep(potential.segments, k, units, potential.semi_infinite)
-    return ScatteringState(potential, units, **{**vars(sol), "k": k, "E": float(sol.E),
-                           "amp_T": complex(sol.amp_T), "amp_R": complex(sol.amp_R)})
+    """Solve the stationary problem at one k: row 0 of a one-element
+    _transfer_sweep, which rounds as every sweep element does (numpy rounds
+    complex products of 0-d arrays apart); k, E and the amplitudes as scalars."""
+    sol = _transfer_sweep(potential.segments, [k], units, potential.semi_infinite)
+    return ScatteringState(potential, units, **{name: x[0].item() if x.ndim == 1 else x[:, 0]
+                                                for name, x in vars(sol).items()})
+
+
+_SHIFTS = np.array([1.0, -1.0, 0.5, -0.5])
+
+
+def _richardson(rows, h):
+    """(d ln|a|/dx, d arg a/dx) at x from rows = a(x + h _SHIFTS), stacked on
+    the first axis: centred differences with one Richardson step, O(h^4).
+    Each point's rows are first scaled by one exact power of two, so that
+    a conj(b) stays normal for |a| down to e^-600 (unscaled, |t|^2
+    underflows past opacity ~355); the phase differences are angle(a conj b),
+    free of branch cuts for small h."""
+    scale, rows = np.ldexp(1.0, -np.frexp(np.abs(rows[0]))[1]), rows.copy()
+    rows.real *= scale   # by parts: a complex product would flip the sign of a zero
+    rows.imag *= scale
+    with np.errstate(divide="ignore", invalid="ignore"):   # ln 0 where a = 0
+        ln = np.log(np.abs(rows))
+        wide, narrow = ((ln[i] - ln[i + 1], np.angle(rows[i] * np.conj(rows[i + 1])))
+                        for i in (0, 2))
+        return tuple((4.0 * (n / h) - w / (2.0 * h)) / 3.0 for w, n in zip(wide, narrow))
 
 
 def _phase_slopes(segments, k: float, units: UnitSystem):
     """(dalpha/dk, dbeta/dk) of the transfer-matrix amplitudes at k.
 
     segments as in _transfer_sweep; the slopes take the broadcast shape of
-    its edges. Centered differences with step 1e-6 k and one Richardson
-    step, all four shifted k in one sweep. Branch cuts cancel in
-    angle(t(k+h) conj(t(k-h))) for small h.
+    its edges. _richardson with step h = 1e-6 k, the four shifted k in one
+    sweep.
     """
+    _check_k(k)
     h = 1e-6 * k
     ndim = max(np.ndim(x) for seg in segments for x in seg)
-    ks = np.array([k + h, k - h, k + 0.5 * h, k - 0.5 * h]).reshape((4,) + (1,) * ndim)
-    sol = _transfer_sweep(segments, ks, units)
-
-    def slopes(amp, i, h):
-        return np.angle(amp[i] * np.conj(amp[i + 1])) / (2.0 * h)
-
-    a1, a2 = slopes(sol.amp_T, 0, h), slopes(sol.amp_T, 2, 0.5 * h)
-    b1, b2 = slopes(sol.amp_R, 0, h), slopes(sol.amp_R, 2, 0.5 * h)
-    return (4.0 * a2 - a1) / 3.0, (4.0 * b2 - b1) / 3.0
+    sol = _transfer_sweep(segments, (k + h * _SHIFTS).reshape((4,) + (1,) * ndim), units)
+    return _richardson(sol.amp_T, h)[1], _richardson(sol.amp_R, h)[1]
 
 
 def interior_wavefunction(state: ScatteringState, x):

@@ -3,7 +3,9 @@
 Every definition keeps two independent code paths where one exists:
 closed forms on one side, numerical derivatives or integrals of the
 scattering solution on the other. Tests pin the two against each other;
-nothing here collapses them into a single route.
+nothing here collapses them into a single route. The derivatives are
+Richardson differences of the transfer sweep's amplitudes
+(scattering._richardson): in k for phase times, in eps^2 for Larmor times.
 
 The closed forms are written through the entire functions S, G and H of
 the signed s = (eps^2 - k^2) d^2 (scattering._entire): s = (kappa d)^2 below
@@ -24,12 +26,15 @@ from .scattering import (
     PiecewisePotential,
     ScatteringState,
     SquareBarrierParams,
+    _SHIFTS,
     _check_k,
     _entire,
     _gauss_legendre,
     _phase_slopes,
     _points,
+    _richardson,
     _square_amplitudes,
+    _transfer_sweep,
     closed_form_square,  # noqa: F401  (callers also reach it as times.closed_form_square)
     solve_transfer_matrix,
     step_reflection,
@@ -129,13 +134,6 @@ class _Times(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _fd_richardson(f, x: float, h: float) -> float:
-    """Centered difference with one Richardson step (O(h^4))."""
-    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
-    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
 
 
 def _stationary_times(params: SquareBarrierParams, k, d) -> _Times:
@@ -294,62 +292,29 @@ def larmor_times(params: SquareBarrierParams, k: float):
     return t.dwell, t.tau_z, t.tau_x
 
 
-def _amp_phase_k_kappa(k: float, kap: float, d: float, below: bool):
-    """|T| and face phase treating (k, kappa) as independent variables.
-
-    below=True: evanescent interior, eps^2 = k^2 + kappa^2 implied.
-    below=False: kap means the interior oscillatory wavenumber, eps^2 = k^2 - kap^2.
-    """
-    if below:
-        e2 = k * k + kap * kap
-        g = math.exp(-kap * d)
-        g2 = g * g
-        half = 0.5 * (1.0 - g2)
-        den = math.hypot(2.0 * k * kap * g, e2 * half)
-        T = 2.0 * k * kap * g / den
-        a_ref = math.atan((k * k - kap * kap) / (2.0 * k * kap) * math.tanh(kap * d))
-    else:
-        e2 = k * k - kap * kap
-        s = math.sin(kap * d)
-        den = math.hypot(2.0 * k * kap, e2 * s)
-        T = 2.0 * k * kap / den
-        a_ref = math.atan((k * k + kap * kap) / (2.0 * k * kap) * math.tan(kap * d)) \
-            + math.pi * math.floor(kap * d / math.pi + 0.5)
-    return T, a_ref
-
-
 def larmor_times_kappa_derivative(params: SquareBarrierParams, k: float):
     """(tau_y, tau_z, tau_x) from the decay-constant derivative definitions.
 
-    tau_z = -(m/hbar kappa) d ln|T|/d kappa and
-    tau_y = -(m/hbar kappa) d alpha_ref/d kappa, the derivative taken at
-    fixed k with (k, kappa) independent. Above the top both derivatives
-    flip sign (d/d kappa -> -d/d kt under kappa^2 -> -kt^2).
+    tau_y = -(m/hbar kappa) d alpha/d kappa and tau_z = -(m/hbar kappa)
+    d ln|t|/d kappa at fixed k (Buttiker, Phys. Rev. B 27, 6178 (1983)), that
+    is -(2m/hbar) d/d eps^2, one derivative on both sides of the top: a
+    Richardson difference of the transfer sweep's t over four barrier
+    heights, independent of the closed forms. The eps^2 step is 1e-4 eps^2,
+    at most 1e-3 max(q, 1/d)/d (q = |eps^2 - k^2|^(1/2)), the scale of t near
+    the top of a thick barrier; its height step is a power of two, so that
+    the heights are exact. Raises ValueError past total opacity 600.
     """
     _check_k(k)
-    if params.d == 0:
-        return 0.0, 0.0, 0.0
-    eps = params.eps
-    window, offset = 1e-9, 1e-7   # |k - eps| < window eps: mean at eps(1 -+ offset)
-    if abs(k - eps) < window * eps:
-        lo = larmor_times_kappa_derivative(params, eps * (1.0 - offset))
-        hi = larmor_times_kappa_derivative(params, eps * (1.0 + offset))
-        return tuple(0.5 * (a + b) for a, b in zip(lo, hi))
-    u = params.units
     d = params.d
-    below = k < eps
-    kv = math.sqrt(eps * eps - k * k) if below else math.sqrt(k * k - eps * eps)
-    h = 1e-6 * kv
-    sign = -1.0 if below else 1.0
-
-    def lnT(x):
-        return math.log(_amp_phase_k_kappa(k, x, d, below)[0])
-
-    def aref(x):
-        return _amp_phase_k_kappa(k, x, d, below)[1]
-
-    tau_z = sign * u.m_over_hbar / kv * _fd_richardson(lnT, kv, h)
-    tau_y = sign * u.m_over_hbar / kv * _fd_richardson(aref, kv, h)
+    if d == 0:
+        return 0.0, 0.0, 0.0
+    u = params.units
+    e2 = params.eps ** 2
+    q = math.sqrt(abs(e2 - k * k))
+    to_V = u.hbarc_eV_A ** 2 / (2.0 * u.electron_rest_eV)   # hbar^2/2m in eV A^2
+    dV = 2.0 ** math.floor(math.log2(to_V * min(1e-4 * e2, 1e-3 * max(q, 1.0 / d) / d)))
+    amp_T = _transfer_sweep(((0.0, d, params.V0 + dV * _SHIFTS),), k, u).amp_T
+    tau_z, tau_y = (-2.0 * u.m_over_hbar * float(s) for s in _richardson(amp_T, dV / to_V))
     return tau_y, tau_z, math.hypot(tau_y, tau_z)
 
 

@@ -19,7 +19,9 @@ bounds of conftest.py, and to the verbatim copies of code that shares its
 rounding bit for bit. Inside the frozen copy's top window |k - eps| <
 1e-9 eps, where that copy and ``_parent_time_report`` continue through the
 top, the closed forms meet the independent routes instead
-(conftest.check_top_oracle).
+(conftest.check_top_oracle). The decay-constant Larmor route no longer
+shares the frozen copy's numerics: at every point it meets the closed forms
+(conftest.assert_larmor_routes_agree).
 """
 
 import math
@@ -36,6 +38,7 @@ from conftest import (
     SWEEP_REL,
     amplitude_rel,
     assert_close,
+    assert_larmor_routes_agree,
     at_top,
     check_top_oracle,
     gap_conds,
@@ -46,7 +49,7 @@ from conftest import (
     sweep_cond,
     time_rel,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tunneltime import cli, optical
 from tunneltime import scattering as sc
@@ -430,7 +433,7 @@ def _slope_bound(k: float) -> float:
 
 
 CLOSED = ["extrapolated_phase_times", "dwell_time_closed", "larmor_times",
-          "tau_semiclassical", "complex_time", "larmor_times_kappa_derivative", "time_report"]
+          "tau_semiclassical", "complex_time", "time_report"]
 
 
 @pytest.mark.parametrize("V0_, d", [(3.0, 0.0), (3.0, 7.0), (V0, 0.4), (V0, 5.0),
@@ -449,11 +452,11 @@ def test_stationary_forms_match_frozen_copy(frozen, V0_, d):
                                      fs.closed_form_square(old_p, k), eps, k, d,
                                      what=f"closed_form_square at {k}")
         rel = time_rel(interior_qd(eps, k, d))
-        # in the copy's top window only the decay-constant route, which keeps
-        # that window, is still compared with it
-        for name in ["larmor_times_kappa_derivative"] if top else CLOSED:
+        for name in [] if top else CLOSED:
             assert_close(_values(getattr(tms, name)(new_p, k)),
                          _values(getattr(ft, name)(old_p, k)), rel=rel, what=f"{name} at {k}")
+        # the decay-constant route meets the closed forms instead of the copy
+        assert_larmor_routes_agree(new_p, k)
         assert_close(tms.phase_times_fd(new_p, k), ft.phase_times_fd(old_p, k),
                      absolute=_slope_bound(k) / float(ELECTRON.v_of_k(k)),
                      what=f"phase_times_fd at {k}")
@@ -793,6 +796,32 @@ def test_phase_slopes_match_per_k_copy(pot, r):
                  absolute=_slope_bound(k))
 
 
+def _unscaled_phase_slopes(segments, k: float, units: UnitSystem):
+    """The sweep's phase slopes as they were before the shared Richardson
+    helper, verbatim: unscaled rows, no log-moduli."""
+    h = 1e-6 * k
+    ndim = max(np.ndim(x) for seg in segments for x in seg)
+    ks = np.array([k + h, k - h, k + 0.5 * h, k - 0.5 * h]).reshape((4,) + (1,) * ndim)
+    sol = sc._transfer_sweep(segments, ks, units)
+
+    def slopes(amp, i, h):
+        return np.angle(amp[i] * np.conj(amp[i + 1])) / (2.0 * h)
+
+    a1, a2 = slopes(sol.amp_T, 0, h), slopes(sol.amp_T, 2, 0.5 * h)
+    b1, b2 = slopes(sol.amp_R, 0, h), slopes(sol.amp_R, 2, 0.5 * h)
+    return (4.0 * a2 - a1) / 3.0, (4.0 * b2 - b1) / 3.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(pot=st.deferred(lambda: _finite_potentials()), k=st.floats(0.05, 3.0))
+def test_phase_slopes_keep_the_unscaled_bits(pot, k):
+    # total opacity <= ~50: nothing underflows, so scaling the rows by a
+    # power of two leaves every bit of the k-slopes
+    assume(pot.segments)
+    assert _bytes(sc._phase_slopes(pot.segments, k, sc.ELECTRON)) == \
+        _bytes(_unscaled_phase_slopes(pot.segments, k, sc.ELECTRON))
+
+
 def test_seg_prop_array_matches_scalar_calls():
     # one array mixing E = V (q2 = 0), both sides of it within rounding,
     # decaying and oscillating segments, and a zero width
@@ -820,13 +849,19 @@ def test_gap_sweep_matches_per_gap_copy(V0_, erel, d, gaps):
 
 
 def test_cli_size_gap_sweep_matches_frozen_copy(frozen):
-    # the optical command's sweep: 2,001 gaps, barriers of opacity 15 each
+    # the optical command's sweep: 2,001 gaps, barriers of opacity 15 each;
+    # the slopes keep the bits of the unscaled sweep's
     for V0_, E in [(10.0, 5.0), (7.3, 2.6)]:
         k = float(k_of_E(E))
         d = 15.0 / float(sc.ELECTRON.kappa_of(E, V0_))
         gaps = np.linspace(0.0, 20.0, 2001)
         _assert_gaps_close(optical.gap_sweep(d, V0_, k, gaps),
                            frozen["optical"].gap_sweep(d, V0_, k, gaps), k, d, V0_)
+        segs = ((0.0, np.where(gaps == 0, 2.0 * d, d), V0_),
+                (np.where(gaps == 0, 2.0 * d, d), np.where(gaps == 0, 2.0 * d, d + gaps), 0.0),
+                (np.where(gaps == 0, 2.0 * d, d + gaps), 2.0 * d + gaps, V0_))
+        assert _bytes(sc._phase_slopes(segs, k, sc.ELECTRON)) == \
+            _bytes(_unscaled_phase_slopes(segs, k, sc.ELECTRON))
 
 
 @pytest.mark.parametrize("gaps", [[1.0, math.nan], [math.inf], [2.0, -math.inf],
@@ -980,6 +1015,20 @@ def test_transfer_sweep_matches_parent_scalar_solver(pot, data):
 def test_transfer_sweep_matches_parent_on_steps(pot):
     _assert_matches_parent(pot, [0.2 * EPS, 0.7 * EPS, float(k_of_E(3.0)), float(k_of_E(4.0)),
                                  EPS, 1.3 * EPS, 2.5 * EPS])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pot=_finite_potentials(), ks=st.lists(st.floats(0.05, 3.0), min_size=1, max_size=8))
+def test_scalar_solve_is_a_sweep_row(pot, ks):
+    # the scalar solve rounds as every sweep element does, off the origin
+    # (x_left != 0) too: its amplitudes are the sweep row's bits, its public
+    # fields scalars
+    sol = sc._transfer_sweep(pot.segments, np.array(ks), sc.ELECTRON)
+    for i, k in enumerate(ks):
+        state = sc.solve_transfer_matrix(pot, k)
+        assert _bytes((state.amp_T, state.amp_R)) == _bytes((sol.amp_T[i], sol.amp_R[i])), k
+        assert type(state.amp_T) is complex and type(state.amp_R) is complex
+        assert type(state.E) is float and state.k == k
 
 
 def test_transfer_sweep_matches_parent_on_the_e_equals_v_node():

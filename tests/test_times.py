@@ -3,7 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import assert_close, assert_larmor_routes_agree
+from hypothesis import assume, given, settings, strategies as st
 
 from tunneltime import times as tt
 from tunneltime.scattering import (
@@ -72,6 +73,19 @@ def test_phase_times_closed_vs_fd(krel):
     dT_f, dR_f = tt.phase_times_fd(p, k)
     assert dT_f == pytest.approx(dT_c, rel=1e-6, abs=0)
     assert dR_f == pytest.approx(dR_c, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("d", [200.0, 250.0, 300.0])
+def test_phase_times_fd_past_the_underflow_of_t_squared(d):
+    # kappa d = 379, 473 and 568: |t|^2 underflows past ~355, where the
+    # unscaled phase differences left the transmitted time near the free
+    # flight d/v, 190-280 times the closed time; the decay-constant route
+    # shares those differences
+    p = SquareBarrierParams(15.0, d)
+    k = 0.3 * p.eps
+    want = tt.extrapolated_phase_times(p, k)
+    assert_close(tt.phase_times_fd(p, k), want, rel=1e-7, what=f"phase times at d = {d}")
+    assert_larmor_routes_agree(p, k)
 
 
 def test_phase_times_continuous_through_top():
@@ -194,13 +208,41 @@ def test_closed_forms_across_the_top_match_independent_routes(V0_, d, gap, side)
 
 @pytest.mark.parametrize("krel", [0.3, 0.7, 1.4, 2.0])
 def test_larmor_closed_vs_derivative_route(krel):
+    # both routes take m/hbar from units.m_over_hbar: hbar_eV_s lies 2.2e-10
+    # away from hbarc_eV_A/c_A_per_s, which 5e-11 tau_x shows here
+    # (measured 6.2e-12)
     p = SquareBarrierParams(V0, 5.0)
     k = krel * EPS
     ty_c, tz_c, tx_c = tt.larmor_times(p, k)
-    ty_d, tz_d, tx_d = tt.larmor_times_kappa_derivative(p, k)
-    assert ty_d == pytest.approx(ty_c, rel=1e-6, abs=0)
-    assert tz_d == pytest.approx(tz_c, rel=1e-6, abs=0)
     assert tx_c == pytest.approx(math.hypot(ty_c, tz_c), rel=1e-14, abs=0)
+    assert_larmor_routes_agree(p, k, rel=5e-11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(V0_=st.floats(0.5, 15.0), d=st.one_of(st.floats(0.01, 20.0), st.floats(20.0, 300.0)),
+       r=st.one_of(st.floats(0.02, 0.999), st.floats(0.99, 1.01), st.floats(1.0 - 1e-9, 1.0 + 1e-9),
+                   st.just(1.0), st.floats(1.001, 3.0)))
+def test_larmor_routes_agree_across_the_top(V0_, d, r):
+    # one difference in eps^2 below, at and above the top, up to total
+    # opacity 590
+    p = SquareBarrierParams(V0_, d)
+    k = r * p.eps
+    assume(math.sqrt(max(p.eps * p.eps - k * k, 0.0)) * d <= 590.0)
+    assert_larmor_routes_agree(p, k)
+
+
+# kappa d at k = 0.3 eps: past the limit of 600, where the decay-constant
+# route once returned tau_z = -0.0 (738) and raised a math-domain error (745)
+@pytest.mark.parametrize("d", [330.0, 390.0, 394.0])
+def test_derivative_routes_reject_opacity_past_limit(d):
+    p = SquareBarrierParams(15.0, d)
+    for route in (tt.larmor_times_kappa_derivative, tt.phase_times_fd):
+        with pytest.raises(ValueError, match="opacity"):
+            route(p, 0.3 * p.eps)
+
+
+def test_larmor_derivative_route_zero_width():
+    assert tt.larmor_times_kappa_derivative(SquareBarrierParams(V0, 0.0), K5) == (0.0, 0.0, 0.0)
 
 
 def test_larmor_equals_dwell():
@@ -396,6 +438,14 @@ def test_spectrum_summary_symmetric_input():
     assert s.x0 == 0.0
 
 
+def _fd_richardson(f, x: float, h: float) -> float:
+    """Centered difference with one Richardson step (O(h^4)): the parent
+    times module's helper, verbatim."""
+    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
+    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
 def _parent_spectrum_summary(packet, params):
     """spectrum_summary as it was, with the phase slopes by a centered
     difference and one Richardson step on 8 closed phases per node: the
@@ -409,9 +459,9 @@ def _parent_spectrum_summary(packet, params):
     bp = np.empty_like(ks)
     for i, kk in enumerate(ks):
         T[i] = closed_form_square(params, kk)[0]
-        ap[i] = tt._fd_richardson(lambda kv: closed_form_square(params, kv)[2], kk, h_rel * kk)
-        bp[i] = tt._fd_richardson(lambda kv: transmission_phase_reference(params, kv),
-                                  kk, h_rel * kk)
+        ap[i] = _fd_richardson(lambda kv: closed_form_square(params, kv)[2], kk, h_rel * kk)
+        bp[i] = _fd_richardson(lambda kv: transmission_phase_reference(params, kv),
+                               kk, h_rel * kk)
     R2 = np.maximum(1.0 - T ** 2, 0.0)
     w_in = wq * f2
     w_T = w_in * T ** 2
