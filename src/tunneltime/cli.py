@@ -285,8 +285,8 @@ def write_csv(path: Path, run: RunConfig, columns, rows, meta: dict | None = Non
         f"# tunneltime {__version__}",
         f"# command: {run.command}",
         f"# timestamp: {datetime.datetime.now(datetime.timezone.utc).isoformat()}",
-        ("# constants: hbar_eV_s=%r hbarc_eV_A=%r electron_rest_eV=%r c_A_per_s=%r"
-         % (u.hbar_eV_s, u.hbarc_eV_A, u.electron_rest_eV, u.c_A_per_s)),
+        ("# constants: hbarc_eV_A=%r electron_rest_eV=%r c_A_per_s=%r"
+         % (u.hbarc_eV_A, u.electron_rest_eV, u.c_A_per_s)),
     ]
     for key in sorted(run.values):
         lines.append(f"# config: {key} = {run.values[key]!r}")

@@ -142,8 +142,8 @@ def traversal_time_direct(spec: WaveguideSpec, L: float) -> float:
 def traversal_time_mapped(spec: WaveguideSpec, L):
     """Same quantity via the mapped quantum barrier and the generic machinery.
 
-    Builds a unit system whose hbar/m equals c^2/omega (hbar = 1 eV s slot,
-    rest energy omega, "hbarc" = c), then evaluates the standard extrapolated
+    Builds a unit system whose hbar/m equals c^2/omega ("hbarc" = c, so
+    hbar = 1; rest energy omega), then evaluates the standard extrapolated
     phase time at the mapped wavenumber. L is a length or an array of them,
     all evaluated in one call; the result has its shape.
     """
@@ -153,8 +153,7 @@ def traversal_time_mapped(spec: WaveguideSpec, L):
     if not spec.evanescent:
         raise ValueError("mapped traversal time covers the evanescent case")
     m = map_quantum_waveguide(spec)
-    units = UnitSystem(hbar_eV_s=1.0, hbarc_eV_A=C_M_S,
-                       electron_rest_eV=spec.omega, c_A_per_s=C_M_S)
+    units = UnitSystem(hbarc_eV_A=C_M_S, electron_rest_eV=spec.omega, c_A_per_s=C_M_S)
     # barrier height whose eps matches the guide: eps = sqrt(2 m V0)/hbar
     V0 = m.eps ** 2 * units.hbarc_eV_A ** 2 / (2.0 * units.electron_rest_eV)
     params = SquareBarrierParams(V0=V0, d=0.0, units=units)   # the widths are L

@@ -311,7 +311,7 @@ def larmor_times_kappa_derivative(params: SquareBarrierParams, k: float):
     u = params.units
     e2 = params.eps ** 2
     q = math.sqrt(abs(e2 - k * k))
-    to_V = u.hbarc_eV_A ** 2 / (2.0 * u.electron_rest_eV)   # hbar^2/2m in eV A^2
+    to_V = u.hbar2_over_2m
     dV = 2.0 ** math.floor(math.log2(to_V * min(1e-4 * e2, 1e-3 * max(q, 1.0 / d) / d)))
     amp_T = _transfer_sweep(((0.0, d, params.V0 + dV * _SHIFTS),), k, u).amp_T
     tau_z, tau_y = (-2.0 * u.m_over_hbar * float(s) for s in _richardson(amp_T, dV / to_V))

@@ -15,21 +15,27 @@ import numpy as np
 class UnitSystem:
     """Physical constants fixing the (eV, A, s) working system.
 
-    hbar_eV_s: reduced Planck constant in eV*s
     hbarc_eV_A: hbar*c in eV*A
     electron_rest_eV: particle rest energy m*c^2 in eV
     c_A_per_s: speed of light in A/s
+
+    hbar itself is derived from hbarc and c, so every frequency E/hbar and
+    every m/hbar reads one constant.
     """
 
-    hbar_eV_s: float = 6.582119569e-16
     hbarc_eV_A: float = 1973.269804
     electron_rest_eV: float = 510998.95
     c_A_per_s: float = 2.99792458e18
 
     def __post_init__(self):
-        for name in ("hbar_eV_s", "hbarc_eV_A", "electron_rest_eV", "c_A_per_s"):
+        for name in ("hbarc_eV_A", "electron_rest_eV", "c_A_per_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+
+    @property
+    def hbar_eV_s(self) -> float:
+        """hbar in eV*s: hbarc/c."""
+        return self.hbarc_eV_A / self.c_A_per_s
 
     @property
     def hbar_over_m(self) -> float:
@@ -40,6 +46,11 @@ class UnitSystem:
     def m_over_hbar(self) -> float:
         """m/hbar in s/A^2."""
         return 1.0 / self.hbar_over_m
+
+    @property
+    def hbar2_over_2m(self) -> float:
+        """hbar^2/2m in eV*A^2: hbarc^2/2mc^2."""
+        return self.hbarc_eV_A ** 2 / (2.0 * self.electron_rest_eV)
 
     def k_of_E(self, E):
         """Free wavenumber (1/A) at kinetic energy E (eV)."""

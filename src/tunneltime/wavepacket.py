@@ -43,6 +43,12 @@ ENSEMBLE_CACHE_SIZE = 8        # packet ensembles kept for reuse, least recent d
 BOHM_ROUTE_TOL = 0.05          # largest relative gap between the two Bohm crossing routes
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless value is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpectralPacket:
     """Gaussian k-space packet on a Gauss-Legendre grid.
@@ -60,11 +66,17 @@ class SpectralPacket:
     _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_positive("k0", self.k0)
+        _check_positive("dk", self.dk)
         # the ensemble cache keys on the spectral content, hashed once here;
         # read-only copies keep that key true for the packet's lifetime
         digest = hashlib.blake2b(digest_size=16)
         for name in ("k_nodes", "weights", "amplitude"):
             arr = np.array(getattr(self, name), dtype=float)
+            if arr.ndim != 1 or not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be a finite 1-D array")
+            if len(arr) != len(self.k_nodes):
+                raise ValueError("k_nodes, weights and amplitude must have one length")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
             digest.update(arr.tobytes())
@@ -73,10 +85,8 @@ class SpectralPacket:
     @classmethod
     def gaussian(cls, k0: float, dk: float, n_nodes: int = 513,
                  k_floor: float = 1e-4, units: UnitSystem = ELECTRON) -> "SpectralPacket":
-        if not (math.isfinite(k0) and math.isfinite(dk)):
-            raise ValueError(f"k0 and dk must be finite, got k0={k0}, dk={dk}")
-        if k0 <= 0 or dk <= 0:
-            raise ValueError("k0 and dk must be positive")
+        _check_positive("k0", k0)
+        _check_positive("dk", dk)
         if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
             raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
         lo = max(k_floor, k0 - 5.0 * dk)
@@ -425,8 +435,10 @@ def default_time_grid(packet: SpectralPacket, potential: PiecewisePotential,
     maximum, and the refined window covers the union of the supports, padded
     by SUPPORT_SIGMAS packet time-widths and clipped to the scan interval.
     Probes without any flux add no support; when no probe has flux the
-    coarse scan grid itself is returned.
+    coarse scan grid itself is returned. Raises ValueError for a dt_fine
+    that is not finite and positive.
     """
+    _check_positive("dt_fine", dt_fine)
     t_coarse = np.arange(T_SPAN[0], T_SPAN[1] + DT_COARSE / 2, DT_COARSE)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     J = np.abs(current(packet, potential, xs, t_coarse))   # (Nt, Nx)
@@ -452,11 +464,15 @@ def flux_records(packet: SpectralPacket, potential: PiecewisePotential, xs,
     """Evaluate and sign-split the current at several probes on one time grid.
 
     Without t_grid every probe shares default_time_grid(xs): one coarse scan
-    and one current evaluation serve all of them.
+    and one current evaluation serve all of them. Raises ValueError for a
+    t_grid that is not strictly increasing, or for a dt_fine that is not
+    finite and positive.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if t_grid is None:
         t_grid = default_time_grid(packet, potential, xs, dt_fine=dt_fine)
+    elif not (np.ndim(t_grid) == 1 and (np.diff(t_grid) > 0).all()):
+        raise ValueError("t_grid must be a strictly increasing 1-D array")
     J_all = np.ascontiguousarray(current(packet, potential, xs, t_grid).T)
     records = []
     for x, J in zip(xs, J_all):
@@ -565,8 +581,7 @@ def _window_grid(window: tuple[float, float], dx: float) -> np.ndarray:
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"window must be finite and run from low to high, got {window}")
-    if not (math.isfinite(dx) and dx > 0):
-        raise ValueError(f"dx must be finite and positive, got {dx}")
+    _check_positive("dx", dx)
     m = (hi - lo) / dx
     steps = round(m) if math.isclose(m, round(m), rel_tol=1e-9) else math.ceil(m)
     return np.linspace(lo, hi, steps + 1)
@@ -600,7 +615,10 @@ def centroid_trajectory(packet: SpectralPacket, potential: PiecewisePotential, t
 
 def continuity_residual(packet: SpectralPacket, potential: PiecewisePotential,
                         xs, ts, dx: float = 1e-3, dt: float = 1e-18) -> float:
-    """max |d rho/dt + dJ/dx| / max |dJ/dx| by centered differences."""
+    """max |d rho/dt + dJ/dx| / max |dJ/dx| by centered differences.
+    Raises ValueError for a dx or dt that is not finite and positive."""
+    _check_positive("dx", dx)
+    _check_positive("dt", dt)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     nt, nx = len(ts), len(xs)
@@ -910,8 +928,10 @@ def quantum_potential(packet: SpectralPacket, potential: PiecewisePotential,
     """-(hbar^2/2m) (d^2|Psi|/dx^2)/|Psi| in eV, three-point stencil.
 
     Returns nan near amplitude nodes (|Psi| below amp_floor at any stencil
-    point), where the quotient is undefined.
+    point), where the quotient is undefined. Raises ValueError for an h that
+    is not finite and positive.
     """
+    _check_positive("h", h)
     u = packet.units
     xs = np.array([x - h, x, x + h])
     psi, _ = evolve(packet, potential, xs, t)
@@ -919,5 +939,4 @@ def quantum_potential(packet: SpectralPacket, potential: PiecewisePotential,
     if np.any(a < amp_floor):
         return math.nan
     second = (a[0] - 2.0 * a[1] + a[2]) / (h * h)
-    hbar2_over_2m = u.hbarc_eV_A ** 2 / (2.0 * u.electron_rest_eV)  # eV A^2
-    return float(-hbar2_over_2m * second / a[1])
+    return float(-u.hbar2_over_2m * second / a[1])

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    HBAR_RATIO,
     EPS_MACH,
     PHASE_EPS,
     SLOPE_EPS,
@@ -136,10 +137,13 @@ def test_unwritable_output_path(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    import tunneltime
+
+    src = str(Path(tunneltime.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "tunneltime.cli", "times", "--out", str(tmp_path),
          "--set", "V0=10", "--set", "d=5", "--set", "E=5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert (tmp_path / "times.csv").exists()
 
@@ -582,11 +586,15 @@ def _widths(cfg: dict, col: dict):
 
 def _assert_heads_close(head_n: list, head_o: list, what: str):
     """Header lines equal, except reshape's weight_above_eps, which may move
-    by one ulp: it sums T^2 over the grid, and the sum's rounding moves it."""
+    by one ulp: it sums T^2 over the grid, and the sum's rounding moves it,
+    and the constants line, where the frozen package also lists the hbar it
+    stored beside hbarc and c."""
     assert len(head_n) == len(head_o), what
     key = "# meta: weight_above_eps = "
     for a, b in zip(head_n, head_o):
-        if a != b and a.startswith(key) and b.startswith(key):
+        if b.startswith("# constants: "):
+            assert a == re.sub(r" hbar_eV_s=\S+", "", b), what
+        elif a != b and a.startswith(key) and b.startswith(key):
             assert_close(float(a[len(key):]), float(b[len(key):]), ulp=1.0,
                          what=f"{what} weight_above_eps")
         else:
@@ -679,6 +687,8 @@ def _assert_outputs_close(new: Path, old: Path, args: list, skip=()):
                                                              for d in (new, old))
         assert cols == cols_o, name
         _assert_heads_close(head_n, head_o, name)
+        if "tau_BL_R_s" in cols:             # hbar k/(V0 |q|)
+            table_o[:, cols.index("tau_BL_R_s")] *= HBAR_RATIO
         meta = dict(ln[len("# meta: "):].split(" = ") for ln in head_o
                     if ln.startswith("# meta: "))
         # a times table's rows in the frozen package's top window meet the

@@ -25,12 +25,13 @@ shares the frozen copy's numerics: at every point it meets the closed forms
 """
 
 import math
-from dataclasses import astuple, is_dataclass, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import (
+    HBAR_RATIO,
     EPS_MACH,
     INTERIOR_REL,
     PHASE_EPS,
@@ -436,6 +437,18 @@ CLOSED = ["extrapolated_phase_times", "dwell_time_closed", "larmor_times",
           "tau_semiclassical", "complex_time", "time_report"]
 
 
+def _hbar_scale(cls, powers: dict) -> np.ndarray:
+    """HBAR_RATIO^p for each field of a frozen result, p from powers (else 0)."""
+    return np.array([HBAR_RATIO ** powers.get(f.name, 0) for f in fields(cls)])
+
+
+# the frozen values that read hbar: tau_BL_R = hbar k/(V0 kappa) and the
+# sideband intensities (deltaV/(2 hbar omega))^2 (e^{+-omega tau_BL_T} - 1)^2
+HBAR_POWERS = {"time_report": _hbar_scale(TimeReport, {"tau_BL_R": 1}),
+               "buttiker_landauer": _hbar_scale(tms.ButtikerLandauerResult,
+                                                {"tau_BL_R": 1, "I_plus": -2, "I_minus": -2})}
+
+
 @pytest.mark.parametrize("V0_, d", [(3.0, 0.0), (3.0, 7.0), (V0, 0.4), (V0, 5.0),
                                     (V0, 12.0)])
 def test_stationary_forms_match_frozen_copy(frozen, V0_, d):
@@ -454,7 +467,8 @@ def test_stationary_forms_match_frozen_copy(frozen, V0_, d):
         rel = time_rel(interior_qd(eps, k, d))
         for name in [] if top else CLOSED:
             assert_close(_values(getattr(tms, name)(new_p, k)),
-                         _values(getattr(ft, name)(old_p, k)), rel=rel, what=f"{name} at {k}")
+                         _values(getattr(ft, name)(old_p, k)) * HBAR_POWERS.get(name, 1.0),
+                         rel=rel, what=f"{name} at {k}")
         # the decay-constant route meets the closed forms instead of the copy
         assert_larmor_routes_agree(new_p, k)
         assert_close(tms.phase_times_fd(new_p, k), ft.phase_times_fd(old_p, k),
@@ -464,7 +478,8 @@ def test_stationary_forms_match_frozen_copy(frozen, V0_, d):
             assert_close(tms.hartman_bracket(new_p, k), ft.hartman_bracket(old_p, k), rel=rel)
             new_bl = tms.buttiker_landauer(new_p, k, omega=1e12, deltaV=0.01 * V0_)
             old_bl = ft.buttiker_landauer(old_p, k, omega=1e12, deltaV=0.01 * V0_)
-            assert_close(_values(new_bl), _values(old_bl), rel=rel, what=f"sidebands at {k}")
+            assert_close(_values(new_bl), _values(old_bl) * HBAR_POWERS["buttiker_landauer"],
+                         rel=rel, what=f"sidebands at {k}")
 
 
 def _array_rows(params: SquareBarrierParams, k, d) -> np.ndarray:
@@ -484,7 +499,9 @@ def _frozen_rows(frozen, V0_: float, k, d) -> np.ndarray:
         p = frozen["scattering"].SquareBarrierParams(V0_, dd)
         rows.append(frozen["scattering"].closed_form_square(p, kk)
                     + astuple(frozen["times"].time_report(p, kk)))
-    return np.array(rows, dtype=complex)
+    rows = np.array(rows, dtype=complex)
+    rows[:, 4:] *= HBAR_POWERS["time_report"]
+    return rows
 
 
 # a row of _array_rows by the times table's column names; the row's k and

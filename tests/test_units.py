@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from tunneltime import units as U
 
 
 def test_constant_values():
-    assert U.HBAR_EVS == pytest.approx(6.582119569e-16, rel=1e-12, abs=0)
+    # hbar = hbarc/c lies 2.23e-10 below CODATA 2018's 6.582119569e-16 eV s
+    assert U.HBAR_EVS == pytest.approx(6.582119569e-16, rel=3e-10, abs=0)
     assert U.HBARC_EVA == pytest.approx(1973.269804, rel=1e-12)
     assert U.MC2_EV == pytest.approx(510998.95, rel=1e-12)
     assert U.C_A_S == pytest.approx(2.99792458e18, rel=1e-12)
@@ -18,6 +20,17 @@ def test_derived_ratios():
     # hbar/m = hbarc * c / mc^2
     assert u.hbar_over_m == pytest.approx(U.HBARC_EVA * U.C_A_S / U.MC2_EV, rel=1e-14)
     assert u.m_over_hbar * u.hbar_over_m == pytest.approx(1.0, rel=1e-14)
+    assert u.hbar2_over_2m == U.HBARC_EVA ** 2 / (2.0 * U.MC2_EV)
+
+
+def test_one_hbar():
+    # three stored constants; hbar, hbar/m and hbar^2/2m all derive from them
+    u = U.ELECTRON
+    assert [f.name for f in dataclasses.fields(U.UnitSystem)] == [
+        "hbarc_eV_A", "electron_rest_eV", "c_A_per_s"]
+    assert u.hbar_eV_s == u.hbarc_eV_A / u.c_A_per_s
+    with pytest.raises(TypeError):
+        U.UnitSystem(hbar_eV_s=1.0)
 
 
 def test_k_of_E_anchor():
@@ -50,14 +63,16 @@ def test_kappa_of():
 
 def test_unit_system_validation():
     with pytest.raises(ValueError):
-        U.UnitSystem(hbar_eV_s=0.0, hbarc_eV_A=1.0, electron_rest_eV=1.0, c_A_per_s=1.0)
+        U.UnitSystem(hbarc_eV_A=0.0, electron_rest_eV=1.0, c_A_per_s=1.0)
     with pytest.raises(ValueError):
-        U.UnitSystem(hbar_eV_s=1.0, hbarc_eV_A=-2.0, electron_rest_eV=1.0, c_A_per_s=1.0)
+        U.UnitSystem(hbarc_eV_A=-2.0, electron_rest_eV=1.0, c_A_per_s=1.0)
+    with pytest.raises(ValueError):
+        U.UnitSystem(hbarc_eV_A=1.0, electron_rest_eV=1.0, c_A_per_s=0.0)
 
 
 def test_custom_units_flow_through():
     # doubled rest mass halves hbar/m and scales k by sqrt(2)
-    u2 = U.UnitSystem(hbar_eV_s=U.HBAR_EVS, hbarc_eV_A=U.HBARC_EVA,
-                      electron_rest_eV=2.0 * U.MC2_EV, c_A_per_s=U.C_A_S)
+    u2 = U.UnitSystem(hbarc_eV_A=U.HBARC_EVA, electron_rest_eV=2.0 * U.MC2_EV, c_A_per_s=U.C_A_S)
+    assert u2.hbar_eV_s == U.HBAR_EVS
     assert u2.hbar_over_m == pytest.approx(U.ELECTRON.hbar_over_m / 2.0, rel=1e-14)
     assert u2.k_of_E(5.0) == pytest.approx(math.sqrt(2.0) * U.k_of_E(5.0), rel=1e-14)

@@ -29,6 +29,14 @@ def packet():
     return wp.SpectralPacket.gaussian(K5, DK)
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The calls that reach the mode evaluator; a rejected input makes none."""
+    calls = []
+    monkeypatch.setattr(wp, "_blocks", lambda *args: calls.append(args))
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # packet construction
 
@@ -68,13 +76,35 @@ def test_packet_rejects_non_finite(k0, dk):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 def test_ensemble_rejects_bad_node(packet, bad):
-    # a hand-made packet bypasses gaussian's checks; the solver still refuses
+    # a hand-made packet refuses a node that is not finite; one that is not
+    # positive passes it, and the solver refuses it
     k = packet.k_nodes.copy()
     k[7] = bad
-    odd = wp.SpectralPacket(k0=packet.k0, dk=packet.dk, k_nodes=k, weights=packet.weights,
-                            amplitude=packet.amplitude)
-    with pytest.raises(ValueError, match="k must be finite and positive"):
+    match = "k must be finite and positive" if math.isfinite(bad) else "k_nodes must be a finite"
+    with pytest.raises(ValueError, match=match):
+        odd = wp.SpectralPacket(k0=packet.k0, dk=packet.dk, k_nodes=k, weights=packet.weights,
+                                amplitude=packet.amplitude)
         wp._Ensemble(odd, BARRIER)
+
+
+@pytest.mark.parametrize("name, bad, match", [
+    ("k0", math.nan, "k0"), ("k0", 0.0, "k0"), ("k0", -K5, "k0"),
+    ("dk", math.inf, "dk"), ("dk", -DK, "dk"), ("dk", 0.0, "dk"),
+    ("weights", lambda a: np.where(np.arange(a.size) == 9, math.nan, a), "weights"),
+    ("amplitude", lambda a: np.where(np.arange(a.size) == 9, math.inf, a), "amplitude"),
+    ("amplitude", lambda a: a.reshape(-1, 1), "amplitude"),
+    ("weights", lambda a: a[:-1], "one length"),
+    ("k_nodes", lambda a: np.append(a, a[-1] + 1e-3), "one length"),
+], ids=["nan-k0", "zero-k0", "negative-k0", "inf-dk", "negative-dk", "zero-dk",
+        "nan-weight", "inf-amplitude", "2-D-amplitude", "short-weights", "long-nodes"])
+def test_hand_made_packet_rejects_bad_input(packet, name, bad, match):
+    # a nan weight gave P_T = nan and nan mean times with no flag, and a
+    # negative dk a flux window of no points
+    fields = dict(k0=packet.k0, dk=packet.dk, k_nodes=packet.k_nodes,
+                  weights=packet.weights, amplitude=packet.amplitude)
+    fields[name] = bad(fields[name]) if callable(bad) else bad
+    with pytest.raises(ValueError, match=match):
+        wp.SpectralPacket(**fields)
 
 
 def test_ensemble_build_is_one_solve(packet, monkeypatch):
@@ -424,6 +454,45 @@ def test_downstream_flux_is_forward_only(packet):
     assert rec.N_lt[-1] <= 1e-9 * rec.N_gt[-1]
 
 
+@pytest.mark.parametrize("V0, d, E, dk, n_nodes, span", [
+    (10.0, 5.0, 5.0, DK, 513, None),
+    (2.30166, 3.60052, 0.98293, 0.0034178, 67, 3e-13),
+], ids=["reference", "slow"])
+def test_exit_flux_equals_transmitted_norm(V0, d, E, dk, n_nodes, span):
+    # the README reference packet on its default window, and the benchmark's
+    # slow flux_probes packet (seed 1) on a window that holds its flux: the
+    # forward flux through the exit meets the spectral P_T to quadrature
+    # accuracy (measured -5.5e-13 and -7.2e-13); with frequencies E/hbar and
+    # currents (hbar/m) Im(psi* psi') read from two hbars 2.23e-10 apart it
+    # was 2.2e-10 high
+    pot = PiecewisePotential.square(V0, d)
+    p = wp.SpectralPacket.gaussian(float(k_of_E(E)), dk, n_nodes=n_nodes)
+    grid = None if span is None else np.arange(-span, span + wp.DT_FINE / 2, wp.DT_FINE)
+    rec = wp.flux_series(p, pot, d, t_grid=grid)
+    assert not wp.arrival_stats(rec).low_confidence_plus
+    assert rec.N_gt[-1] == pytest.approx(wp.transmitted_norm(p, pot), rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("dt_fine", [0.0, -wp.DT_FINE, math.nan, math.inf])
+@pytest.mark.parametrize("fn", ["flux_records", "default_time_grid"])
+def test_time_grids_reject_bad_step(packet, evaluations, fn, dt_fine):
+    # a zero step raised ZeroDivisionError, a negative one gave empty
+    # records and nan numpy's arange error
+    with pytest.raises(ValueError, match="dt_fine"):
+        getattr(wp, fn)(packet, BARRIER, [0.0, 5.0], dt_fine=dt_fine)
+    assert evaluations == []   # rejected before any evaluation
+
+
+@pytest.mark.parametrize("t_grid", [[1e-14, 0.0, -1e-14], [0.0, 1e-17, 1e-17, 2e-17],
+                                    [0.0, math.nan, 1e-17], [[0.0, 1e-17]]],
+                         ids=["reversed", "repeated", "nan", "2-D"])
+def test_flux_records_reject_unordered_grid(packet, evaluations, t_grid):
+    # the reversed grid gave a forward flux of -1.04e-3 at the exit
+    with pytest.raises(ValueError, match="t_grid"):
+        wp.flux_records(packet, BARRIER, [0.0, 5.0], t_grid=np.array(t_grid))
+    assert evaluations == []
+
+
 def test_transmitted_norm_consistency(packet):
     # spectral sum against time-integrated downstream flux
     spectral = wp.transmitted_norm(packet, BARRIER)
@@ -473,6 +542,19 @@ def test_packet_dwell_matches_spectral_average(packet):
 def test_continuity_residual(packet):
     res = wp.continuity_residual(packet, BARRIER, [-3.0, 2.5, 7.0], [-2e-15, 0.0, 2e-15])
     assert res <= 1e-4
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize("fn, step", [("continuity_residual", "dx"),
+                                      ("continuity_residual", "dt"),
+                                      ("quantum_potential", "h")])
+def test_stencil_steps_reject_bad_input(packet, evaluations, fn, step, bad):
+    # dx = 0 gave a residual of 0.0, which reads as perfect continuity, and
+    # h = 0 nan with a RuntimeWarning
+    where = ([-3.0, 2.5], [0.0]) if fn == "continuity_residual" else (2.5, 0.0)
+    with pytest.raises(ValueError, match=step):
+        getattr(wp, fn)(packet, BARRIER, *where, **{step: bad})
+    assert evaluations == []
 
 
 def test_norm_conservation(packet):
@@ -921,14 +1003,12 @@ def test_seed_positions_reject_bad_input(packet, n_seeds, region, n_grid, match)
     ((-50.0, 50.0), math.nan, "dx"),
     ((-50.0, 50.0), math.inf, "dx"),
 ], ids=["reversed", "empty", "nan-end", "inf-start", "negative-dx", "zero-dx", "nan-dx", "inf-dx"])
-def test_spatial_windows_reject_bad_input(packet, monkeypatch, fn, window, dx, match):
+def test_spatial_windows_reject_bad_input(packet, evaluations, fn, window, dx, match):
     # a reversed window or a negative dx gave a norm of 0.0 and a centroid of
     # (nan, 0.0); a nan dx numpy's arange error
-    calls = []
-    monkeypatch.setattr(wp, "_blocks", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=match):
         getattr(wp, fn)(packet, BARRIER, 0.0, window, dx=dx)
-    assert calls == []   # rejected before any evaluation
+    assert evaluations == []   # rejected before any evaluation
 
 
 @pytest.mark.parametrize("window, dx, want", [
