@@ -465,9 +465,10 @@ def flux_records(packet: SpectralPacket, potential: PiecewisePotential, xs,
 
     Without t_grid every probe shares default_time_grid(xs): one coarse scan
     and one current evaluation serve all of them. Raises ValueError for a
-    t_grid that is not strictly increasing, or for a dt_fine that is not
-    finite and positive.
+    dt_fine that is not finite and positive, or a t_grid that is not a
+    strictly increasing 1-D array.
     """
+    _check_positive("dt_fine", dt_fine)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if t_grid is None:
         t_grid = default_time_grid(packet, potential, xs, dt_fine=dt_fine)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
-    HBAR_RATIO,
     EPS_MACH,
+    HBAR_RATIO,
     PHASE_EPS,
     SLOPE_EPS,
     amplitude_rel,

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
-    HBAR_RATIO,
     EPS_MACH,
+    HBAR_RATIO,
     INTERIOR_REL,
     PHASE_EPS,
     SLOPE_EPS,

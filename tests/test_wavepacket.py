@@ -480,6 +480,10 @@ def test_time_grids_reject_bad_step(packet, evaluations, fn, dt_fine):
     # records and nan numpy's arange error
     with pytest.raises(ValueError, match="dt_fine"):
         getattr(wp, fn)(packet, BARRIER, [0.0, 5.0], dt_fine=dt_fine)
+    if fn == "flux_records":   # also when an explicit grid leaves it unused
+        with pytest.raises(ValueError, match="dt_fine"):
+            wp.flux_records(packet, BARRIER, [0.0, 5.0], t_grid=np.array([0.0, 1e-17]),
+                            dt_fine=dt_fine)
     assert evaluations == []   # rejected before any evaluation
 
 
