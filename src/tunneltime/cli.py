@@ -468,16 +468,17 @@ def cmd_evolve(run: RunConfig) -> int:
     xs = np.linspace(0.0, cfg["d"], cfg["x_points"])
     recs = wp.flux_records(packet, pot, xs, dt_fine=cfg["dt_fine"])
     rec0 = recs[0]   # the entry probe, x = 0
+    # one ArrivalStats per probe; each row pairs the entry probe's with its own
+    stats = [wp.arrival_stats(rec, floor=cfg["flux_floor"]) for rec in recs]
     rows = []
     flagged = False
-    for x, rec in zip(xs, recs):
-        mt = wp.mean_times(rec0, rec, floor=cfg["flux_floor"])
+    for x, sf in zip(xs, stats):
+        mt = wp._mean_times(stats[0], sf)
         # tau_ret also reads the far probe's backward flux
-        flag = (mt.stats_f.low_confidence_plus or mt.stats_f.low_confidence_minus)
+        flag = sf.low_confidence_plus or sf.low_confidence_minus
         flagged = flagged or mt.low_confidence or flag
-        rows.append((float(x), mt.tau_Pen, mt.tau_Ret,
-                     mt.stats_f.total_plus_flux, mt.stats_f.total_minus_flux,
-                     int(flag)))
+        rows.append((float(x), mt.tau_Pen, mt.tau_Ret, sf.total_plus_flux,
+                     sf.total_minus_flux, int(flag)))
 
     meta = {
         "spectral_nodes": packet.k_nodes.size,
@@ -486,7 +487,7 @@ def cmd_evolve(run: RunConfig) -> int:
         "entry_time_points": rec0.t.size,
         "entry_window_lo_s": float(rec0.t[0]),
         "entry_window_hi_s": float(rec0.t[-1]),
-        "entry_flag": int(mt.stats_i.low_confidence_plus),
+        "entry_flag": int(stats[0].low_confidence_plus),
     }
     write_csv(run.out_dir / "evolve.csv", run,
               ["x_A", "tau_pen_s", "tau_ret_s", "flux_plus", "flux_minus", "flag"],

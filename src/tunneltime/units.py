@@ -6,6 +6,7 @@ default particle. Wavenumbers are 1/A, energies eV, times s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,9 @@ class UnitSystem:
 
     def __post_init__(self):
         for name in ("hbarc_eV_A", "electron_rest_eV", "c_A_per_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     @property
     def hbar_eV_s(self) -> float:

@@ -54,6 +54,7 @@ class SpectralPacket:
     """Gaussian k-space packet on a Gauss-Legendre grid.
 
     amplitude holds C f(k-k0) with C fixed so sum(weights * amplitude^2) = 1.
+    The evolution starts every packet's centroid at x = 0, so x0 must be 0.
     """
 
     k0: float
@@ -68,6 +69,8 @@ class SpectralPacket:
     def __post_init__(self):
         _check_positive("k0", self.k0)
         _check_positive("dk", self.dk)
+        if self.x0 != 0:
+            raise ValueError(f"x0 must be 0, the evolution's start, got {self.x0!r}")
         # the ensemble cache keys on the spectral content, hashed once here;
         # read-only copies keep that key true for the packet's lifetime
         digest = hashlib.blake2b(digest_size=16)
@@ -375,24 +378,44 @@ def _density(ens: _Ensemble, x, t) -> np.ndarray:
     return _tabulate(ens, x, t, False, lambda p, _: np.abs(p) ** 2)[0]
 
 
+def _current_cell(units: UnitSystem):
+    """The cell J = (hbar/m) Im(Psi* dPsi/dx) of a (Psi, dPsi/dx) tile."""
+    hbar_over_m = units.hbar_over_m
+    return lambda p, d: hbar_over_m * np.imag(np.conj(p) * d)
+
+
 def current(packet: SpectralPacket, potential: PiecewisePotential, x, t):
     """Probability current J(x,t) = (hbar/m) Im(Psi* dPsi/dx)."""
-    hbar_over_m = packet.units.hbar_over_m
-    return _tabulate(_ensemble(packet, potential), x, t, True,
-                     lambda p, d: hbar_over_m * np.imag(np.conj(p) * d))[0]
+    return _tabulate(_ensemble(packet, potential), x, t, True, _current_cell(packet.units))[0]
 
 
 @dataclass
 class FluxRecord:
-    """J(x, t) at fixed x on a time grid, sign-split with cumulants."""
+    """J(x, t) at fixed x on a time grid. The sign split and its cumulants
+    are computed from J and t each time they are read, so a record holds no
+    array derived from J."""
 
     x: float
     t: np.ndarray
     J: np.ndarray
-    J_plus: np.ndarray
-    J_minus: np.ndarray
-    N_gt: np.ndarray       # forward crossings accumulated up to t
-    N_lt: np.ndarray       # backward crossings accumulated up to t (>= 0)
+
+    @property
+    def J_plus(self) -> np.ndarray:
+        return np.clip(self.J, 0.0, None)
+
+    @property
+    def J_minus(self) -> np.ndarray:
+        return np.clip(self.J, None, 0.0)
+
+    @property
+    def N_gt(self) -> np.ndarray:
+        """Forward crossings accumulated up to t."""
+        return _cumulative_trapezoid(self.J_plus, self.t)
+
+    @property
+    def N_lt(self) -> np.ndarray:
+        """Backward crossings accumulated up to t (>= 0)."""
+        return -_cumulative_trapezoid(self.J_minus, self.t)
 
 
 @dataclass
@@ -461,11 +484,12 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def flux_records(packet: SpectralPacket, potential: PiecewisePotential, xs,
                  t_grid: np.ndarray | None = None,
                  dt_fine: float = DT_FINE) -> list[FluxRecord]:
-    """Evaluate and sign-split the current at several probes on one time grid.
+    """Evaluate the current at several probes on one time grid.
 
     Without t_grid every probe shares default_time_grid(xs): one coarse scan
-    and one current evaluation serve all of them. Raises ValueError for a
-    dt_fine that is not finite and positive, or a t_grid that is not a
+    and one current evaluation serve all of them. The records' J are the
+    rows of one (probe, time) table, filled tile by tile. Raises ValueError
+    for a dt_fine that is not finite and positive, or a t_grid that is not a
     strictly increasing 1-D array.
     """
     _check_positive("dt_fine", dt_fine)
@@ -474,21 +498,18 @@ def flux_records(packet: SpectralPacket, potential: PiecewisePotential, xs,
         t_grid = default_time_grid(packet, potential, xs, dt_fine=dt_fine)
     elif not (np.ndim(t_grid) == 1 and (np.diff(t_grid) > 0).all()):
         raise ValueError("t_grid must be a strictly increasing 1-D array")
-    J_all = np.ascontiguousarray(current(packet, potential, xs, t_grid).T)
-    records = []
-    for x, J in zip(xs, J_all):
-        J_plus = np.clip(J, 0.0, None)
-        J_minus = np.clip(J, None, 0.0)
-        N_gt = _cumulative_trapezoid(J_plus, t_grid)
-        N_lt = -_cumulative_trapezoid(J_minus, t_grid)
-        records.append(FluxRecord(x=float(x), t=t_grid, J=J, J_plus=J_plus,
-                                  J_minus=J_minus, N_gt=N_gt, N_lt=N_lt))
-    return records
+    ts = np.asarray(t_grid, dtype=float)
+    J = np.empty((len(xs), len(ts)))
+    cell = _current_cell(packet.units)
+    for rows, cols, p, d in _blocks(_ensemble(packet, potential), xs, ts, True):
+        J[cols, rows] = cell(p, d).T
+        del p, d
+    return [FluxRecord(x=float(x), t=ts, J=row) for x, row in zip(xs, J)]
 
 
 def flux_series(packet: SpectralPacket, potential: PiecewisePotential, x: float,
                 t_grid: np.ndarray | None = None, dt_fine: float = DT_FINE) -> FluxRecord:
-    """Evaluate and sign-split the current at probe x on a time grid."""
+    """Evaluate the current at probe x on a time grid."""
     return flux_records(packet, potential, [x], t_grid=t_grid, dt_fine=dt_fine)[0]
 
 
@@ -531,8 +552,12 @@ def mean_times(record_at_xi: FluxRecord, record_at_xf: FluxRecord,
     reported as the sum of the two forward variances (the underlying
     entry/exit independence assumption is not checked).
     """
-    si = arrival_stats(record_at_xi, floor=floor)
-    sf = arrival_stats(record_at_xf, floor=floor)
+    return _mean_times(arrival_stats(record_at_xi, floor=floor),
+                       arrival_stats(record_at_xf, floor=floor))
+
+
+def _mean_times(si: ArrivalStats, sf: ArrivalStats) -> MeanTimes:
+    """mean_times from the entry and far probes' arrival statistics."""
     tau_T = sf.mean_t_plus - si.mean_t_plus
     tau_R = si.mean_t_minus - si.mean_t_plus
     tau_Ret = sf.mean_t_minus - sf.mean_t_plus
@@ -762,8 +787,9 @@ def bohm_trajectories(packet: SpectralPacket, potential: PiecewisePotential,
     if potential.segments:
         probes = [potential.x_left, potential.x_right]
         t_fine = np.linspace(t_start, t_end, math.ceil((t_end - t_start) / DT_FINE) + 1)
-        entry, exit_ = (_flux_crossings(rec, m0, mass) for rec, m0 in zip(
-            flux_records(packet, potential, probes, t_grid=t_fine), probe_mass))
+        entry, exit_ = (_flux_crossings(t_fine, m0 + rec.N_gt - rec.N_lt, mass)
+                        for rec, m0 in zip(flux_records(packet, potential, probes, t_grid=t_fine),
+                                           probe_mass))
     return [BohmTrajectory(t=t_eval, x=x[i], degenerate=bool(degenerate[i]),
                            barrier_entry=float(entry[i]), barrier_exit=float(exit_[i]))
             for i in range(seeds.size)]
@@ -867,13 +893,11 @@ def _quantile_sweep(ens: _Ensemble, xs: np.ndarray, ts: np.ndarray, ends: list[i
     return x, missed
 
 
-def _flux_crossings(record: FluxRecord, mass_right: float, mass: np.ndarray) -> np.ndarray:
-    """First times at which the mass to the right of record.x reaches each
-    of mass, given mass_right there at record.t[0]; nan where it never does
-    within the record. Linear between grid times; record.t[0] for masses
-    already to its right at the start."""
-    t = record.t
-    crossed = mass_right + record.N_gt - record.N_lt
+def _flux_crossings(t: np.ndarray, crossed: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """First times at which crossed, the mass to the right of a probe on the
+    time grid t, reaches each of mass; nan where it never does within t.
+    Linear between grid times; t[0] for masses already to its right at the
+    start."""
     i = np.searchsorted(np.maximum.accumulate(crossed), mass)
     out = np.full(mass.size, math.nan)
     out[i == 0] = t[0]

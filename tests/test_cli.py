@@ -281,6 +281,26 @@ def test_evolve_curves_and_flags(tmp_path):
     assert "# meta: flux_floor" in text
 
 
+def test_evolve_rows_match_mean_times(tmp_path):
+    # the command computes each probe's arrival statistics once; each row
+    # still reads, as text, what mean_times gives for the entry probe and it
+    assert run(["evolve", "--set", "V0=10", "--set", "d=5", "--set", "E=5",
+                "--set", "dk=0.02", "--set", "x_points=20"] + FAST, tmp_path) == 0
+    lines = [l for l in (tmp_path / "evolve.csv").read_text().splitlines()
+             if l and not l.startswith("#")][1:]
+    packet = wp.SpectralPacket.gaussian(float(k_of_E(5.0)), 0.02, n_nodes=257)
+    recs = wp.flux_records(packet, PiecewisePotential.square(10.0, 5.0),
+                           np.linspace(0.0, 5.0, 20), dt_fine=1e-16)
+    assert len(lines) == len(recs)
+    for line, rec in zip(lines, recs):
+        mt = wp.mean_times(recs[0], rec)
+        sf = mt.stats_f
+        want = ["%.17e" % v for v in (mt.tau_Pen, mt.tau_Ret, sf.total_plus_flux,
+                                      sf.total_minus_flux)]
+        want.append(str(int(sf.low_confidence_plus or sf.low_confidence_minus)))
+        assert line.split(",")[1:] == want
+
+
 def test_evolve_strict_flags_exit_3(tmp_path):
     # at the exit face there is no backward flux, so the probe is flagged
     code = run(["evolve", "--strict", "--set", "V0=10", "--set", "d=5",

@@ -286,9 +286,7 @@ def test_flux_crossings_are_first_passages():
     # a mass already right of the probe at t = 0 crosses at t = 0
     t = np.arange(7.0)
     crossed = np.array([0.0, 0.4, 0.6, 0.3, 0.4, 0.7, 0.9])
-    rec = wp.FluxRecord(x=0.0, t=t, J=np.gradient(crossed, t), J_plus=None, J_minus=None,
-                        N_gt=crossed - 0.1, N_lt=np.zeros(7))
-    got = wp._flux_crossings(rec, 0.1, np.array([0.0, 0.05, 0.5, 0.7, 0.95]))
+    got = wp._flux_crossings(t, crossed, np.array([0.0, 0.05, 0.5, 0.7, 0.95]))
     np.testing.assert_allclose(got[:4], [0.0, 0.125, 1.5, 5.0], rtol=0, atol=1e-15)
     assert math.isnan(got[4])
 
@@ -433,8 +431,9 @@ def _parent_quantile_trajectories(packet, potential, seeds, t_start, t_end, n_ou
     if potential.segments:
         probes = [potential.x_left, potential.x_right]
         t_fine = np.linspace(t_start, t_end, math.ceil((t_end - t_start) / wp.DT_FINE) + 1)
-        entry, exit_ = (wp._flux_crossings(rec, m0, mass) for rec, m0 in zip(
-            wp.flux_records(packet, potential, probes, t_grid=t_fine), probe_mass))
+        entry, exit_ = (wp._flux_crossings(t_fine, m0 + rec.N_gt - rec.N_lt, mass)
+                        for rec, m0 in zip(wp.flux_records(packet, potential, probes,
+                                                           t_grid=t_fine), probe_mass))
     return [wp.BohmTrajectory(t=t_eval, x=x[i], degenerate=bool(degenerate[i]),
                               barrier_entry=float(entry[i]), barrier_exit=float(exit_[i]))
             for i in range(seeds.size)]

@@ -70,6 +70,15 @@ def test_unit_system_validation():
         U.UnitSystem(hbarc_eV_A=1.0, electron_rest_eV=1.0, c_A_per_s=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["hbarc_eV_A", "electron_rest_eV", "c_A_per_s"])
+def test_unit_system_rejects_non_finite(name, bad):
+    # nan passed a "<= 0" check: hbarc = nan gave k_of_E(5) = nan, and
+    # c = inf gave hbar = 0
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        U.UnitSystem(**{name: bad})
+
+
 def test_custom_units_flow_through():
     # doubled rest mass halves hbar/m and scales k by sqrt(2)
     u2 = U.UnitSystem(hbarc_eV_A=U.HBARC_EVA, electron_rest_eV=2.0 * U.MC2_EV, c_A_per_s=U.C_A_S)

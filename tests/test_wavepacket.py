@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import OrderedDict
@@ -52,6 +53,15 @@ def test_packet_validation():
         wp.SpectralPacket.gaussian(-1.0, DK)
     with pytest.raises(ValueError):
         wp.SpectralPacket.gaussian(K5, 0.0)
+
+
+@pytest.mark.parametrize("x0", [-100.0, 1e-9, math.nan])
+def test_packet_rejects_an_off_origin_start(packet, x0):
+    # the evolution ignored x0 while times.spectrum_summary read it, so a
+    # packet with x0 = -100 got centroid and flux times for two starts
+    with pytest.raises(ValueError, match="x0"):
+        dataclasses.replace(packet, x0=x0)
+    assert dataclasses.replace(packet, x0=0.0)._key == packet._key
 
 
 @pytest.mark.parametrize("n_nodes", [0, -3, 65.0, np.float64(65.0), True, "65"])
@@ -358,6 +368,27 @@ def test_flux_records_hold_less_than_the_per_block_phase_tiles(packet):
     assert peak <= 8 * 2 * 20001 + 3.3 * tile
 
 
+def test_flux_records_hold_one_table(packet):
+    # 21 probes x 20,001 times, the shape of the flux_probes slow packet's
+    # evolve job: the records hold one (probe, time) float table, filled
+    # tile by tile with no transposed copy, and compute the sign split and
+    # cumulants when read
+    t = np.linspace(-1e-13, 1e-13, 20001)
+    xs = np.linspace(0.0, 5.0, 21)
+    wp.flux_records(packet, BARRIER, xs, t_grid=t[:200])   # ensemble built outside
+    tracemalloc.start()
+    try:
+        recs = wp.flux_records(packet, BARRIER, xs, t_grid=t)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table = 8 * len(xs) * len(t)
+    assert len(recs) == len(xs)
+    assert table <= held <= 1.01 * table
+    # the fill peaked at the table + 3.28 tiles
+    assert peak <= table + 3.3 * 16 * wp.PHASE_BLOCK * len(packet.k_nodes)
+
+
 @pytest.mark.parametrize("window, tiles", [((10.0, 410.0), 2.7), ((-410.0, -10.0), 3.6)],
                          ids=["transmitted", "reflected"])
 def test_centroid_holds_less_than_the_per_block_mode_tiles(packet, window, tiles):
@@ -402,9 +433,7 @@ def test_free_arrival_moments(packet):
 
 def test_arrival_stats_zero_flux_flagged():
     t = np.linspace(-1, 1, 51)
-    rec = wp.FluxRecord(x=0.0, t=t, J=np.zeros_like(t), J_plus=np.zeros_like(t),
-                        J_minus=np.zeros_like(t), N_gt=np.zeros_like(t),
-                        N_lt=np.zeros_like(t))
+    rec = wp.FluxRecord(x=0.0, t=t, J=np.zeros_like(t))
     st = wp.arrival_stats(rec)
     assert math.isnan(st.mean_t_plus) and st.low_confidence_plus
     assert math.isnan(st.mean_t_minus) and st.low_confidence_minus
