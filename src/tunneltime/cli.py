@@ -718,6 +718,9 @@ def cmd_bohm(run: RunConfig) -> int:
         raise ConfigError("t_start leaves no seeding room left of the barrier")
     P_T = wp.transmitted_norm(packet, pot)
     qrange = (1.0 - P_T, 1.0) if cfg["transmitted_only"] else (0.0, 1.0)
+    if qrange[0] == 1.0:
+        raise ConfigError(f"P_T = {P_T:.3g} leaves no transmitted slice to seed; "
+                          "set transmitted_only=false")
     seeds = wp.seed_positions(packet, pot, cfg["t_start"], cfg["n_traj"],
                               (lo, hi), quantile_range=qrange)
     trajs = wp.bohm_trajectories(packet, pot, seeds, cfg["t_start"], cfg["t_end"],

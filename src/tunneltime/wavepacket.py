@@ -19,10 +19,8 @@ dropped.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import math
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +37,6 @@ SUPPORT_THRESHOLD = 1e-8       # of max |J|; above this the flux is still flowin
 PHASE_BLOCK = 64               # rows of the exp(-i omega t) matrix held at once
 FOLD_COLUMNS = 32              # columns of one product of a fold (_fold)
 EVEN_GRID_TOL = 1e-12          # rad; max phase error the even-grid recurrence may add
-ENSEMBLE_CACHE_SIZE = 8        # packet ensembles kept for reuse, least recent dropped
 BOHM_ROUTE_TOL = 0.05          # largest relative gap between the two Bohm crossing routes
 
 
@@ -55,6 +52,8 @@ class SpectralPacket:
 
     amplitude holds C f(k-k0) with C fixed so sum(weights * amplitude^2) = 1.
     The evolution starts every packet's centroid at x = 0, so x0 must be 0.
+    _last holds (potential, ensemble) for the last potential the packet was
+    evolved in (see _ensemble); it is freed with the packet.
     """
 
     k0: float
@@ -64,16 +63,14 @@ class SpectralPacket:
     amplitude: np.ndarray
     x0: float = 0.0
     units: UnitSystem = ELECTRON
-    _key: tuple = field(init=False, repr=False, compare=False)
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_positive("k0", self.k0)
         _check_positive("dk", self.dk)
         if self.x0 != 0:
             raise ValueError(f"x0 must be 0, the evolution's start, got {self.x0!r}")
-        # the ensemble cache keys on the spectral content, hashed once here;
-        # read-only copies keep that key true for the packet's lifetime
-        digest = hashlib.blake2b(digest_size=16)
+        # read-only copies keep a kept ensemble true to the packet's content
         for name in ("k_nodes", "weights", "amplitude"):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or not np.isfinite(arr).all():
@@ -82,8 +79,6 @@ class SpectralPacket:
                 raise ValueError("k_nodes, weights and amplitude must have one length")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-            digest.update(arr.tobytes())
-        object.__setattr__(self, "_key", (self.units, len(self.k_nodes), digest.digest()))
 
     @classmethod
     def gaussian(cls, k0: float, dk: float, n_nodes: int = 513,
@@ -173,21 +168,15 @@ class _Ensemble(_Modes):
                 del tiles
 
 
-# the most recently used ensembles, keyed on (potential, packet content)
-_ENSEMBLES: OrderedDict = OrderedDict()
-
-
 def _ensemble(packet: SpectralPacket, potential: PiecewisePotential) -> _Ensemble:
-    key = (potential, packet._key)
-    ens = _ENSEMBLES.get(key)
-    if ens is None:
-        ens = _Ensemble(packet, potential)
-        _ENSEMBLES[key] = ens
-        if len(_ENSEMBLES) > ENSEMBLE_CACHE_SIZE:
-            _ENSEMBLES.popitem(last=False)
-    else:
-        _ENSEMBLES.move_to_end(key)
-    return ens
+    """The packet's ensemble in potential: the one the packet keeps when its
+    last potential == this one (every edge, height and semi_infinite), else a
+    new one, which the packet then keeps in its place."""
+    last = packet._last
+    if last is None or last[0] != potential:
+        last = (potential, _Ensemble(packet, potential))
+        object.__setattr__(packet, "_last", last)
+    return last[1]
 
 
 def _is_even(ts: np.ndarray, omega: np.ndarray) -> bool:
@@ -519,7 +508,10 @@ def arrival_stats(record: FluxRecord, floor: float = FLUX_FLOOR,
 
     Both flags are raised when the time window cuts off flux that is still
     flowing: |J| at either end of record.t above SUPPORT_THRESHOLD of max |J|.
+    Raises ValueError unless floor and incident_norm are finite and positive.
     """
+    _check_positive("floor", floor)
+    _check_positive("incident_norm", incident_norm)
     t = record.t
     absJ = np.abs(record.J)
     clipped = absJ.size > 0 and bool(max(absJ[0], absJ[-1]) > SUPPORT_THRESHOLD * absJ.max())
@@ -700,18 +692,21 @@ def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
     e.g. (1 - P_T, 1) picks the rightmost P_T fraction, which by the 1-D
     no-crossing property is exactly the transmitted subensemble. Raises
     ValueError for an n_seeds that is not an integer of at least 1, a region
-    whose upper end does not exceed its lower one, or an n_grid that is not
-    an integer of at least 2.
+    whose upper end does not exceed its lower one, a quantile_range (lo, hi)
+    outside 0 <= lo < hi <= 1, or an n_grid that is not an integer of at
+    least 2.
     """
     _check_count("n_seeds", n_seeds, 1)
     if not region[1] > region[0]:
         raise ValueError(f"region must run from low to high, got {region}")
+    lo, hi = quantile_range
+    if not 0.0 <= lo < hi <= 1.0:   # nan fails every comparison
+        raise ValueError(f"quantile_range must satisfy 0 <= lo < hi <= 1, got {quantile_range}")
     _check_count("n_grid", n_grid, 2)
     xs = np.linspace(region[0], region[1], n_grid)
     rho = _density(_ensemble(packet, potential), xs, t_start)
     cdf = _cumulative_trapezoid(rho, xs)
     cdf /= cdf[-1]
-    lo, hi = quantile_range
     qs = lo + (hi - lo) * (np.arange(n_seeds) + 0.5) / n_seeds
     return np.interp(qs, cdf, xs)
 

@@ -449,6 +449,35 @@ def test_optical_needs_evanescent_ratio(tmp_path):
 # bohm
 
 
+@pytest.mark.parametrize("args, builds", [
+    (["bohm", "--set", "V0=10", "--set", "d=2", "--set", "E=5", "--set", "dk=0.05",
+      "--set", "n_nodes=65", "--set", "n_traj=2", "--set", "n_out=41",
+      "--set", "with_flux=true"], 1),
+    (["evolve", "--set", "V0=10", "--set", "d=2", "--set", "E=5", "--set", "dk=0.05",
+      "--set", "n_nodes=65", "--set", "x_points=20", "--set", "dt_fine=1e-16"], 1),
+    (["hartman", "--set", "V0=10", "--set", "E=5", "--set", "n_nodes=65",
+      "--set", "d_min=2", "--set", "d_max=4", "--set", "d_points=3", "--set", "dt_fine=1e-16"], 3),
+], ids=["bohm", "evolve", "hartman"])
+def test_packet_commands_build_one_ensemble_per_potential(tmp_path, monkeypatch, args, builds):
+    # every call on a run's packet and barrier reuses the ensemble the packet keeps
+    built = []
+    init = wp._Ensemble.__init__
+    monkeypatch.setattr(wp._Ensemble, "__init__",
+                        lambda self, *a: built.append(self) or init(self, *a))
+    assert run(args, tmp_path) == 0
+    assert len(built) == builds
+
+
+def test_bohm_rejects_a_transmitted_slice_that_rounds_away(tmp_path, capsys):
+    # P_T = 1.8e-25 makes 1 - P_T == 1: every seed used to land on the barrier edge
+    args = ["bohm", "--set", "V0=10", "--set", "d=20", "--set", "E=2", "--set", "dk=0.02",
+            "--set", "n_nodes=65", "--set", "n_traj=2", "--set", "n_out=41"]
+    assert run(args, tmp_path) == 2
+    assert "transmitted_only=false" in capsys.readouterr().err
+    assert run(args + ["--set", "transmitted_only=false", "--set", "with_flux=false"],
+               tmp_path) == 0
+
+
 @pytest.fixture(scope="module")
 def bohm_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("bohm")

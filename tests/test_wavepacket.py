@@ -1,7 +1,8 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
-from collections import OrderedDict
+import weakref
 
 import numpy as np
 import pytest
@@ -61,7 +62,6 @@ def test_packet_rejects_an_off_origin_start(packet, x0):
     # packet with x0 = -100 got centroid and flux times for two starts
     with pytest.raises(ValueError, match="x0"):
         dataclasses.replace(packet, x0=x0)
-    assert dataclasses.replace(packet, x0=0.0)._key == packet._key
 
 
 @pytest.mark.parametrize("n_nodes", [0, -3, 65.0, np.float64(65.0), True, "65"])
@@ -74,7 +74,6 @@ def test_packets_built_alike_are_bit_identical():
     a, b = (wp.SpectralPacket.gaussian(K5, DK, n_nodes=n) for n in (65, np.int64(65)))
     for name in ("k_nodes", "weights", "amplitude"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-    assert a._key == b._key
 
 
 @pytest.mark.parametrize("k0, dk", [(math.nan, DK), (math.inf, DK), (K5, math.nan),
@@ -437,6 +436,29 @@ def test_arrival_stats_zero_flux_flagged():
     st = wp.arrival_stats(rec)
     assert math.isnan(st.mean_t_plus) and st.low_confidence_plus
     assert math.isnan(st.mean_t_minus) and st.low_confidence_minus
+
+
+@pytest.fixture(scope="module")
+def thin_exit():
+    # the exit probe's forward flux is 1.30e-9, below the default floor
+    pot = PiecewisePotential.square(10.0, 8.0)
+    p = wp.SpectralPacket.gaussian(float(k_of_E(3.0)), DK, n_nodes=129)
+    return wp.flux_records(p, pot, [0.0, 8.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["floor", "incident_norm"])
+def test_arrival_stats_reject_bad_floor_and_norm(thin_exit, name, bad):
+    # floor = nan or -1 cleared the exit probe's flag without an error, and
+    # incident_norm = nan gave nan means with no flag
+    rec0, recd = thin_exit
+    assert wp.arrival_stats(recd).low_confidence_plus
+    assert wp.mean_times(rec0, recd).low_confidence
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        wp.arrival_stats(recd, **{name: bad})
+    if name == "floor":
+        with pytest.raises(ValueError, match="floor must be finite and positive"):
+            wp.mean_times(rec0, recd, floor=bad)
 
 
 def test_flux_records_match_per_probe_series(packet):
@@ -1025,6 +1047,19 @@ def test_seed_positions_reject_bad_input(packet, n_seeds, region, n_grid, match)
         wp.seed_positions(packet, FREE, 0.0, n_seeds, region, n_grid=n_grid)
 
 
+@pytest.mark.parametrize("quantile_range", [
+    (0.0, 1.5), (-0.5, 1.0), (math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+    (-math.inf, 1.0), (0.5, 0.5), (0.8, 0.2)],
+    ids=["hi-above-1", "lo-below-0", "nan-lo", "nan-hi", "inf-hi", "inf-lo", "empty", "reversed"])
+def test_seed_positions_reject_bad_quantile_range(evaluations, quantile_range):
+    # (0, 1.5) put a seed at the region's end, (-0.5, 1) one at its start and
+    # (nan, 1) gave nan seeds
+    p = wp.SpectralPacket.gaussian(K5, DK, n_nodes=129)
+    with pytest.raises(ValueError, match="quantile_range"):
+        wp.seed_positions(p, BARRIER, 0.0, 4, (-700.0, 0.0), quantile_range=quantile_range)
+    assert evaluations == []   # rejected before any evaluation
+
+
 @pytest.mark.parametrize("fn", ["norm_on_window", "centroid_trajectory"])
 @pytest.mark.parametrize("window, dx, match", [
     ((50.0, -50.0), 0.1, "window"),
@@ -1092,36 +1127,43 @@ def test_current_and_density_match_evolve_bit_for_bit(packet, nt):
                           np.abs(wp.evolve(packet, BARRIER, xs, ts[0])[0]) ** 2)
 
 
-def _cache_packets(n):
-    return [wp.SpectralPacket.gaussian(K5 * (1.0 + 0.01 * i), DK, n_nodes=33)
-            for i in range(n)]
+def test_packet_frees_its_ensemble_with_it():
+    packet = wp.SpectralPacket.gaussian(K5, DK, n_nodes=33)
+    wp.transmitted_norm(packet, BARRIER)
+    kept = weakref.ref(wp._ensemble(packet, BARRIER))
+    del packet
+    gc.collect()
+    assert kept() is None   # no module-level store keeps it alive
 
 
-def test_ensemble_cache_drops_least_recent(monkeypatch):
-    monkeypatch.setattr(wp, "_ENSEMBLES", OrderedDict())
-    size = wp.ENSEMBLE_CACHE_SIZE
-    packets = _cache_packets(size + 1)
-    built = [wp._ensemble(p, BARRIER) for p in packets[:size]]
-    # a repeated pair is a hit, and becomes the most recent entry
-    assert wp._ensemble(packets[0], BARRIER) is built[0]
-    wp._ensemble(packets[size], BARRIER)
-    assert len(wp._ENSEMBLES) == size
-    order = packets[2:size] + packets[:1] + packets[size:]
-    assert list(wp._ENSEMBLES) == [(BARRIER, p._key) for p in order]
-    assert wp._ensemble(packets[0], BARRIER) is built[0]
-    assert wp._ensemble(packets[1], BARRIER) is not built[1]    # evicted, so rebuilt
+def test_packet_keeps_the_ensemble_of_its_last_potential(monkeypatch):
+    built = []
+    init = wp._Ensemble.__init__
+    monkeypatch.setattr(wp._Ensemble, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    packet = wp.SpectralPacket.gaussian(K5, DK, n_nodes=33)
+    ens = wp._ensemble(packet, BARRIER)
+    assert wp._ensemble(packet, PiecewisePotential.square(10.0, 5.0)) is ens   # equal, so kept
+    assert wp._ensemble(packet, FREE) is not ens
+    assert wp._ensemble(packet, BARRIER) is not ens   # one slot: the last potential only
+    assert len(built) == 3
 
 
-def test_rebuilt_ensemble_evolves_bit_identically(monkeypatch):
-    monkeypatch.setattr(wp, "_ENSEMBLES", OrderedDict())
-    first, *others = _cache_packets(wp.ENSEMBLE_CACHE_SIZE + 1)
+def test_alternated_potentials_evolve_as_fresh_packets():
+    # a width 1e-12 relative off, and a second barrier, each replace the slot
+    pots = [BARRIER, PiecewisePotential.square(10.0, 5.0 * (1.0 + 1e-12)),
+            PiecewisePotential.double_barrier(10.0, 2.0, 3.0)]
     xs, ts = np.linspace(-30.0, 40.0, 9), np.linspace(-2e-14, 2e-14, 5)
-    before = wp._ensemble(first, BARRIER)
-    want = wp.evolve(first, BARRIER, xs, ts)
-    for p in others:
-        wp._ensemble(p, BARRIER)
-    assert (BARRIER, first._key) not in wp._ENSEMBLES
-    got = wp.evolve(first, BARRIER, xs, ts)
-    assert wp._ensemble(first, BARRIER) is not before
-    for w, g in zip(want, got):
-        assert w.tobytes() == g.tobytes()
+    packet = wp.SpectralPacket.gaussian(K5, DK, n_nodes=33)
+    for pot in pots + pots[::-1] + pots:
+        fresh = wp.SpectralPacket.gaussian(K5, DK, n_nodes=33)
+        assert wp.current(packet, pot, xs, ts).tobytes() == wp.current(fresh, pot, xs, ts).tobytes()
+        assert wp.transmitted_norm(packet, pot) == wp.transmitted_norm(fresh, pot)
+
+
+def test_wavepacket_holds_no_module_level_mutable_state():
+    # a module-level store outlives every packet and shares state between
+    # calls; an OrderedDict is a dict
+    mutable = {name for name, value in vars(wp).items()
+               if not name.startswith("__") and isinstance(value, (dict, list, set))}
+    assert mutable == set()
