@@ -81,7 +81,6 @@ class PacketSpectrumSummary:
     mean_k_R: float
     mean_alpha_prime_T: float
     mean_beta_prime_R: float
-    x0: float
 
 
 @dataclass
@@ -481,7 +480,9 @@ def spectrum_summary(packet, params: SquareBarrierParams) -> PacketSpectrumSumma
     """Weighted spectral means for a packet crossing the square barrier.
 
     ``packet`` provides k_nodes, weights (quadrature), amplitude (normalized
-    spectral amplitude per node), k0, dk, x0.
+    spectral amplitude per node), k0 and dk; its free centroid crosses x = 0
+    at t = 0, as every wavepacket.SpectralPacket's does. Raises ValueError
+    when the transmitted weight vanishes.
     """
     u = params.units
     ks = np.asarray(packet.k_nodes, dtype=float)
@@ -506,22 +507,20 @@ def spectrum_summary(packet, params: SquareBarrierParams) -> PacketSpectrumSumma
         mean_k_R=float((w_R * ks).sum() / s_R) if s_R > 0 else float("nan"),
         mean_alpha_prime_T=float((w_T * ap).sum() / s_T),
         mean_beta_prime_R=float((w_R * bp).sum() / s_R) if s_R > 0 else float("nan"),
-        x0=float(getattr(packet, "x0", 0.0)),
     )
 
 
 def centroid_times(summary: PacketSpectrumSummary, params: SquareBarrierParams):
-    """(tau_C_T, tau_C_R): centroid transmission and reflection times.
+    """(tau_C_T, tau_C_R): centroid transmission and reflection times of a
+    packet whose free centroid crosses the entrance x = 0 at t = 0.
 
-    tau_C_T = (m/hbar)[(d - x0 + <alpha'>_T)/<k>_T + x0/<k>_in]
-    tau_C_R = (m/hbar)[(-x0 + <beta'>_R)/<k>_R + x0/<k>_in]
+    tau_C_T = (m/hbar)(d + <alpha'>_T)/<k>_T
+    tau_C_R = (m/hbar)<beta'>_R/<k>_R
     """
     m_h = params.units.m_over_hbar
-    tau_T = m_h * ((params.d - summary.x0 + summary.mean_alpha_prime_T) / summary.mean_k_T
-                   + summary.x0 / summary.mean_k_in)
+    tau_T = m_h * ((params.d + summary.mean_alpha_prime_T) / summary.mean_k_T)
     if np.isfinite(summary.mean_k_R):
-        tau_R = m_h * ((-summary.x0 + summary.mean_beta_prime_R) / summary.mean_k_R
-                      + summary.x0 / summary.mean_k_in)
+        tau_R = m_h * (summary.mean_beta_prime_R / summary.mean_k_R)
     else:
         tau_R = float("nan")
     return tau_T, tau_R

@@ -38,6 +38,7 @@ PHASE_BLOCK = 64               # rows of the exp(-i omega t) matrix held at once
 FOLD_COLUMNS = 32              # columns of one product of a fold (_fold)
 EVEN_GRID_TOL = 1e-12          # rad; max phase error the even-grid recurrence may add
 BOHM_ROUTE_TOL = 0.05          # largest relative gap between the two Bohm crossing routes
+K_FLOOR = 1e-4                 # 1/A; lowest node of a packet, whatever k0 - 5 dk
 
 
 def _check_positive(name: str, value) -> None:
@@ -50,10 +51,11 @@ def _check_positive(name: str, value) -> None:
 class SpectralPacket:
     """Gaussian k-space packet on a Gauss-Legendre grid.
 
-    amplitude holds C f(k-k0) with C fixed so sum(weights * amplitude^2) = 1.
-    The evolution starts every packet's centroid at x = 0, so x0 must be 0.
-    _last holds (potential, ensemble) for the last potential the packet was
-    evolved in (see _ensemble); it is freed with the packet.
+    amplitude holds C f(k-k0) with C fixed so sum(weights * amplitude^2) = 1,
+    and the free centroid crosses x = 0 at t = 0, the one frame in which
+    evolve and the packet times are defined. _last holds (potential,
+    ensemble) for the last potential the packet was evolved in (see
+    _ensemble); it is freed with the packet.
     """
 
     k0: float
@@ -61,15 +63,12 @@ class SpectralPacket:
     k_nodes: np.ndarray
     weights: np.ndarray
     amplitude: np.ndarray
-    x0: float = 0.0
     units: UnitSystem = ELECTRON
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_positive("k0", self.k0)
         _check_positive("dk", self.dk)
-        if self.x0 != 0:
-            raise ValueError(f"x0 must be 0, the evolution's start, got {self.x0!r}")
         # read-only copies keep a kept ensemble true to the packet's content
         for name in ("k_nodes", "weights", "amplitude"):
             arr = np.array(getattr(self, name), dtype=float)
@@ -82,12 +81,14 @@ class SpectralPacket:
 
     @classmethod
     def gaussian(cls, k0: float, dk: float, n_nodes: int = 513,
-                 k_floor: float = 1e-4, units: UnitSystem = ELECTRON) -> "SpectralPacket":
+                 units: UnitSystem = ELECTRON) -> "SpectralPacket":
+        """The Gaussian f(k - k0) = exp(-(k - k0)^2 / (2 dk^2)) on n_nodes
+        Gauss-Legendre nodes over [max(K_FLOOR, k0 - 5 dk), k0 + 5 dk]."""
         _check_positive("k0", k0)
         _check_positive("dk", dk)
         if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
             raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
-        lo = max(k_floor, k0 - 5.0 * dk)
+        lo = max(K_FLOOR, k0 - 5.0 * dk)
         hi = k0 + 5.0 * dk
         xg, wg = _gauss_legendre(int(n_nodes))
         k = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
@@ -97,7 +98,8 @@ class SpectralPacket:
         return cls(k0=k0, dk=dk, k_nodes=k, weights=w, amplitude=f, units=units)
 
     def with_nodes(self, n_nodes: int) -> "SpectralPacket":
-        """Same packet on a refined grid (for convergence checks)."""
+        """The same (k0, dk, units) packet on n_nodes nodes (for convergence
+        checks); with the packet's own count it rebuilds the packet bit for bit."""
         return SpectralPacket.gaussian(self.k0, self.dk, n_nodes=n_nodes, units=self.units)
 
     @property
@@ -502,16 +504,16 @@ def flux_series(packet: SpectralPacket, potential: PiecewisePotential, x: float,
     return flux_records(packet, potential, [x], t_grid=t_grid, dt_fine=dt_fine)[0]
 
 
-def arrival_stats(record: FluxRecord, floor: float = FLUX_FLOOR,
-                  incident_norm: float = 1.0) -> ArrivalStats:
+def arrival_stats(record: FluxRecord, floor: float = FLUX_FLOOR) -> ArrivalStats:
     """Sign-split arrival-time means and variances at one probe point.
 
-    Both flags are raised when the time window cuts off flux that is still
-    flowing: |J| at either end of record.t above SUPPORT_THRESHOLD of max |J|.
-    Raises ValueError unless floor and incident_norm are finite and positive.
+    floor is a fraction of the packet's unit incident norm: a side whose
+    total flux falls below it is flagged low-confidence. Both flags are also
+    raised when the time window cuts off flux that is still flowing: |J| at
+    either end of record.t above SUPPORT_THRESHOLD of max |J|. Raises
+    ValueError unless floor is finite and positive.
     """
     _check_positive("floor", floor)
-    _check_positive("incident_norm", incident_norm)
     t = record.t
     absJ = np.abs(record.J)
     clipped = absJ.size > 0 and bool(max(absJ[0], absJ[-1]) > SUPPORT_THRESHOLD * absJ.max())
@@ -520,11 +522,11 @@ def arrival_stats(record: FluxRecord, floor: float = FLUX_FLOOR,
         tot = np.trapezoid(Jpart, t)
         # below the floor the mean is still computed but flagged; only a
         # strictly-zero (roundoff level) flux leaves it undefined
-        if abs(tot) < 1e-15 * incident_norm:
+        if abs(tot) < 1e-15:
             return math.nan, math.nan, float(tot), True
         m1 = np.trapezoid(t * Jpart, t) / tot
         m2 = np.trapezoid((t - m1) ** 2 * Jpart, t) / tot
-        return float(m1), float(m2), float(tot), abs(tot) < floor * incident_norm
+        return float(m1), float(m2), float(tot), abs(tot) < floor
 
     mp, vp, tp, lp = moments(record.J_plus)
     mm, vm, tm, lm = moments(record.J_minus)
@@ -889,10 +891,10 @@ def _quantile_sweep(ens: _Ensemble, xs: np.ndarray, ts: np.ndarray, ends: list[i
 
 
 def _flux_crossings(t: np.ndarray, crossed: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """First times at which crossed, the mass to the right of a probe on the
-    time grid t, reaches each of mass; nan where it never does within t.
-    Linear between grid times; t[0] for masses already to its right at the
-    start."""
+    """First times at which crossed, sampled on the time grid t (the mass
+    right of a probe, or a trajectory's position), reaches each of mass; nan
+    where it never does within t. Linear between grid times; t[0] for a mass
+    that crossed[0] already reaches."""
     i = np.searchsorted(np.maximum.accumulate(crossed), mass)
     out = np.full(mass.size, math.nan)
     out[i == 0] = t[0]
@@ -911,35 +913,25 @@ def bohm_route_disagreement(trajectories: list[BohmTrajectory],
     x_right, relative to the flux route's time in the barrier (to the end of
     the window for a trajectory that has not left it). A crossing that only
     one route finds counts as inf. 0.0 without a potential or without a
-    comparable trajectory.
+    comparable trajectory. Both routes take _flux_crossings' first passage.
     """
     worst = 0.0
     if not potential.segments:
         return worst
+    faces = np.array([potential.x_left, potential.x_right])
     for tr in trajectories:
         if tr.degenerate:
             continue
         end = tr.t[-1] if math.isnan(tr.barrier_exit) else tr.barrier_exit
         stay = end - tr.barrier_entry   # nan for a trajectory that never enters
-        for flux_t, level in ((tr.barrier_entry, potential.x_left),
-                              (tr.barrier_exit, potential.x_right)):
-            sample_t = _first_crossing(tr.t, tr.x, level)
+        for flux_t, sample_t in zip((tr.barrier_entry, tr.barrier_exit),
+                                    _flux_crossings(tr.t, tr.x, faces).tolist()):
             if math.isnan(flux_t) != math.isnan(sample_t):
                 return math.inf
             gap = abs(flux_t - sample_t)
             if gap > 0:   # nan where neither route crosses
                 worst = max(worst, gap / stay if stay > 0 else math.inf)
     return worst
-
-
-def _first_crossing(t: np.ndarray, x: np.ndarray, level: float) -> float:
-    """First time the samples reach level, linear between samples."""
-    i = int(np.argmax(x >= level))
-    if x[i] < level:
-        return math.nan
-    if i == 0:
-        return float(t[0])
-    return float(t[i - 1] + (level - x[i - 1]) / (x[i] - x[i - 1]) * (t[i] - t[i - 1]))
 
 
 def quantum_potential(packet: SpectralPacket, potential: PiecewisePotential,

@@ -129,6 +129,38 @@ def test_empty_sweep_rejected(tmp_path):
                tmp_path) == 2
 
 
+@pytest.mark.parametrize("text, match", [("V0 10", "expected 'key = value'"),
+                                         (" = 3", "empty key")])
+def test_config_line_without_key_or_equals_rejected(text, match):
+    with pytest.raises(cli.ConfigError, match=match):
+        cli.parse_config_text(f"d = 5\n{text}\n", source="run.cfg")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["times", "--set", "V0=10", "--set", "d=5", "--set", "k_points=3"],
+     "k_points given without k_min/k_max"),
+    (["times", "--set", "V0=10", "--set", "d=5", "--set", "k=1",
+      "--set", "E_min=1", "--set", "E_max=2", "--set", "E_points=3"],
+     "fixed k/E conflicts with a k/E sweep"),
+    (["times", "--set", "V0=10", "--set", "E=5"], "missing required config key 'd'"),
+    (["reshape", "--set", "V0=10", "--set", "d=-1", "--set", "E=5", "--set", "dk=0.02"],
+     "'d' must be >= 0"),
+    (["optical", "--set", "gap_E=10"], "gap sweep needs gap_E < gap_V0"),
+    (["bohm", "--set", "V0=10", "--set", "d=5", "--set", "E=5", "--set", "dk=0.02",
+      "--set", "t_start=1e-14", "--set", "t_end=1e-14"], "t_end must exceed t_start"),
+    (["bohm", "--set", "V0=10", "--set", "d=5", "--set", "E=5", "--set", "dk=0.02",
+      "--set", "n_nodes=65", "--set", "t_start=1e-12", "--set", "t_end=2e-12"],
+     "t_start leaves no seeding room left of the barrier"),
+    (["evolve", "--set", "V0=10", "--set", "d=5", "--set", "E=5", "--set", "dk=0.02",
+      "--set", "svg=maybe"], "key 'svg': cannot parse 'maybe' as bool"),
+], ids=["sweep-without-bounds", "fixed-k-with-E-sweep", "times-without-d", "negative-d",
+        "gap-above-top", "empty-bohm-window", "no-seeding-room", "bool-maybe"])
+def test_bad_combination_exits_2_with_its_message(tmp_path, capsys, args, message):
+    assert run(args, tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_path(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -353,6 +385,16 @@ def test_hartman_table(tmp_path):
     assert np.all(np.abs(phase[thick] / sat[thick] - 1.0) < 0.01)
     # flux tunnelling time essentially width independent between 6 and 12 A
     assert abs(flux[-1] / flux[1] - 1.0) < 0.10
+
+
+def test_hartman_svg_written(tmp_path):
+    assert run(["hartman", "--set", "V0=10", "--set", "E=5", "--set", "n_nodes=65",
+                "--set", "d_min=2", "--set", "d_max=4", "--set", "d_points=3",
+                "--set", "dt_fine=1e-16", "--set", "svg=true"], tmp_path) == 0
+    svg = (tmp_path / "hartman.svg").read_text()
+    assert svg.startswith("<svg")
+    # phase, dwell, sideband, flux and saturation against the width
+    assert svg.count("<polyline") == 5
 
 
 def test_hartman_needs_tunnelling_regime(tmp_path):

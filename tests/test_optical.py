@@ -145,8 +145,25 @@ def test_optical_hartman_saturation():
     assert t2 == pytest.approx(t1, rel=1e-4, abs=0)  # independent of length
 
 
+@pytest.mark.parametrize("ratio", [0.3, 0.6, 0.8, 0.95])
+def test_saturated_direct_meets_mapped(ratio):
+    # from kappa L = 300 the direct form takes its bracket as exactly 2
+    s = spec_at(ratio)
+    L = 400.0 / abs(op.waveguide_dispersion(s)[0].imag)
+    direct = op.traversal_time_direct(s, L)
+    assert op.traversal_time_mapped(s, L) == pytest.approx(direct, rel=1e-14, abs=0)
+
+
 def test_traversal_zero_length():
     assert op.traversal_time_direct(spec_at(0.8), 0.0) == 0.0
+
+
+def test_traversal_rejects_bad_length():
+    with pytest.raises(ValueError, match="L must be >= 0"):
+        op.traversal_time_direct(spec_at(0.8), -1e-3)
+    for bad in (math.nan, math.inf, [0.1, math.inf]):
+        with pytest.raises(ValueError, match="L must be finite and >= 0"):
+            op.traversal_time_mapped(spec_at(0.8), bad)
 
 
 def test_traversal_rejects_propagating():
@@ -163,6 +180,12 @@ def test_superluminal_threshold():
     for kapL, above in ((thr * 0.9, False), (thr * 1.1, True)):
         L = kapL / kap
         assert bool((L / op.traversal_time_direct(s, L)) > op.C_M_S) == above
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_superluminal_threshold_rejects_ratio_outside_unit_interval(ratio):
+    with pytest.raises(ValueError, match=r"omega_ratio must lie in \(0, 1\)"):
+        op.superluminal_threshold(ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,23 @@ def test_potential_validation():
     assert len(p.segments) == 1
 
 
+def test_zero_width_square_is_free_space():
+    assert PiecewisePotential.square(10.0, 0.0) == PiecewisePotential.free()
+
+
+@pytest.mark.parametrize("V0_, d, match", [(0.0, 5.0, "V0 must be positive"),
+                                           (-1.0, 5.0, "V0 must be positive"),
+                                           (10.0, -1.0, "d must be >= 0")])
+def test_square_params_reject_out_of_domain(V0_, d, match):
+    with pytest.raises(ValueError, match=match):
+        SquareBarrierParams(V0_, d)
+
+
+def test_step_cannot_be_reversed():
+    with pytest.raises(ValueError, match="semi-infinite"):
+        PiecewisePotential.step(V0).reversed()
+
+
 def test_k_validation():
     with pytest.raises(ValueError):
         solve_transfer_matrix(PiecewisePotential.square(V0, 5.0), 0.0)

@@ -435,7 +435,6 @@ def test_spectrum_summary_symmetric_input():
     s = make_summary(0.02, 5.0)
     assert s.mean_k_in == pytest.approx(K5, rel=1e-10)
     assert s.mean_k_T > K5  # filter favours the fast components
-    assert s.x0 == 0.0
 
 
 def _fd_richardson(f, x: float, h: float) -> float:
@@ -474,7 +473,6 @@ def _parent_spectrum_summary(packet, params):
         mean_k_R=float((w_R * ks).sum() / s_R),
         mean_alpha_prime_T=float((w_T * ap).sum() / s_T),
         mean_beta_prime_R=float((w_R * bp).sum() / s_R),
-        x0=float(getattr(packet, "x0", 0.0)),
     ), ap, bp
 
 
@@ -485,7 +483,7 @@ def test_spectrum_summary_exact_slopes_match_richardson(V0_, d, E):
     pkt = SpectralPacket.gaussian(float(k_of_E(E)), 0.02, n_nodes=513)
     want, ap, bp = _parent_spectrum_summary(pkt, params)
     got = tt.spectrum_summary(pkt, params)
-    for name in ("k0", "dk", "mean_k_in", "mean_k_T", "mean_k_R", "x0"):
+    for name in ("k0", "dk", "mean_k_in", "mean_k_T", "mean_k_R"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.mean_alpha_prime_T == pytest.approx(want.mean_alpha_prime_T, rel=1e-7, abs=0)
     assert got.mean_beta_prime_R == pytest.approx(want.mean_beta_prime_R, rel=1e-7, abs=0)
@@ -584,3 +582,26 @@ def test_library_rejects_bad_input(call, bad):
         warnings.simplefilter("error")   # a raise, not a warning on the way to nan
         with pytest.raises(ValueError):
             BAD_INPUT[call](bad)
+
+
+# each call is finite but just outside its function's domain
+OUT_OF_DOMAIN = {
+    "hartman_bracket above the top": (lambda: tt.hartman_bracket(_P, 1.1 * EPS),
+                                      "below the barrier top"),
+    "dwell_time x2 = x1": (lambda: tt.dwell_time(PiecewisePotential.square(V0, 5.0), K5,
+                                                 5.0, 5.0), "x1 < x2"),
+    "dwell_time x2 < x1": (lambda: tt.dwell_time(PiecewisePotential.square(V0, 5.0), K5,
+                                                 5.0, 0.0), "x1 < x2"),
+    "step_barrier_times E > V0": (lambda: tt.step_barrier_times(V0, 1.2 * EPS), "sub-barrier"),
+    # T^2 underflows on every node of a 1 eV packet under a 100 eV, 200 A barrier
+    "spectrum_summary T = 0": (lambda: tt.spectrum_summary(
+        SpectralPacket.gaussian(k_of_E(1.0), 0.02, n_nodes=65), SquareBarrierParams(100.0, 200.0)),
+        "transmitted weight vanishes"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OUT_OF_DOMAIN))
+def test_library_rejects_out_of_domain_input(call):
+    fn, match = OUT_OF_DOMAIN[call]
+    with pytest.raises(ValueError, match=match):
+        fn()

@@ -61,6 +61,12 @@ def test_kappa_of():
     assert kap ** 2 + u.k_of_E(E) ** 2 == pytest.approx(u.k_of_E(V) ** 2, rel=1e-13)
 
 
+@pytest.mark.parametrize("E, V", [(10.0, 10.0), (12.0, 10.0), (np.array([5.0, 10.0]), 10.0)])
+def test_kappa_of_rejects_energy_at_or_above_the_top(E, V):
+    with pytest.raises(ValueError, match="V > E"):
+        U.ELECTRON.kappa_of(E, V)
+
+
 def test_unit_system_validation():
     with pytest.raises(ValueError):
         U.UnitSystem(hbarc_eV_A=0.0, electron_rest_eV=1.0, c_A_per_s=1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import importlib
 import math
 import tracemalloc
 import weakref
@@ -59,9 +60,28 @@ def test_packet_validation():
 @pytest.mark.parametrize("x0", [-100.0, 1e-9, math.nan])
 def test_packet_rejects_an_off_origin_start(packet, x0):
     # the evolution ignored x0 while times.spectrum_summary read it, so a
-    # packet with x0 = -100 got centroid and flux times for two starts
-    with pytest.raises(ValueError, match="x0"):
+    # packet with x0 = -100 got centroid and flux times for two starts; a
+    # packet has no start field now, so an off-origin start cannot be stated
+    with pytest.raises(TypeError, match="x0"):
         dataclasses.replace(packet, x0=x0)
+    with pytest.raises(TypeError, match="x0"):
+        wp.SpectralPacket(packet.k0, packet.dk, packet.k_nodes, packet.weights,
+                          packet.amplitude, x0=x0)
+
+
+def test_with_nodes_keeps_the_floor():
+    # with_nodes dropped gaussian's k_floor: a packet built with k_floor=0.02
+    # came back from with_nodes(65) with its lowest node at 2.2e-4
+    p = wp.SpectralPacket.gaussian(0.1, 0.05, n_nodes=65)
+    assert 0.1 - 5 * 0.05 < wp.K_FLOOR   # the floor binds
+    q = p.with_nodes(65)
+    for name in ("k_nodes", "weights", "amplitude"):
+        assert getattr(q, name).tobytes() == getattr(p, name).tobytes(), name
+    r = p.with_nodes(129)
+    span = (wp.K_FLOOR, 0.1 + 5 * 0.05)
+    for pk in (p, r):   # Gauss-Legendre nodes are interior: the weights span the interval
+        assert pk.k_nodes.min() > span[0] and pk.k_nodes.max() < span[1]
+        assert pk.weights.sum() == pytest.approx(span[1] - span[0], rel=1e-13)
 
 
 @pytest.mark.parametrize("n_nodes", [0, -3, 65.0, np.float64(65.0), True, "65"])
@@ -447,18 +467,16 @@ def thin_exit():
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["floor", "incident_norm"])
+@pytest.mark.parametrize("name", ["floor"])   # the incident norm is always 1
 def test_arrival_stats_reject_bad_floor_and_norm(thin_exit, name, bad):
-    # floor = nan or -1 cleared the exit probe's flag without an error, and
-    # incident_norm = nan gave nan means with no flag
+    # floor = nan or -1 cleared the exit probe's flag without an error
     rec0, recd = thin_exit
     assert wp.arrival_stats(recd).low_confidence_plus
     assert wp.mean_times(rec0, recd).low_confidence
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         wp.arrival_stats(recd, **{name: bad})
-    if name == "floor":
-        with pytest.raises(ValueError, match="floor must be finite and positive"):
-            wp.mean_times(rec0, recd, floor=bad)
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        wp.mean_times(rec0, recd, **{name: bad})
 
 
 def test_flux_records_match_per_probe_series(packet):
@@ -737,6 +755,16 @@ def test_quantum_potential_free_gaussian(packet):
         wp.quantum_potential(packet, FREE, -30.0, 0.0), rel=1e-9)
 
 
+def test_zero_amplitude_packet_has_no_flux_support(packet):
+    # no probe has flux: the coarse scan itself is the grid, and every
+    # stencil point is an amplitude node
+    empty = dataclasses.replace(packet, amplitude=0.0 * packet.amplitude)
+    want = np.arange(wp.T_SPAN[0], wp.T_SPAN[1] + wp.DT_COARSE / 2, wp.DT_COARSE)
+    grid = wp.default_time_grid(empty, BARRIER, [0.0, 5.0])
+    assert len(grid) == 201 and grid.tobytes() == want.tobytes()
+    assert math.isnan(wp.quantum_potential(empty, BARRIER, 0.0, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # blocked mode evaluator
 
@@ -982,10 +1010,10 @@ def test_evolve_rejects_non_finite_input(packet, bad, where):
 
 
 def test_ensemble_cache_keys_on_spectral_content():
-    # same k0, dk and node count; only k_floor moves the nodes
+    # same k0, dk, node count, weights and amplitude; only the nodes move
     pot = PiecewisePotential.square(1.0, 5.0)
-    a = wp.SpectralPacket.gaussian(0.1, 0.05, n_nodes=65, k_floor=1e-4)
-    b = wp.SpectralPacket.gaussian(0.1, 0.05, n_nodes=65, k_floor=0.02)
+    a = wp.SpectralPacket.gaussian(0.1, 0.05, n_nodes=65)
+    b = dataclasses.replace(a, k_nodes=a.k_nodes + 0.01)
     for p in (a, b):
         want = sum(w * g * g * abs(solve_transfer_matrix(pot, float(k)).amp_T) ** 2
                    for k, w, g in zip(p.k_nodes, p.weights, p.amplitude))
@@ -1161,9 +1189,12 @@ def test_alternated_potentials_evolve_as_fresh_packets():
         assert wp.transmitted_norm(packet, pot) == wp.transmitted_norm(fresh, pot)
 
 
-def test_wavepacket_holds_no_module_level_mutable_state():
+@pytest.mark.parametrize("module", ["units", "scattering", "times", "optical", "wavepacket"])
+def test_library_holds_no_module_level_mutable_state(module):
     # a module-level store outlives every packet and shares state between
-    # calls; an OrderedDict is a dict
-    mutable = {name for name, value in vars(wp).items()
+    # calls; an OrderedDict is a dict. cli is left out: its schema and column
+    # tables are constants that no call changes
+    mod = importlib.import_module(f"tunneltime.{module}")
+    mutable = {name for name, value in vars(mod).items()
                if not name.startswith("__") and isinstance(value, (dict, list, set))}
     assert mutable == set()
