@@ -35,7 +35,7 @@ FLUX_FLOOR = 1e-6              # of incident norm; below this: low confidence
 SUPPORT_SIGMAS = 10.0          # refined window padding in packet time-widths
 SUPPORT_THRESHOLD = 1e-8       # of max |J|; above this the flux is still flowing
 PHASE_BLOCK = 64               # rows of the exp(-i omega t) matrix held at once
-FOLD_COLUMNS = 32              # columns of one product of a fold (_fold)
+FOLD_ELEMS = 32 * (513 + 2 * PHASE_BLOCK)   # complex elements of a fold's buffers (_fold)
 EVEN_GRID_TOL = 1e-12          # rad; max phase error the even-grid recurrence may add
 BOHM_ROUTE_TOL = 0.05          # largest relative gap between the two Bohm crossing routes
 K_FLOOR = 1e-4                 # 1/A; lowest node of a packet, whatever k0 - 5 dk
@@ -99,7 +99,12 @@ class SpectralPacket:
 
     def with_nodes(self, n_nodes: int) -> "SpectralPacket":
         """The same (k0, dk, units) packet on n_nodes nodes (for convergence
-        checks); with the packet's own count it rebuilds the packet bit for bit."""
+        checks). Raises ValueError unless the packet is gaussian(k0, dk,
+        len(k_nodes), units) byte for byte, which it would not rebuild."""
+        own = SpectralPacket.gaussian(self.k0, self.dk, len(self.k_nodes), self.units)
+        if any(getattr(own, name).tobytes() != getattr(self, name).tobytes()
+               for name in ("k_nodes", "weights", "amplitude")):
+            raise ValueError("with_nodes needs a packet built by SpectralPacket.gaussian")
         return SpectralPacket.gaussian(self.k0, self.dk, n_nodes=n_nodes, units=self.units)
 
     @property
@@ -221,25 +226,28 @@ def _fold(offset: np.ndarray, anchors, shorts, n_long: int):
     that start at rows starts, a slice, into the rows of out. shorts yields
     (short rows, *parts): each part an (n, Nk) array, or None to skip it.
     Column (i, j) of a part is part[i] times the anchor of block j; a
-    product is offset against at most FOLD_COLUMNS columns (n when n is
-    larger), and yields one tile per part, shape (n, long rows): row i
-    holds sum_k offset[r, k] anchor_j[k] part[i, k] at row s_j + r.
+    product is offset against width = FOLD_ELEMS // (Nk + 2 PHASE_BLOCK)
+    columns at most (n when n is larger), and yields one tile per part,
+    shape (n, long rows): row i holds sum_k offset[r, k] anchor_j[k]
+    part[i, k] at row s_j + r.
 
     A part's layout, and so its rounding, does not depend on the other
-    parts. One column buffer and one product buffer serve the call, grown
-    when a short block needs more rows than they hold; the tiles are views
-    into the product, overwritten by the next.
+    parts: width counts two. One column buffer and one product buffer,
+    FOLD_ELEMS elements together, serve the call, grown when a short block
+    has more rows than width; the tiles are views into the product,
+    overwritten by the next.
     """
     B, nk = offset.shape
     cols = prod = None
     for short, *parts in shorts:
         parts = [p for p in parts if p is not None]
         n = len(parts[0])
-        if cols is None or n > len(cols):   # grow for a longer block, old buffers freed first
+        width = max(FOLD_ELEMS // (nk + 2 * B), n)
+        if cols is None or width > len(cols):   # grow for a longer block, old buffers freed first
             cols = prod = None
-            cols = np.empty((max(FOLD_COLUMNS, n), nk), complex)
-            prod = np.empty((len(parts), max(FOLD_COLUMNS, n), B), complex)
-        per = max(FOLD_COLUMNS // n, 1)   # long blocks per product
+            cols = np.empty((width, nk), complex)
+            prod = np.empty((len(parts), width, B), complex)
+        per = width // n   # long blocks per product
         a = np.empty((per, nk), complex)
         for s0 in range(0, n_long, per * B):
             stop = min(s0 + per * B, n_long)
@@ -370,9 +378,11 @@ def _density(ens: _Ensemble, x, t) -> np.ndarray:
 
 
 def _current_cell(units: UnitSystem):
-    """The cell J = (hbar/m) Im(Psi* dPsi/dx) of a (Psi, dPsi/dx) tile."""
+    """The cell J = (hbar/m) Im(Psi* dPsi/dx) of a (Psi, dPsi/dx) tile, into
+    out when given; Psi* dPsi/dx is formed in place of the Psi tile."""
     hbar_over_m = units.hbar_over_m
-    return lambda p, d: hbar_over_m * np.imag(np.conj(p) * d)
+    return lambda p, d, out=None: np.multiply(
+        hbar_over_m, np.multiply(np.conj(p, out=p), d, out=p).imag, out=out)
 
 
 def current(packet: SpectralPacket, potential: PiecewisePotential, x, t):
@@ -479,7 +489,8 @@ def flux_records(packet: SpectralPacket, potential: PiecewisePotential, xs,
 
     Without t_grid every probe shares default_time_grid(xs): one coarse scan
     and one current evaluation serve all of them. The records' J are the
-    rows of one (probe, time) table, filled tile by tile. Raises ValueError
+    rows of one (probe, time) table; each tile's J is formed on its Psi tile
+    and written into the table's slice. Raises ValueError
     for a dt_fine that is not finite and positive, or a t_grid that is not a
     strictly increasing 1-D array.
     """
@@ -493,7 +504,7 @@ def flux_records(packet: SpectralPacket, potential: PiecewisePotential, xs,
     J = np.empty((len(xs), len(ts)))
     cell = _current_cell(packet.units)
     for rows, cols, p, d in _blocks(_ensemble(packet, potential), xs, ts, True):
-        J[cols, rows] = cell(p, d).T
+        cell(p, d, J[cols, rows].T)
         del p, d
     return [FluxRecord(x=float(x), t=ts, J=row) for x, row in zip(xs, J)]
 
@@ -510,26 +521,35 @@ def arrival_stats(record: FluxRecord, floor: float = FLUX_FLOOR) -> ArrivalStats
     floor is a fraction of the packet's unit incident norm: a side whose
     total flux falls below it is flagged low-confidence. Both flags are also
     raised when the time window cuts off flux that is still flowing: |J| at
-    either end of record.t above SUPPORT_THRESHOLD of max |J|. Raises
-    ValueError unless floor is finite and positive.
+    either end of record.t above SUPPORT_THRESHOLD of max |J|. The
+    trapezoids are np.trapezoid's, bit for bit, formed in place in one
+    scratch buffer. Raises ValueError unless floor is finite and positive.
     """
     _check_positive("floor", floor)
-    t = record.t
-    absJ = np.abs(record.J)
+    t, J = record.t, record.J
+    part, work = np.empty(len(J)), np.empty(len(J))
+    absJ = np.abs(J, out=work)
     clipped = absJ.size > 0 and bool(max(absJ[0], absJ[-1]) > SUPPORT_THRESHOLD * absJ.max())
+    dt, buf = np.diff(t), np.empty(max(len(t) - 1, 0))
 
-    def moments(Jpart):
-        tot = np.trapezoid(Jpart, t)
+    def trapezoid(y):   # np.trapezoid(y, t)
+        np.add(y[1:], y[:-1], out=buf)
+        np.multiply(dt, buf, out=buf)
+        return np.divide(buf, 2.0, out=buf).sum()
+
+    def moments(lo, hi):   # of the side np.clip(J, lo, hi)
+        tot = trapezoid(np.clip(J, lo, hi, out=part))
         # below the floor the mean is still computed but flagged; only a
         # strictly-zero (roundoff level) flux leaves it undefined
         if abs(tot) < 1e-15:
             return math.nan, math.nan, float(tot), True
-        m1 = np.trapezoid(t * Jpart, t) / tot
-        m2 = np.trapezoid((t - m1) ** 2 * Jpart, t) / tot
+        m1 = trapezoid(np.multiply(t, part, out=work)) / tot
+        np.square(np.subtract(t, m1, out=work), out=work)
+        m2 = trapezoid(np.multiply(work, part, out=work)) / tot
         return float(m1), float(m2), float(tot), abs(tot) < floor
 
-    mp, vp, tp, lp = moments(record.J_plus)
-    mm, vm, tm, lm = moments(record.J_minus)
+    mp, vp, tp, lp = moments(0.0, None)
+    mm, vm, tm, lm = moments(None, 0.0)
     return ArrivalStats(mean_t_plus=mp, mean_t_minus=mm, var_t_plus=vp, var_t_minus=vm,
                         total_plus_flux=tp, total_minus_flux=abs(tm),
                         low_confidence_plus=lp or clipped,

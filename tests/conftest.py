@@ -3,7 +3,8 @@ package fixture with the ratio of its hbar to this package's, the tolerance
 assertion the frozen-copy tests share, the independent routes that stand in
 for the frozen copy in its top window, and the anchored transfer solver with
 its interior evaluator, kept as the frozen reference of the sweep and the
-modes.
+modes, and the np.trapezoid arrival statistics, the frozen reference of
+wavepacket.arrival_stats.
 
 Every test named test_criterion_* is tracked and reported as a single
 PASS/FAIL line in the terminal summary, so the acceptance state is visible
@@ -30,6 +31,7 @@ from tunneltime.scattering import (
     solve_transfer_matrix,
 )
 from tunneltime.units import ELECTRON
+from tunneltime.wavepacket import SUPPORT_THRESHOLD, ArrivalStats
 
 FROZEN = Path(__file__).resolve().parent.parent / "bench" / "baseline" / "tunneltime"
 
@@ -419,6 +421,29 @@ def with_left_anchored_B(state):
 def parent_psi_and_dpsi(state, x):
     """(psi, dpsi/dx) of a parent_solve_transfer_matrix state at the points x."""
     return parent_interior(with_left_anchored_B(state), np.asarray(x, dtype=float))
+
+
+def parent_arrival_stats(record, floor: float):
+    """wavepacket.arrival_stats as it was with np.trapezoid and a fresh array
+    per weighted moment."""
+    t = record.t
+    absJ = np.abs(record.J)
+    clipped = absJ.size > 0 and bool(max(absJ[0], absJ[-1]) > SUPPORT_THRESHOLD * absJ.max())
+
+    def moments(Jpart):
+        tot = np.trapezoid(Jpart, t)
+        if abs(tot) < 1e-15:
+            return math.nan, math.nan, float(tot), True
+        m1 = np.trapezoid(t * Jpart, t) / tot
+        m2 = np.trapezoid((t - m1) ** 2 * Jpart, t) / tot
+        return float(m1), float(m2), float(tot), abs(tot) < floor
+
+    mp, vp, tp, lp = moments(record.J_plus)
+    mm, vm, tm, lm = moments(record.J_minus)
+    return ArrivalStats(mean_t_plus=mp, mean_t_minus=mm, var_t_plus=vp, var_t_minus=vm,
+                        total_plus_flux=tp, total_minus_flux=abs(tm),
+                        low_confidence_plus=lp or clipped,
+                        low_confidence_minus=lm or clipped)
 
 
 _RESULTS: dict[str, str] = {}

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import parent_psi_and_dpsi, parent_solve_transfer_matrix
+from conftest import parent_arrival_stats, parent_psi_and_dpsi, parent_solve_transfer_matrix
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tunneltime import wavepacket as wp
@@ -82,6 +82,23 @@ def test_with_nodes_keeps_the_floor():
     for pk in (p, r):   # Gauss-Legendre nodes are interior: the weights span the interval
         assert pk.k_nodes.min() > span[0] and pk.k_nodes.max() < span[1]
         assert pk.weights.sum() == pytest.approx(span[1] - span[0], rel=1e-13)
+
+
+@pytest.mark.parametrize("name, change", [("k_nodes", lambda a: a + 0.01),
+                                          ("weights", lambda a: 2.0 * a),
+                                          ("amplitude", lambda a: a * (1.0 + 1e-15))],
+                         ids=["k_nodes", "weights", "amplitude"])
+def test_with_nodes_rejects_a_packet_gaussian_did_not_build(name, change):
+    # with_nodes rebuilt the Gaussian of (k0, dk, units): a packet whose nodes
+    # were moved by 0.01 came back from with_nodes(65) with its lowest node
+    # at 1.0456 instead of 1.0556, with no error
+    p = wp.SpectralPacket.gaussian(K5, DK, n_nodes=65)
+    other = dataclasses.replace(p, **{name: change(getattr(p, name))})
+    assert getattr(other, name).tobytes() != getattr(p, name).tobytes()
+    for n in (65, 129):
+        with pytest.raises(ValueError, match="SpectralPacket.gaussian"):
+            other.with_nodes(n)
+    assert p.with_nodes(65).k_nodes.tobytes() == p.k_nodes.tobytes()
 
 
 @pytest.mark.parametrize("n_nodes", [0, -3, 65.0, np.float64(65.0), True, "65"])
@@ -301,6 +318,8 @@ def gather_blocks(ens, xs, ts, derivative):
        derivative=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 @example(x_kind="across", nx=3 * wp.PHASE_BLOCK + 7, x0=1.0, dx=1.0, nt=wp.PHASE_BLOCK + 1,
          t_even=True, t0=-2e-14, dt=2e-16, derivative=True, seed=0)   # short first block
+@example(x_kind="across", nx=21, x0=1.0, dx=1.0, nt=3 * wp.PHASE_BLOCK + 5,
+         t_even=True, t0=-2e-14, dt=2e-16, derivative=True, seed=0)   # 4 long blocks a product
 def test_blocks_match_direct_sums(packet65, x_kind, nx, x0, dx, nt, t_even, t0, dt,
                                   derivative, seed):
     # the folded paths (long even times; long even free runs of positions
@@ -370,6 +389,52 @@ def test_even_time_grid_forms_one_phase_tile(packet, monkeypatch):
     ts = -2e-14 + 2e-16 * np.arange(5 * wp.PHASE_BLOCK + 3)
     wp.evolve(packet, BARRIER, [-3.0, 2.5, 9.0], ts)
     assert calls == [wp.PHASE_BLOCK]
+
+
+def test_fold_products_fill_the_element_budget(monkeypatch):
+    # 21 probes x 20,001 even times at 67 nodes, the shape of the flux_probes
+    # slow packet's evolve job: FOLD_ELEMS // (67 + 2 PHASE_BLOCK) = 105
+    # columns take 5 long blocks of the 21 probes a product, where 32
+    # columns took one, in 313 products
+    products, fold = [], wp._fold   # the long rows of each product of a part
+
+    def counted(*args):
+        for item in fold(*args):
+            products.append(item[0])
+            yield item
+
+    monkeypatch.setattr(wp, "_fold", counted)
+    p = wp.SpectralPacket.gaussian(K5, DK, n_nodes=67)
+    t = np.linspace(-1e-13, 1e-13, 20001)
+    wp.flux_records(p, BARRIER, np.linspace(0.0, 5.0, 21), t_grid=t)
+    blocks = math.ceil(len(t) / wp.PHASE_BLOCK)
+    assert blocks == 313 and len(products) == math.ceil(blocks / 5) == 63
+    assert all(r.stop - r.start == 5 * wp.PHASE_BLOCK for r in products[:-1])
+
+
+def test_flux_path_holds_no_tile_sized_temporaries():
+    # at the shape above: J is formed in place of the product tile, and the
+    # arrival statistics take their trapezoids in one scratch buffer
+    p = wp.SpectralPacket.gaussian(K5, DK, n_nodes=67)
+    t = np.linspace(-1e-13, 1e-13, 20001)
+    xs = np.linspace(0.0, 5.0, 21)
+    wp.flux_records(p, BARRIER, xs, t_grid=t[:200])   # ensemble built outside
+    tracemalloc.start()
+    try:
+        recs = wp.flux_records(p, BARRIER, xs, t_grid=t)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        wp.arrival_stats(recs[0])
+        transient = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # 4.02 record lengths (dt, the scratch buffer, the side, its moment's
+    # weight); 6.01 with np.trapezoid's temporaries
+    assert transient <= 4.1 * 8 * len(t)
+    # above the table, 2.07 budgets: the fold's buffers (one), numpy's
+    # buffers for the broadcast multiply that forms the columns (0.69), the
+    # offset tile (0.21) and the modes
+    assert peak - 8 * len(xs) * len(t) <= 2.2 * 16 * wp.FOLD_ELEMS
 
 
 def test_flux_records_hold_less_than_the_per_block_phase_tiles(packet):
@@ -464,6 +529,28 @@ def thin_exit():
     pot = PiecewisePotential.square(10.0, 8.0)
     p = wp.SpectralPacket.gaussian(float(k_of_E(3.0)), DK, n_nodes=129)
     return wp.flux_records(p, pot, [0.0, 8.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 300), even=st.booleans(), shape=st.sampled_from(["pulses", "noise"]),
+       side=st.sampled_from(["both", "forward", "backward"]),
+       floor=st.sampled_from([wp.FLUX_FLOOR, 0.3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_arrival_stats_match_np_trapezoid_bit_for_bit(n, even, shape, side, floor, seed):
+    # even and uneven t, J that changes sign or keeps one (a zero-flux side),
+    # against the frozen np.trapezoid moments: means, variances, totals, flags
+    rng = np.random.default_rng(seed)
+    t = np.linspace(-1e-13, 1e-13, n) if even else np.sort(rng.uniform(-1e-13, 1e-13, n))
+    if shape == "pulses":   # a forward and a backward arrival, each of about unit weight
+        c, w = rng.uniform(-5e-14, 5e-14, 2), rng.uniform(2e-15, 2e-14, 2)
+        pulse = np.exp(-((t[:, None] - c) / w) ** 2) / (math.sqrt(math.pi) * w)
+        J = pulse[:, 0] - rng.uniform(0.0, 1.0) * pulse[:, 1]
+    else:
+        J = 1e13 * rng.standard_normal(n)
+    J = {"both": J, "forward": np.abs(J), "backward": -np.abs(J)}[side]
+    rec = wp.FluxRecord(x=0.0, t=t, J=J)
+    got, want = wp.arrival_stats(rec, floor), parent_arrival_stats(rec, floor)
+    assert np.array(dataclasses.astuple(got), float).tobytes() == \
+        np.array(dataclasses.astuple(want), float).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf, -math.inf])
@@ -1138,11 +1225,17 @@ def test_norm_on_a_window_narrower_than_dx_is_not_zero(packet):
     assert narrow > 0.0
 
 
-@pytest.mark.parametrize("nt", [1, 7, 3 * wp.PHASE_BLOCK + 5])
-def test_current_and_density_match_evolve_bit_for_bit(packet, nt):
+@pytest.mark.parametrize("nt, fixture, nx", [
+    pytest.param(1, "packet", wp.PHASE_BLOCK + 9, id="1"),
+    pytest.param(7, "packet", wp.PHASE_BLOCK + 9, id="7"),
+    pytest.param(3 * wp.PHASE_BLOCK + 5, "packet", wp.PHASE_BLOCK + 9, id="197"),
+    # 21 positions on 65 nodes: one product takes all four long blocks
+    pytest.param(3 * wp.PHASE_BLOCK + 5, "packet65", 21, id="197-65-nodes-21-positions")])
+def test_current_and_density_match_evolve_bit_for_bit(request, nt, fixture, nx):
     # both fill their tables block by block from the blocks evolve uses
+    packet = request.getfixturevalue(fixture)
     ts = -2e-14 + 2e-16 * np.arange(nt)
-    xs = np.linspace(-40.0, 45.0, wp.PHASE_BLOCK + 9)
+    xs = np.linspace(-40.0, 45.0, nx)
     psi, dpsi = wp.evolve(packet, BARRIER, xs, ts)
     J = wp.current(packet, BARRIER, xs, ts)
     assert np.array_equal(J, ELECTRON.hbar_over_m * np.imag(np.conj(psi) * dpsi))
