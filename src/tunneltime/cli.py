@@ -157,8 +157,10 @@ def _fmt(v) -> str:
 
 # The float kernel below writes exactly what "%.17e" % v writes: the
 # correctly rounded (half-even) 18-digit significand, an exponent of at
-# least two digits, and nan / inf / -inf.
-_CELL = 26              # "-d.ddddddddddddddddde-ddd" plus its separator
+# least two digits, and nan / inf / -inf. A cell is seven NUL-padded uint32
+# words: sign, digit, "." and digit; four 4-digit words; then one uint64
+# word of "e", the exponent and, in its last byte, the separator.
+_CELL = 28
 _BLOCK_CELLS = 2048     # cells formatted per numpy pass; bounds the buffers
 _TIE_WINDOW = 1e-9      # the tail is off by < 1e-12; nearer halves go to "%"
 _SPLIT = 134217729.0    # 2**27 + 1, Dekker's splitter
@@ -176,38 +178,56 @@ def _double_double(num: int, den: int) -> tuple[float, float, float, float]:
 
 @functools.cache
 def _decimal_scale(e: int) -> tuple:
-    """For the np.frexp exponent e, the k with 2**(e-1) * 10**k in [1e17, 1e18),
-    then 2**e * 10**k and 2**e * 10**(k-1) as `_double_double`s, the second for
-    significands that round up to 1e18."""
+    """For the np.frexp exponent e, the k with 2**(e-1) * 10**k in [1e17, 1e18)
+    (the float floor below is exact for |e| < 1200); the least f in [0.5, 1)
+    with round(f * 2**e * 10**k) >= 1e18; and 2**e * 10**k and
+    2**e * 10**(k-1) as `_double_double`s, the second for f from that bound."""
     def ratio(k):
         num, den = (1 << e, 1) if e >= 0 else (1, 1 << -e)
         return (num * 10 ** k, den) if k >= 0 else (num, den * 10 ** -k)
 
     k = 17 - math.floor((e - 1) * math.log10(2.0))
-    while True:
-        num, den = ratio(k)
-        if num < 2 * 10 ** 17 * den:
-            k += 1
-        elif num >= 2 * 10 ** 18 * den:
-            k -= 1
-        else:
-            return (k, *_double_double(num, den), *_double_double(*ratio(k - 1)))
+    num, den = ratio(k)
+    # f = m / 2**53 reaches it when f * num / den >= 1e18 - 1/2 (half-even)
+    m = -((-(2 * 10 ** 18 - 1) * den << 52) // num)
+    return k, m / 2 ** 53, *_double_double(num, den), *_double_double(*ratio(k - 1))
 
 
 @functools.cache
-def _ascii_tables() -> tuple[np.ndarray, np.ndarray, dict]:
-    """The 3-digit groups "000".."999"; the exponent fields of exponents -400
-    to 399 ("+05", "-123": a sign and two or three digits, NUL-padded in
-    front), indexed by exponent + 400; and the cells of the values that have
-    no significand (nan, inf, zeros)."""
-    digits = np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(),
-                           dtype="S3")
-    exps = np.frombuffer(b"".join(f"{i:+03d}".encode().rjust(4, b"\0")
-                                  for i in range(-400, 400)), dtype="S4")
-    cell = {s: np.frombuffer(s.encode().ljust(_CELL - 1, b"\0"), dtype=np.uint8)
-            for s in ("nan", "inf", "-inf",
-                      "0.00000000000000000e+00", "-0.00000000000000000e+00")}
-    return digits, exps, cell
+def _ascii_tables() -> tuple:
+    """The cells' NUL-padded words: sign, digit, "." and digit for 0..99,
+    then with "-"; "0000".."9999"; "e", the exponents -400..399 (at exponent
+    + 400) and ","; for `_svg_points`, a sign and the digits of 0..999, then
+    with "-"; and ".00".."99" with an x's ",", then a y's " "."""
+    def words(strings, dtype):
+        return np.frombuffer(b"".join(strings), dtype=dtype)
+    # the 4-digit words from an int16 array: as bytes objects, 2.6 ms not 1.1
+    quads = np.arange(10 ** 4, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+    return (words([(s + f"{q // 10}.{q % 10}").encode().rjust(4, b"\0")
+                   for s in ("", "-") for q in range(100)], np.uint32),
+            (ord("0") + quads % 10).astype(np.uint8).view(np.uint32).ravel(),
+            words([(b"e%+03d" % i).ljust(7, b"\0") + b"," for i in range(-400, 400)], np.uint64),
+            words([(s + str(i)).encode().rjust(4, b"\0")
+                   for s in ("", "-") for i in range(1000)], np.uint32),
+            words([b".%02d%s" % (i, s) for s in (b",", b" ") for i in range(100)], np.uint32))
+
+
+def _scale_table(blocks) -> tuple:
+    """For the float blocks of one table: the least frexp exponent e0 of
+    their finite nonzero cells; the bounds on f of e0 and up; the k and k - 1
+    double-doubles of exponent e in columns 2 (e - e0) and 2 (e - e0) + 1 of
+    a (4, 2n + 1) array, whose last column of zeros writes a zero; and the
+    exponent words of those columns."""
+    lo, hi = math.inf, 0.0
+    for block in blocks:    # a block at a time bounds the buffers
+        a = np.abs(block[np.isfinite(block) & (block != 0.0)])
+        if a.size:
+            lo, hi = min(lo, a.min()), max(hi, a.max())
+    e0, e1 = np.frexp([lo, hi] if hi else [1.0, 1.0])[1].tolist()
+    rows = np.array([_decimal_scale(e) for e in range(e0, e1 + 1)])
+    dd = np.hstack((rows[:, 2:].reshape(-1, 4).T, np.zeros((4, 1))))
+    at = np.append(np.column_stack((417 - rows[:, 0], 418 - rows[:, 0])), 400)
+    return e0, rows[:, 1].copy(), dd, _ascii_tables()[2].take(at.astype(np.intp))
 
 
 def _scaled_significand(f, hi, hh, hl, lo):
@@ -223,62 +243,80 @@ def _scaled_significand(f, hi, hh, hl, lo):
     return p.astype(np.int64) + r.astype(np.int64), np.abs(tail - r) > 0.5 - _TIE_WINDOW
 
 
-def _format_e17(block: np.ndarray) -> bytes:
+def _joined(words: np.ndarray, v: np.ndarray, slow: np.ndarray, fmt: bytes) -> bytes:
+    """The bytes of the cells whose words are the columns of words, NULs left
+    out; a cell's last byte is its separator. Python's fmt writes the slow
+    cells of v, through a marker that takes each one's place."""
+    cells = np.ascontiguousarray(words.T)
+    cells.view(np.uint8)[slow, :-1] = np.frombuffer(
+        b"\1".ljust(cells.itemsize * cells.shape[1] - 1, b"\0"), np.uint8)
+    text = cells.tobytes().translate(None, b"\0")
+    return text.replace(b"\1", fmt) % tuple(v[slow].tolist()) if slow.any() else text
+
+
+def _format_e17(block: np.ndarray, scale: tuple | None = None) -> bytes:
     """The bytes of ",".join("%.17e" % v for v in row) + "\\n" for each row of
-    a 2-D float64 block."""
-    digits, exps, special_cell = _ascii_tables()
+    a 2-D float64 block; scale is the `_scale_table` of the block or of a
+    table that holds it."""
+    heads, quads = _ascii_tables()[:2]
+    e0, f_up, dd, exp_words = _scale_table([block]) if scale is None else scale
     v = block.ravel()
     m = v.size
-    regular = np.isfinite(v) & (v != 0.0)
     # |v| = f * 2**e; the significand is round(|v| * 10**k), the exponent 17 - k
-    f, e = np.frexp(np.where(regular, np.abs(v), 1.0))
-    e0 = int(e.min())
-    scale = np.array([_decimal_scale(x) for x in range(e0, int(e.max()) + 1)])
-    scale = scale.T.take(e - e0, axis=1)
-    k = scale[0].astype(np.int64)
-    n, near_half = _scaled_significand(f, *scale[1:5])
-    up = np.flatnonzero(n >= 10 ** 18)
-    if up.size:
-        n[up], near_half[up] = _scaled_significand(f[up], *scale[5:9, up])
-        k[up] -= 1
-    # the 18 digits in six 3-digit groups; the first digit moves left of the "."
-    groups = np.empty((m, 6), dtype=np.intp)
-    for j in range(5, 0, -1):
-        q = n // 1000
-        groups[:, j] = n - 1000 * q
-        n = q
-    groups[:, 0] = n
-
-    out = np.empty((m, _CELL), dtype=np.uint8)
-    out[:, 0] = np.where(np.signbit(v), ord("-"), 0)
-    out[:, 2:20] = digits.take(groups).view(np.uint8).reshape(m, 18)
-    out[:, 1] = out[:, 2]
-    out[:, 2] = ord(".")
-    out[:, 20] = ord("e")
-    out[:, 21:25] = exps.take(417 - k).view(np.uint8).reshape(m, 4)
-    out.reshape(block.shape + (_CELL,))[:, :, -1] = ord(",")
-    out.reshape(block.shape + (_CELL,))[:, -1, -1] = ord("\n")
+    f, e = np.frexp(v)
+    f = np.abs(f, out=f)
+    i = e - e0
+    j = 2 * i + (f >= f_up.take(i, mode="clip"))
+    regular = (f >= 0.5) & (f < 1.0)    # zeros, inf and nan are not
     if not regular.all():
-        out[np.isnan(v), :-1] = special_cell["nan"]
-        out[v == np.inf, :-1] = special_cell["inf"]
-        out[v == -np.inf, :-1] = special_cell["-inf"]
-        zero = v == 0.0
-        out[zero, :-1] = special_cell["0.00000000000000000e+00"]
-        out[zero & np.signbit(v), :-1] = special_cell["-0.00000000000000000e+00"]
+        f[~regular], j[~regular] = 0.0, dd.shape[1] - 1
+    n, near_half = _scaled_significand(f, *dd.take(j, axis=1))
+    # one row per word; the 18 digits split 2 + 4 * 4
+    words = np.empty((_CELL // 4, m), dtype=np.uint32)
+    q = n // 10 ** 16
+    n -= q * 10 ** 16
+    heads.take(q + 100 * np.signbit(v), out=words[0], mode="clip")
+    groups = np.empty((2, 2, m), dtype=np.int64)
+    groups[0, 0] = n // 10 ** 8
+    groups[1, 0] = n - groups[0, 0] * 10 ** 8
+    groups[:, 1] = groups[:, 0] // 10 ** 4
+    groups[:, 0] -= groups[:, 1] * 10 ** 4
+    quads.take(groups[:, ::-1], out=words[1:5].reshape(2, 2, m), mode="clip")
+    exps = exp_words.take(j).reshape(block.shape)
+    exps.view(np.uint8).reshape(block.shape + (8,))[:, -1, -1] = ord("\n")
+    words[5:] = exps.view(np.uint32).reshape(m, 2).T
+    if not regular.all():   # the zero column's "e+00" is in word 5
+        for s, hit in ((b"nan", np.isnan(v)), (b"inf", v == np.inf), (b"-inf", v == -np.inf)):
+            words[:6, hit] = np.frombuffer(s.ljust(24, b"\0"), np.uint32)[:, None]
     # what the double-double cannot decide goes to Python
-    for i in np.flatnonzero(near_half & regular):
-        out[i, :-1] = np.frombuffer(
-            ("%.17e" % v[i]).encode().ljust(_CELL - 1, b"\0"), dtype=np.uint8)
-    return out.tobytes().replace(b"\0", b"")
+    return _joined(words, v, near_half, b"%.17e")
+
+
+def _svg_points(xy: np.ndarray) -> str:
+    """" ".join("%.2f,%.2f" % tuple(p) for p in xy) for an (n, 2) float array;
+    a value below 999 in size is two words, its sign and whole part and then
+    its hundredths."""
+    lead, frac = _ascii_tables()[3:]
+    v = xy.ravel()
+    fast = np.abs(v) < 999.0           # nan and inf go to "%" too
+    # 100 |v| < 1e5 rounds by < 1e-11, far inside the window
+    p = np.where(fast, np.abs(v), 0.0) * 100.0
+    n = np.rint(p)
+    whole, hundredths = np.divmod(n.astype(np.intp), 100)
+    words = np.stack((lead.take(whole + 1000 * np.signbit(v)),
+                      frac.take((hundredths.reshape(-1, 2) + [0, 100]).ravel())))
+    slow = ~fast | (np.abs(p - n) > 0.5 - _TIE_WINDOW)
+    return _joined(words, v, slow, b"%.2f")[:-1].decode()
 
 
 def write_csv(path: Path, run: RunConfig, columns, rows, meta: dict | None = None):
     """CSV with a # header block: version, config, constants, run metadata.
 
-    ``rows`` is a 2-D float64 array, which the float kernel writes, or a
-    sequence of rows of mixed cells, each written by _fmt. The header carries
-    everything needed to reproduce the table; the single timestamp line is
-    the only part that varies between identical runs.
+    ``rows`` is a 2-D float64 array, which the float kernel writes a block
+    of rows at a time with one `_scale_table`, or a sequence of rows of mixed
+    cells, each written by _fmt. The header carries everything needed to
+    reproduce the table; the single timestamp line is the only part that
+    varies between identical runs.
     """
     u = ELECTRON
     lines = [
@@ -297,8 +335,10 @@ def write_csv(path: Path, run: RunConfig, columns, rows, meta: dict | None = Non
         out.write(("\n".join(lines) + "\n").encode())
         if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
             step = max(1, _BLOCK_CELLS // rows.shape[1])
-            for i in range(0, rows.shape[0], step):
-                out.write(_format_e17(rows[i:i + step]))
+            blocks = [rows[i:i + step] for i in range(0, rows.shape[0], step)]
+            scale = _scale_table(blocks)
+            for block in blocks:
+                out.write(_format_e17(block, scale))
         else:
             out.write("".join(",".join(_fmt(v) for v in row) + "\n"
                               for row in rows).encode())
@@ -376,8 +416,9 @@ def write_svg(path: Path, title: str, xlabel: str, ylabel: str, series):
             xy = np.column_stack((sx(x), sy(y)))
         # break the polyline at non-finite points instead of bridging them
         ok = np.concatenate(([False], np.isfinite(x) & np.isfinite(y), [False]))
+        step = _BLOCK_CELLS // 2   # points per `_svg_points` pass
         for a, b in np.flatnonzero(ok[1:] != ok[:-1]).reshape(-1, 2).tolist():
-            points = " ".join(["%.2f,%.2f"] * (b - a)) % tuple(xy[a:b].ravel().tolist())
+            points = " ".join(_svg_points(xy[s:min(s + step, b)]) for s in range(a, b, step))
             parts.append(f'<polyline points="{points}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 18 + 16 * i

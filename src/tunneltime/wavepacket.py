@@ -83,13 +83,16 @@ class SpectralPacket:
     def gaussian(cls, k0: float, dk: float, n_nodes: int = 513,
                  units: UnitSystem = ELECTRON) -> "SpectralPacket":
         """The Gaussian f(k - k0) = exp(-(k - k0)^2 / (2 dk^2)) on n_nodes
-        Gauss-Legendre nodes over [max(K_FLOOR, k0 - 5 dk), k0 + 5 dk]."""
+        Gauss-Legendre nodes over [max(K_FLOOR, k0 - 5 dk), k0 + 5 dk]; that
+        interval must not be empty."""
         _check_positive("k0", k0)
         _check_positive("dk", dk)
         if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
             raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
         lo = max(K_FLOOR, k0 - 5.0 * dk)
         hi = k0 + 5.0 * dk
+        if hi <= K_FLOOR:
+            raise ValueError(f"k0 + 5 dk = {hi!r} 1/A must exceed K_FLOOR = {K_FLOOR!r} 1/A")
         xg, wg = _gauss_legendre(int(n_nodes))
         k = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * wg

@@ -25,6 +25,7 @@ shares the frozen copy's numerics: at every point it meets the closed forms
 """
 
 import math
+import tracemalloc
 from dataclasses import astuple, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from conftest import (
     sweep_cond,
     time_rel,
 )
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tunneltime import cli, optical
 from tunneltime import scattering as sc
@@ -399,6 +400,31 @@ def test_write_csv_mixed_rows_skip_the_float_kernel(tmp_path, monkeypatch):
         assert _body(tmp_path / f"{i}.csv").decode().splitlines()[2] == _parent_row_join(row)
 
 
+E17_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072009e-308, -2.5e-320]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9),
+       st.lists(st.tuples(st.integers(-1140, 964), st.integers(0, 60)), min_size=2, max_size=4),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(E17_SPECIALS)), max_size=40))
+def test_write_csv_matches_percent_across_blocks(tmp_path_factory, ncol, spans, seed, specials):
+    # one scale table serves the whole table: each block of rows draws its
+    # binary exponents from its own span, down into the subnormals
+    shape = (max(1, cli._BLOCK_CELLS // ncol), ncol)
+    rng = np.random.default_rng(seed)
+    table = np.vstack([np.ldexp(rng.uniform(0.5, 1.0, shape) * rng.choice([-1.0, 1.0], shape),
+                                rng.integers(lo, lo + span + 1, shape))
+                       for lo, span in spans])
+    for at, value in specials:
+        table.flat[at % table.size] = value
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    run = cli.RunConfig("times", {}, path.parent)
+    cli.write_csv(path, run, [f"c{j}" for j in range(ncol)], table)
+    assert _body(path).split(b"\n", 1)[1] == _percent_rows(table)
+
+
 def _svg_series():
     x = np.linspace(-2.0, 3.0, 41)
     y = np.sin(x) * 1e-15
@@ -416,6 +442,62 @@ def test_write_svg_bytes_match_parent(tmp_path, pick):
     cli.write_svg(tmp_path / "new.svg", "t", "x", "y", series)
     _parent_write_svg(tmp_path / "old.svg", "t", "x", "y", series)
     assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
+
+
+def _svg_reference(xy) -> str:
+    return " ".join("%.2f,%.2f" % tuple(p) for p in np.asarray(xy).tolist())
+
+
+_NEAR_TIES = st.integers(-99999, 99999).map(lambda i: (i + 0.5) / 100).flatmap(
+    lambda t: st.sampled_from([t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]))
+_POINT_VALUES = st.one_of(
+    st.floats(-1000.0, 1000.0),
+    st.integers(-8000, 8000).map(lambda i: i / 8),      # binary halves: 0.125, 2.375
+    st.floats(-0.005, 0.0),                              # "-0.00"
+    st.floats(1e15, 1e300), st.floats(-1e300, -1e15),
+    _NEAR_TIES,
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_POINT_VALUES, _POINT_VALUES), min_size=1, max_size=50))
+@example([(0.125, 2.375), (-0.001, -0.0), (1e15, -1e16), (69.56499999, 69.565),
+          (998.995, -998.995), (999.0, 1e300), (math.nan, math.inf)])
+def test_svg_points_match_percent(points):
+    xy = np.array(points, dtype=float)
+    assert cli._svg_points(xy) == _svg_reference(xy)
+
+
+def test_writers_hold_a_few_blocks(tmp_path):
+    # transient bytes of each writer above what it was given, in units of
+    # 2,048 cells of 28 bytes, one block as the kernel formats it; blocks of
+    # twice the cells read 15.7 for the CSV, and formatting all points of a
+    # polyline at once reads 50.1 for the SVG
+    unit = 2048 * 28
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((10001, 5)) * 10.0 ** rng.integers(-20, 20, (10001, 5))
+    x = np.linspace(0.0, 1.0, 10001)
+    series = [(f"s{i}", x, np.sin(7.0 * (i + 1) * x)) for i in range(3)]
+    run = cli.RunConfig("times", {"V0": 10.0}, tmp_path)
+    cli.write_csv(tmp_path / "warm.csv", run, list("abcde"), table[:10])   # tables on first use
+    cli.write_svg(tmp_path / "warm.svg", "t", "x", "y", series[:1])
+    tracemalloc.start()
+    try:
+        peaks = []
+        for write in (lambda: cli.write_csv(tmp_path / "t.csv", run, list("abcde"), table),
+                      lambda: cli.write_svg(tmp_path / "t.svg", "t", "x", "y", series)):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write()
+            peaks.append((tracemalloc.get_traced_memory()[1] - held) / unit)
+    finally:
+        tracemalloc.stop()
+    # the CSV reads 8.1: a block's float temporaries, its words, and the
+    # cells as a copy, as bytes and without NULs
+    assert peaks[0] <= 9.0
+    # the SVG reads 44.0, nearly all of it the writer's copies of the series
+    # and its text, joined and encoded; a block's formatting takes 2.4
+    assert peaks[1] <= 46.0
 
 
 def _assert_amplitudes_close(got, want, eps, k, d, what=""):

@@ -101,6 +101,14 @@ def test_with_nodes_rejects_a_packet_gaussian_did_not_build(name, change):
     assert p.with_nodes(65).k_nodes.tobytes() == p.k_nodes.tobytes()
 
 
+@pytest.mark.parametrize("k0, dk", [(2.8e-8, 1.4e-10), (5e-5, 1e-6)])
+def test_packet_below_the_floor_names_it(k0, dk):
+    # both raised "math domain error" from a negative norm once the node
+    # interval [K_FLOOR, k0 + 5 dk] turned over
+    with pytest.raises(ValueError, match="K_FLOOR"):
+        wp.SpectralPacket.gaussian(k0, dk)
+
+
 @pytest.mark.parametrize("n_nodes", [0, -3, 65.0, np.float64(65.0), True, "65"])
 def test_packet_rejects_bad_node_count(n_nodes):
     with pytest.raises(ValueError, match="n_nodes must be a positive integer"):
