@@ -8,10 +8,7 @@ from .scattering import (
     ScatteringState,
     SquareBarrierParams,
     closed_form_square,
-    delta_barrier_limit,
     delta_closed_form,
-    density_and_current,
-    interior_wavefunction,
     solve_transfer_matrix,
     step_reflection,
 )
@@ -26,10 +23,7 @@ __all__ = [
     "ScatteringState",
     "SquareBarrierParams",
     "closed_form_square",
-    "delta_barrier_limit",
     "delta_closed_form",
-    "density_and_current",
-    "interior_wavefunction",
     "solve_transfer_matrix",
     "step_reflection",
     "__version__",

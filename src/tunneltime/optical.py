@@ -49,11 +49,6 @@ class WaveguideSpec:
         return math.pi * C_M_S / self.b
 
     @property
-    def cutoff_wavelength(self) -> float:
-        """lambda_c = 2b."""
-        return 2.0 * self.b
-
-    @property
     def evanescent(self) -> bool:
         return self.omega < self.omega_c
 
@@ -107,20 +102,13 @@ def map_quantum_waveguide(spec: WaveguideSpec) -> MappedBarrier:
     )
 
 
-def unmap_quantum_waveguide(mapped: MappedBarrier) -> WaveguideSpec:
-    """Exact inverse of map_quantum_waveguide."""
-    omega = mapped.k * C_M_S
-    b = math.pi / mapped.eps
-    return WaveguideSpec(b=b, omega=omega)
-
-
 def traversal_time_direct(spec: WaveguideSpec, L: float) -> float:
     """Guide-variable phase traversal time of an evanescent segment length L.
 
     Written out directly in (omega, omega_c, c); no quantum code involved.
     """
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    if not (math.isfinite(L) and L >= 0):
+        raise ValueError(f"L must be finite and >= 0, got {L}")
     if not spec.evanescent:
         raise ValueError("direct traversal time covers the evanescent case")
     if L == 0:
@@ -160,11 +148,12 @@ def traversal_time_mapped(spec: WaveguideSpec, L):
     return _stationary_times(params, m.k, L).phase.reshape(L.shape)[()]
 
 
-def superluminal_threshold(omega_ratio: float, lo: float = 1e-3, hi: float = 50.0) -> float:
+def superluminal_threshold(omega_ratio: float) -> float:
     """Smallest |kappa| L above which L/tau exceeds c, at omega/omega_c given.
 
-    Solved by bisection on kappa L; exists because tau saturates (guide
-    equivalent of the thick-barrier time limit) while L keeps growing.
+    Solved by bisection on kappa L over [1e-3, 50]; exists because tau
+    saturates (guide equivalent of the thick-barrier time limit) while L
+    keeps growing.
     """
     if not 0.0 < omega_ratio < 1.0:
         raise ValueError("omega_ratio must lie in (0, 1)")
@@ -175,9 +164,9 @@ def superluminal_threshold(omega_ratio: float, lo: float = 1e-3, hi: float = 50.
         L = kapL / kap
         return L / traversal_time_direct(spec, L) - C_M_S
 
-    if excess(lo) > 0:
-        return lo
-    a, b_ = lo, hi
+    a, b_ = 1e-3, 50.0
+    if excess(a) > 0:
+        return a
     for _ in range(200):
         mid = 0.5 * (a + b_)
         if excess(mid) > 0:

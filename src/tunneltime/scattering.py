@@ -19,6 +19,7 @@ E))/hbar is real for E < V_j and -i*q_j (pure imaginary) for E > V_j.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
@@ -325,6 +326,12 @@ def _check_k(k) -> None:
         raise ValueError(f"k must be finite and positive, got {k}")
 
 
+def _check_count(name: str, n, least: int) -> None:
+    """Raise ValueError unless n is an integer (not a bool) of at least least."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
+
+
 def _points(k, d):
     """The points of the closed-form bodies: k and d broadcast, flattened, checked."""
     k, d = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(d, dtype=float))
@@ -432,23 +439,6 @@ def _phase_slopes(segments, k: float, units: UnitSystem):
     return _richardson(sol.amp_T, h)[1], _richardson(sol.amp_R, h)[1]
 
 
-def interior_wavefunction(state: ScatteringState, x):
-    """psi(x) for the stationary state (unit incident amplitude)."""
-    return state.psi(x)
-
-
-def density_and_current(psi, dpsi_dx, units: UnitSystem = ELECTRON):
-    """(rho, j) from a wavefunction value and its spatial derivative.
-
-    j = (hbar/m) Im(psi* dpsi/dx); rho in 1/A, j in 1/s.
-    """
-    psi = np.asarray(psi)
-    dpsi_dx = np.asarray(dpsi_dx)
-    rho = np.abs(psi) ** 2
-    j = units.hbar_over_m * np.imag(np.conj(psi) * dpsi_dx)
-    return rho, j
-
-
 def _entire(eps, k, d):
     """(q, w, S, C, G, H) at every point of the 1-D arrays k and d.
 
@@ -518,19 +508,21 @@ def closed_form_square(params: SquareBarrierParams, k: float):
     return tuple(x.item() for x in _square_amplitudes(params, k, params.d))
 
 
-def transmission_phase_reference(params: SquareBarrierParams, k: float) -> float:
-    """Barrier-face phase alpha_ref = alpha + k d (continuous, unwrapped)."""
-    T, R, alpha, beta = closed_form_square(params, k)
-    return alpha + k * params.d
+def _step_kappa(V0: float, k: float, units: UnitSystem):
+    """(E, kappa) of k under a step of height V0. Raises ValueError for a
+    non-finite V0, a k that is not finite and positive, or E >= V0."""
+    if not math.isfinite(V0):
+        raise ValueError(f"V0 must be finite, got {V0}")
+    _check_k(k)
+    E = float(units.E_of_k(k))
+    if E >= V0:
+        raise ValueError("step relations cover the sub-barrier case only")
+    return E, float(units.kappa_of(E, V0))
 
 
 def step_reflection(V0: float, k: float, units: UnitSystem = ELECTRON) -> complex:
     """Reflection amplitude off a step of height V0 at x = 0 (E < V0)."""
-    _check_k(k)
-    E = float(units.E_of_k(k))
-    if E >= V0:
-        raise ValueError("step_reflection covers the sub-barrier case only")
-    kap = float(units.kappa_of(E, V0))
+    _, kap = _step_kappa(V0, k, units)
     return (k - 1j * kap) / (k + 1j * kap)
 
 
@@ -538,31 +530,17 @@ def delta_closed_form(strength: float, k: float, units: UnitSystem = ELECTRON):
     """(T, R, alpha, beta) for a Dirac-delta barrier of strength V0*d (eV*A).
 
     The opacity parameter is Omega = m*strength/(hbar^2 k); the
-    dimension-restoring m/hbar^2 is fixed by the transfer-matrix limit
-    (see delta_barrier_limit).
+    dimension-restoring m/hbar^2 is fixed by the transfer-matrix limit of
+    square barriers of height strength/d as d -> 0 (the oracle in the tests).
+    A negative strength is a delta well. Raises ValueError for a non-finite
+    strength.
     """
+    if not math.isfinite(strength):
+        raise ValueError(f"strength must be finite, got {strength}")
     _check_k(k)
     omega = units.electron_rest_eV * strength / (units.hbarc_eV_A ** 2 * k)
     t = 1.0 / (1.0 + 1j * omega)
     r = -1j * omega / (1.0 + 1j * omega)
-    return abs(t), abs(r), float(np.angle(t)), float(np.angle(r))
-
-
-def delta_barrier_limit(strength: float, k: float, units: UnitSystem = ELECTRON,
-                        d0: float = 1e-4):
-    """(T, R, alpha, beta) of the d -> 0 square-barrier family at fixed V0*d.
-
-    Transfer-matrix amplitudes converge with error proportional to d, so one
-    Richardson step on d0, d0/2 removes the leading term.
-    """
-    if strength == 0:
-        return 1.0, 0.0, 0.0, 0.0
-    vals = []
-    for d in (d0, d0 / 2.0):
-        st = solve_transfer_matrix(PiecewisePotential.square(strength / d, d), k, units)
-        vals.append((st.amp_T, st.amp_R))
-    t = 2.0 * vals[1][0] - vals[0][0]
-    r = 2.0 * vals[1][1] - vals[0][1]
     return abs(t), abs(r), float(np.angle(t)), float(np.angle(r))
 
 

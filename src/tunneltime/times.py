@@ -27,6 +27,7 @@ from .scattering import (
     ScatteringState,
     SquareBarrierParams,
     _SHIFTS,
+    _check_count,
     _check_k,
     _entire,
     _gauss_legendre,
@@ -34,6 +35,7 @@ from .scattering import (
     _points,
     _richardson,
     _square_amplitudes,
+    _step_kappa,
     _transfer_sweep,
     closed_form_square,  # noqa: F401  (callers also reach it as times.closed_form_square)
     solve_transfer_matrix,
@@ -414,11 +416,7 @@ def step_barrier_times(V0: float, k: float, units: UnitSystem = ELECTRON) -> Ste
     dtau_R = 2m/(hbar k kappa); tau_dwell = (E/V0) dtau_R;
     delta_tau_dwell = ((E-V0)/V0) dtau_R = (m/hbar k^2) sin(beta) at x1 = 0.
     """
-    _check_k(k)
-    E = float(units.E_of_k(k))
-    if E >= V0:
-        raise ValueError("step relations are sub-barrier")
-    kap = float(units.kappa_of(E, V0))
+    E, kap = _step_kappa(V0, k, units)
     dtau_R = 2.0 * units.m_over_hbar / (k * kap)
     return StepBarrierTimes(
         tau_dwell=(E / V0) * dtau_R,
@@ -429,10 +427,8 @@ def step_barrier_times(V0: float, k: float, units: UnitSystem = ELECTRON) -> Ste
 
 def step_dwell_numeric(V0: float, k: float, units: UnitSystem = ELECTRON) -> float:
     """Dwell content of the step interior (0, inf) over incident flux."""
-    r = step_reflection(V0, k, units)
-    E = float(units.E_of_k(k))
-    kap = float(units.kappa_of(E, V0))
-    t = 1.0 + r
+    _, kap = _step_kappa(V0, k, units)
+    t = 1.0 + step_reflection(V0, k, units)
     return abs(t) ** 2 / (2.0 * kap) / float(units.v_of_k(k))
 
 
@@ -446,10 +442,13 @@ def reshaping_check(params: SquareBarrierParams, k0: float, dk: float,
 
     Reports the argmax shift, the k > k0 interval (if any) where
     T'(k) > T(k)(k-k0)/dk^2 (the filter outruns the spectral decay), and the
-    fraction of |T f|^2 weight above the barrier-top wavenumber.
+    fraction of |T f|^2 weight above the barrier-top wavenumber. Raises
+    ValueError for a dk that is not finite and positive, or an n_grid that
+    is not an integer of at least 2.
     """
-    if dk <= 0:
-        raise ValueError("dk must be positive")
+    if not (math.isfinite(dk) and dk > 0):
+        raise ValueError(f"dk must be finite and positive, got {dk}")
+    _check_count("n_grid", n_grid, 2)
     eps = params.eps
     lo = max(1e-4, k0 - 6.0 * dk)
     hi = k0 + 6.0 * dk

@@ -83,8 +83,6 @@ HBAR_EVS = ELECTRON.hbar_eV_s
 HBARC_EVA = ELECTRON.hbarc_eV_A
 MC2_EV = ELECTRON.electron_rest_eV
 C_A_S = ELECTRON.c_A_per_s
-HBAR_OVER_M = ELECTRON.hbar_over_m
-M_OVER_HBAR = ELECTRON.m_over_hbar
 
 
 def k_of_E(E, units: UnitSystem = ELECTRON):

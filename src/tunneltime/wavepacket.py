@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scattering import PiecewisePotential, _gauss_legendre, _Modes, _transfer_sweep
+from .scattering import PiecewisePotential, _check_count, _gauss_legendre, _Modes, _transfer_sweep
 from .units import ELECTRON, UnitSystem
 
 T_SPAN = (-1e-13, 1e-13)       # scan interval for locating flux support, s
@@ -582,30 +582,14 @@ def _mean_times(si: ArrivalStats, sf: ArrivalStats) -> MeanTimes:
                      var_tau_T=sf.var_t_plus + si.var_t_plus, stats_i=si, stats_f=sf)
 
 
-def mean_times_separated_packets(record_at_xi: FluxRecord,
-                                 record_at_xf: FluxRecord) -> float:
-    """Diagnostic unsplit-flux transmission time.
-
-    Valid only for separated packets: when incident and reflected parts
-    overlap at a probe, the unsplit weight is not positive-definite and this
-    number loses meaning.
-    """
-
-    def mean_full(rec):
-        tot = np.trapezoid(rec.J, rec.t)
-        return np.trapezoid(rec.t * rec.J, rec.t) / tot
-
-    return float(mean_full(record_at_xf) - mean_full(record_at_xi))
-
-
 def dwell_time_packet(packet: SpectralPacket, potential: PiecewisePotential,
-                      x1: float, x2: float, dt_fine: float = DT_FINE) -> float:
+                      x1: float, x2: float) -> float:
     """Flux form of the packet dwell time over [x1, x2].
 
-    [int t J(x2) dt - int t J(x1) dt] / int J_in dt; the incident norm is 1
-    by packet normalization.
+    [int t J(x2) dt - int t J(x1) dt] / int J_in dt on the default time
+    grid; the incident norm is 1 by packet normalization.
     """
-    r1, r2 = flux_records(packet, potential, [x1, x2], dt_fine=dt_fine)
+    r1, r2 = flux_records(packet, potential, [x1, x2])
     return float(np.trapezoid(r2.t * r2.J, r2.t)) - float(np.trapezoid(r1.t * r1.J, r1.t))
 
 
@@ -657,11 +641,9 @@ def centroid_trajectory(packet: SpectralPacket, potential: PiecewisePotential, t
 
 
 def continuity_residual(packet: SpectralPacket, potential: PiecewisePotential,
-                        xs, ts, dx: float = 1e-3, dt: float = 1e-18) -> float:
-    """max |d rho/dt + dJ/dx| / max |dJ/dx| by centered differences.
-    Raises ValueError for a dx or dt that is not finite and positive."""
-    _check_positive("dx", dx)
-    _check_positive("dt", dt)
+                        xs, ts) -> float:
+    """max |d rho/dt + dJ/dx| / max |dJ/dx| by centered differences."""
+    dx, dt = 1e-3, 1e-18   # steps, A and s
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     nt, nx = len(ts), len(xs)
@@ -675,7 +657,7 @@ def continuity_residual(packet: SpectralPacket, potential: PiecewisePotential,
 
 
 # ---------------------------------------------------------------------------
-# Bohm trajectories and the quantum potential
+# Bohm trajectories
 
 
 @dataclass
@@ -691,35 +673,19 @@ class BohmTrajectory:
         return self.barrier_exit - self.barrier_entry
 
 
-def bohm_velocity(packet: SpectralPacket, potential: PiecewisePotential,
-                  x: float, t: float, rho_floor: float = 0.0) -> float:
-    """Guidance velocity J/rho in A/s; raises when rho is below the floor."""
-    psi, dpsi = evolve(packet, potential, x, t)
-    rho = abs(psi) ** 2
-    if rho <= rho_floor:
-        raise ValueError("density below floor; velocity undefined near node")
-    return float(packet.units.hbar_over_m * np.imag(np.conj(psi) * dpsi) / rho)
-
-
-def _check_count(name: str, n, least: int) -> None:
-    """Raise ValueError unless n is an integer (not a bool) of at least least."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
-
-
 def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
                    t_start: float, n_seeds: int,
-                   region: tuple[float, float], quantile_range: tuple[float, float] = (0.0, 1.0),
-                   n_grid: int = 4001) -> np.ndarray:
+                   region: tuple[float, float],
+                   quantile_range: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
     """Density-quantile seed points at t_start within a spatial region.
 
     quantile_range selects a slice of the region's own cumulative density,
     e.g. (1 - P_T, 1) picks the rightmost P_T fraction, which by the 1-D
-    no-crossing property is exactly the transmitted subensemble. Raises
-    ValueError for an n_seeds that is not an integer of at least 1, a region
-    whose upper end does not exceed its lower one, a quantile_range (lo, hi)
-    outside 0 <= lo < hi <= 1, or an n_grid that is not an integer of at
-    least 2.
+    no-crossing property is exactly the transmitted subensemble. The density
+    is sampled at 4001 evenly spaced points. Raises ValueError for an n_seeds
+    that is not an integer of at least 1, a region whose upper end does not
+    exceed its lower one, or a quantile_range (lo, hi) outside
+    0 <= lo < hi <= 1.
     """
     _check_count("n_seeds", n_seeds, 1)
     if not region[1] > region[0]:
@@ -727,8 +693,7 @@ def seed_positions(packet: SpectralPacket, potential: PiecewisePotential,
     lo, hi = quantile_range
     if not 0.0 <= lo < hi <= 1.0:   # nan fails every comparison
         raise ValueError(f"quantile_range must satisfy 0 <= lo < hi <= 1, got {quantile_range}")
-    _check_count("n_grid", n_grid, 2)
-    xs = np.linspace(region[0], region[1], n_grid)
+    xs = np.linspace(region[0], region[1], 4001)
     rho = _density(_ensemble(packet, potential), xs, t_start)
     cdf = _cumulative_trapezoid(rho, xs)
     cdf /= cdf[-1]
@@ -955,23 +920,3 @@ def bohm_route_disagreement(trajectories: list[BohmTrajectory],
             if gap > 0:   # nan where neither route crosses
                 worst = max(worst, gap / stay if stay > 0 else math.inf)
     return worst
-
-
-def quantum_potential(packet: SpectralPacket, potential: PiecewisePotential,
-                      x: float, t: float, h: float = 1e-3,
-                      amp_floor: float = 1e-12) -> float:
-    """-(hbar^2/2m) (d^2|Psi|/dx^2)/|Psi| in eV, three-point stencil.
-
-    Returns nan near amplitude nodes (|Psi| below amp_floor at any stencil
-    point), where the quotient is undefined. Raises ValueError for an h that
-    is not finite and positive.
-    """
-    _check_positive("h", h)
-    u = packet.units
-    xs = np.array([x - h, x, x + h])
-    psi, _ = evolve(packet, potential, xs, t)
-    a = np.abs(psi)
-    if np.any(a < amp_floor):
-        return math.nan
-    second = (a[0] - 2.0 * a[1] + a[2]) / (h * h)
-    return float(-u.hbar2_over_2m * second / a[1])

@@ -145,6 +145,8 @@ def test_config_line_without_key_or_equals_rejected(text, match):
     (["times", "--set", "V0=10", "--set", "E=5"], "missing required config key 'd'"),
     (["reshape", "--set", "V0=10", "--set", "d=-1", "--set", "E=5", "--set", "dk=0.02"],
      "'d' must be >= 0"),
+    (["reshape", "--set", "V0=10", "--set", "d=5", "--set", "E=5", "--set", "dk=0.02",
+      "--set", "n_grid=1"], "n_grid must be an integer of at least 2"),
     (["optical", "--set", "gap_E=10"], "gap sweep needs gap_E < gap_V0"),
     (["bohm", "--set", "V0=10", "--set", "d=5", "--set", "E=5", "--set", "dk=0.02",
       "--set", "t_start=1e-14", "--set", "t_end=1e-14"], "t_end must exceed t_start"),
@@ -154,7 +156,8 @@ def test_config_line_without_key_or_equals_rejected(text, match):
     (["evolve", "--set", "V0=10", "--set", "d=5", "--set", "E=5", "--set", "dk=0.02",
       "--set", "svg=maybe"], "key 'svg': cannot parse 'maybe' as bool"),
 ], ids=["sweep-without-bounds", "fixed-k-with-E-sweep", "times-without-d", "negative-d",
-        "gap-above-top", "empty-bohm-window", "no-seeding-room", "bool-maybe"])
+        "one-point-reshape-grid", "gap-above-top", "empty-bohm-window", "no-seeding-room",
+        "bool-maybe"])
 def test_bad_combination_exits_2_with_its_message(tmp_path, capsys, args, message):
     assert run(args, tmp_path) == 2
     assert message in capsys.readouterr().err

@@ -13,7 +13,7 @@ from tunneltime.scattering import (
     closed_form_square,
     delta_closed_form,
     solve_transfer_matrix,
-    transmission_phase_reference,
+    step_reflection,
 )
 from tunneltime.units import ELECTRON, HBAR_EVS, k_of_E
 from tunneltime.wavepacket import SpectralPacket
@@ -422,6 +422,13 @@ def test_reshaping_rejects_bad_dk():
         tt.reshaping_check(SquareBarrierParams(V0, 5.0), 0.7 * EPS, 0.0)
 
 
+@pytest.mark.parametrize("n_grid", [1, 0, -3, 40.0, True])
+def test_reshaping_rejects_bad_grid(n_grid):
+    # n_grid = 1 raised np.gradient's IndexError and 0 argmax's on an empty grid
+    with pytest.raises(ValueError, match="n_grid"):
+        tt.reshaping_check(SquareBarrierParams(V0, 5.0), 0.7 * EPS, 0.07 * EPS, n_grid=n_grid)
+
+
 # ---------------------------------------------------------------------------
 # centroid times
 
@@ -459,7 +466,7 @@ def _parent_spectrum_summary(packet, params):
     for i, kk in enumerate(ks):
         T[i] = closed_form_square(params, kk)[0]
         ap[i] = _fd_richardson(lambda kv: closed_form_square(params, kv)[2], kk, h_rel * kk)
-        bp[i] = _fd_richardson(lambda kv: transmission_phase_reference(params, kv),
+        bp[i] = _fd_richardson(lambda kv: closed_form_square(params, kv)[2] + kv * params.d,
                                kk, h_rel * kk)
     R2 = np.maximum(1.0 - T ** 2, 0.0)
     w_in = wq * f2
@@ -565,8 +572,12 @@ BAD_INPUT = {
     "buttiker_landauer omega": lambda b: tt.buttiker_landauer(_P, K5, omega=b),
     "buttiker_landauer deltaV": lambda b: tt.buttiker_landauer(_P, K5, omega=1e12, deltaV=b),
     "step_barrier_times": lambda b: tt.step_barrier_times(V0, b),
+    "step_barrier_times V0": lambda b: tt.step_barrier_times(b, K5),
     "step_dwell_numeric": lambda b: tt.step_dwell_numeric(V0, b),
+    "step_dwell_numeric V0": lambda b: tt.step_dwell_numeric(b, K5),
+    "step_reflection V0": lambda b: step_reflection(b, K5),
     "delta_closed_form": lambda b: delta_closed_form(50.0, b),
+    "reshaping_check dk": lambda b: tt.reshaping_check(_P, K5, b),
     "larmor_times_kappa_derivative": lambda b: tt.larmor_times_kappa_derivative(_P, b),
     "self_interference_identity k": lambda b: tt.self_interference_identity(_P, b, x1=-1.0),
     "self_interference_identity x1": lambda b: tt.self_interference_identity(_P, K5, x1=-b),
@@ -582,6 +593,15 @@ def test_library_rejects_bad_input(call, bad):
         warnings.simplefilter("error")   # a raise, not a warning on the way to nan
         with pytest.raises(ValueError):
             BAD_INPUT[call](bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_delta_closed_form_rejects_non_finite_strength(bad):
+    # a negative strength is a delta well; nan and inf gave four nans
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="strength"):
+            delta_closed_form(bad, K5)
 
 
 # each call is finite but just outside its function's domain

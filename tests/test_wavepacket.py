@@ -684,16 +684,6 @@ def test_mean_times_wiring(packet):
     assert mt.stats_f.total_minus_flux == 0.0 and mt.stats_f.low_confidence_minus
 
 
-def test_separated_packet_diagnostic_far_probes(packet):
-    # far upstream/downstream the unsplit diagnostic approximates the
-    # free-flight time between the probes plus the tunnelling delay
-    xi, xf = -150.0, 160.0
-    ri = wp.flux_series(packet, FREE, xi)
-    rf = wp.flux_series(packet, FREE, xf)
-    tau = wp.mean_times_separated_packets(ri, rf)
-    assert tau == pytest.approx((xf - xi) / ELECTRON.v_of_k(K5), rel=1e-3, abs=0)
-
-
 def test_packet_dwell_matches_spectral_average(packet):
     # [int t J(x2) - int t J(x1)] equals sum_j w g^2 tau_dwell(k_j) exactly
     # (cross terms integrate out); checked against the closed stationary form
@@ -710,19 +700,6 @@ def test_packet_dwell_matches_spectral_average(packet):
 def test_continuity_residual(packet):
     res = wp.continuity_residual(packet, BARRIER, [-3.0, 2.5, 7.0], [-2e-15, 0.0, 2e-15])
     assert res <= 1e-4
-
-
-@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
-@pytest.mark.parametrize("fn, step", [("continuity_residual", "dx"),
-                                      ("continuity_residual", "dt"),
-                                      ("quantum_potential", "h")])
-def test_stencil_steps_reject_bad_input(packet, evaluations, fn, step, bad):
-    # dx = 0 gave a residual of 0.0, which reads as perfect continuity, and
-    # h = 0 nan with a RuntimeWarning
-    where = ([-3.0, 2.5], [0.0]) if fn == "continuity_residual" else (2.5, 0.0)
-    with pytest.raises(ValueError, match=step):
-        getattr(wp, fn)(packet, BARRIER, *where, **{step: bad})
-    assert evaluations == []
 
 
 def test_norm_conservation(packet):
@@ -805,17 +782,7 @@ def test_crank_nicolson_cross_check(packet):
 
 
 # ---------------------------------------------------------------------------
-# guidance trajectories and quantum potential
-
-
-def test_bohm_velocity_free_centroid(packet):
-    v = wp.bohm_velocity(packet, FREE, 0.0, 0.0)
-    assert v == pytest.approx(ELECTRON.v_of_k(K5), rel=1e-3)
-
-
-def test_bohm_velocity_node_guard(packet):
-    with pytest.raises(ValueError):
-        wp.bohm_velocity(packet, FREE, 0.0, 0.0, rho_floor=1e6)
+# guidance trajectories
 
 
 def test_seed_positions_quantiles(packet):
@@ -841,23 +808,12 @@ def test_bohm_free_trajectories_ride_group_velocity(packet):
     assert np.all(np.diff(xs, axis=0) > 0)
 
 
-def test_quantum_potential_free_gaussian(packet):
-    # |Psi(x,0)| = const * exp(-x^2 dk^2/2): Q(0) = (hbar^2/2m) dk^2
-    h22m = ELECTRON.hbarc_eV_A ** 2 / (2.0 * ELECTRON.electron_rest_eV)
-    q0 = wp.quantum_potential(packet, FREE, 0.0, 0.0)
-    assert q0 == pytest.approx(h22m * DK * DK, rel=1e-4)
-    assert wp.quantum_potential(packet, FREE, 30.0, 0.0) == pytest.approx(
-        wp.quantum_potential(packet, FREE, -30.0, 0.0), rel=1e-9)
-
-
 def test_zero_amplitude_packet_has_no_flux_support(packet):
-    # no probe has flux: the coarse scan itself is the grid, and every
-    # stencil point is an amplitude node
+    # no probe has flux: the coarse scan itself is the grid
     empty = dataclasses.replace(packet, amplitude=0.0 * packet.amplitude)
     want = np.arange(wp.T_SPAN[0], wp.T_SPAN[1] + wp.DT_COARSE / 2, wp.DT_COARSE)
     grid = wp.default_time_grid(empty, BARRIER, [0.0, 5.0])
     assert len(grid) == 201 and grid.tobytes() == want.tobytes()
-    assert math.isnan(wp.quantum_potential(empty, BARRIER, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -1149,25 +1105,21 @@ def test_bohm_trajectories_reject_empty_input(packet, monkeypatch, kwargs, match
     assert calls == []
 
 
-@pytest.mark.parametrize("n_seeds, region, n_grid, match", [
-    (0, (-150.0, 150.0), 4001, "n_seeds"),
-    (-2, (-150.0, 150.0), 4001, "n_seeds"),
-    (3, (150.0, -150.0), 4001, "region"),
-    (3, (20.0, 20.0), 4001, "region"),
-    (3, (-150.0, 150.0), 1, "n_grid"),
-    (3, (-150.0, 150.0), 0, "n_grid"),
-    (3, (-150.0, 150.0), 40.0, "n_grid"),
-    (2.5, (-150.0, 150.0), 4001, "n_seeds must be an integer"),
-    (3.0, (-150.0, 150.0), 4001, "n_seeds must be an integer"),
-    (True, (-150.0, 150.0), 4001, "n_seeds must be an integer"),
-], ids=["no-seeds", "negative", "reversed", "empty", "one-point", "no-points", "float-grid",
-        "fractional-seeds", "float-seeds", "bool-seeds"])
-def test_seed_positions_reject_bad_input(packet, n_seeds, region, n_grid, match):
-    # a reversed region used to return reversed seeds, n_seeds = 0 [],
-    # n_seeds = 2.5 three seeds, n_grid = 1 every seed at region[0] and
-    # n_grid = 0 numpy's length error
+@pytest.mark.parametrize("n_seeds, region, match", [
+    (0, (-150.0, 150.0), "n_seeds"),
+    (-2, (-150.0, 150.0), "n_seeds"),
+    (3, (150.0, -150.0), "region"),
+    (3, (20.0, 20.0), "region"),
+    (2.5, (-150.0, 150.0), "n_seeds must be an integer"),
+    (3.0, (-150.0, 150.0), "n_seeds must be an integer"),
+    (True, (-150.0, 150.0), "n_seeds must be an integer"),
+], ids=["no-seeds", "negative", "reversed", "empty", "fractional-seeds", "float-seeds",
+        "bool-seeds"])
+def test_seed_positions_reject_bad_input(packet, n_seeds, region, match):
+    # a reversed region used to return reversed seeds, n_seeds = 0 [] and
+    # n_seeds = 2.5 three seeds
     with pytest.raises(ValueError, match=match):
-        wp.seed_positions(packet, FREE, 0.0, n_seeds, region, n_grid=n_grid)
+        wp.seed_positions(packet, FREE, 0.0, n_seeds, region)
 
 
 @pytest.mark.parametrize("quantile_range", [
